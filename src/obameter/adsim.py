@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 from . import demo
-from .corpus import WebPage, landing_key
+from .corpus import WebPage, from_dict, landing_key
 from .errors import InvalidConfig
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
@@ -184,6 +184,27 @@ class PersonaRecord:
 
     persona: Persona
     attrition: dict[str, int]
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.persona.id,
+            "category": self.persona.category,
+            "sensitive": self.persona.sensitive,
+            "training_pages": [p.url for p in self.persona.training_pages],
+            "attrition": self.attrition,
+        }
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "PersonaRecord":
+        persona = Persona(
+            id=rec["id"],
+            category=rec["category"],
+            sensitive=rec["sensitive"],
+            training_pages=[
+                WebPage(url=u, role="training") for u in rec["training_pages"]
+            ],
+        )
+        return cls(persona=persona, attrition=rec["attrition"])
 
 
 class World:
@@ -345,19 +366,10 @@ class World:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "config": _config_to_dict(self.config),
+            "config": asdict(self.config),
             "aggregators": self.aggregators,
             "control_pages": [p.url for p in self.control_pages],
-            "personas": [
-                {
-                    "id": rec.persona.id,
-                    "category": rec.persona.category,
-                    "sensitive": rec.persona.sensitive,
-                    "training_pages": [p.url for p in rec.persona.training_pages],
-                    "attrition": rec.attrition,
-                }
-                for rec in self.personas
-            ],
+            "personas": [rec.to_dict() for rec in self.personas],
             "ads": [asdict(ad) for ad in self.ads],
             "page_categories": self.page_categories,
             "page_themes": self.page_themes,
@@ -366,46 +378,18 @@ class World:
 
     @classmethod
     def from_dict(cls, data: dict, taxonomy: KeywordTaxonomy) -> "World":
-        config = _config_from_dict(data["config"])
-        personas = [
-            PersonaRecord(
-                persona=Persona(
-                    id=rec["id"],
-                    category=rec["category"],
-                    sensitive=rec["sensitive"],
-                    training_pages=[
-                        WebPage(url=u, role="training") for u in rec["training_pages"]
-                    ],
-                ),
-                attrition=rec["attrition"],
-            )
-            for rec in data["personas"]
-        ]
         return cls(
-            config=config,
+            config=from_dict(SimConfig, data["config"], "sim"),
             taxonomy=taxonomy,
             seed=data["seed"],
-            personas=personas,
+            personas=[PersonaRecord.from_dict(rec) for rec in data["personas"]],
             control_pages=[WebPage(url=u, role="control") for u in data["control_pages"]],
-            ads=[AdUnit(**ad) for ad in data["ads"]],
+            ads=[from_dict(AdUnit, ad, "ad") for ad in data["ads"]],
             page_categories=data["page_categories"],
             page_themes=data["page_themes"],
             trackers=data["trackers"],
             aggregators=data["aggregators"],
         )
-
-
-def _config_to_dict(config: SimConfig) -> dict:
-    d = asdict(config)
-    d["tag_noise"] = {"dropout": config.tag_noise.dropout,
-                      "spurious": config.tag_noise.spurious}
-    return d
-
-
-def _config_from_dict(data: dict) -> SimConfig:
-    d = dict(data)
-    d["tag_noise"] = TagNoise(**d.get("tag_noise", {}))
-    return SimConfig(**d)
 
 
 class WorldTagSource:
@@ -488,12 +472,12 @@ def build_world(
 
     # control pages: weather theme, dense tracker placement
     control_pages: list[WebPage] = []
-    weather_extra = ["weather forecasts", "severe weather"]
     for i in range(config.n_control_pages):
         url = f"https://weather-{i}.example/forecast"
         page = WebPage(url=url, role="control")
         control_pages.append(page)
-        page_categories[page.url] = ["weather", weather_extra[i % 2]]
+        extra = demo.WEATHER_SUBCATEGORIES[i % len(demo.WEATHER_SUBCATEGORIES)]
+        page_categories[page.url] = ["weather", extra]
         page_themes[page.url] = "weather"
         trackers[page.url] = list(aggregators)
 
@@ -634,14 +618,14 @@ def _build_inventory(
         ))
         page_categories[url] = sorted(demo.persona_bundle(taxonomy, target))
 
-    weather_extra = ["weather forecasts", "severe weather"]
     for i in range(counts["contextual"]):
         url = f"https://ads-ctx-{i:03d}.example/deal"
         ads.append(AdUnit(
             ad_id=f"ctx-{i:03d}", kind="contextual", landing_url=url,
             base_weight=weights["contextual"], theme="weather",
         ))
-        page_categories[url] = ["weather", weather_extra[i % 2]]
+        extra = demo.WEATHER_SUBCATEGORIES[i % len(demo.WEATHER_SUBCATEGORIES)]
+        page_categories[url] = ["weather", extra]
 
     for i in range(counts["static"]):
         url = f"https://ads-static-{i:03d}.example/brand"

@@ -19,12 +19,13 @@ import json
 import sys
 
 from .corpus import ExperimentStore
-from .errors import ConfigurationError, CorpusDataError, ObameterError
+from .errors import ConfigurationError, CorpusDataError, InvalidConfig, ObameterError
 from .experiment import (
     ExperimentManifest,
     analyze,
     digest,
     filter_attrition,
+    fmt,
     load_manifest,
     simulate,
     validate,
@@ -93,6 +94,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.repetitions is not None:
         overrides["repetitions"] = args.repetitions
     if args.personas is not None:
+        if manifest.personas:
+            raise InvalidConfig(
+                "--personas sets the default roster size, but the manifest "
+                "lists its personas explicitly"
+            )
         overrides["n_personas"] = args.personas
     if overrides:
         manifest = dataclasses.replace(manifest, **overrides)
@@ -101,20 +107,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analysis_overrides(args: argparse.Namespace) -> tuple[ConsensusConfig | None, FilterConfig | None]:
+def _stored_manifest(args: argparse.Namespace) -> ExperimentManifest:
     store = ExperimentStore(args.dir)
-    stored = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
-    consensus = None
-    if args.consensus_n is not None or args.consensus_t is not None:
-        consensus = ConsensusConfig(
-            n=args.consensus_n if args.consensus_n is not None else stored.consensus.n,
-            threshold=(
-                args.consensus_t if args.consensus_t is not None
-                else stored.consensus.threshold
-            ),
-        )
-    filters = _filter_override(args, stored)
-    return consensus, filters
+    return ExperimentManifest.from_dict(store.load_doc("manifest.json"))
+
+
+def _consensus_override(args: argparse.Namespace, stored: ExperimentManifest) -> ConsensusConfig | None:
+    if args.consensus_n is None and args.consensus_t is None:
+        return None
+    return ConsensusConfig(
+        n=args.consensus_n if args.consensus_n is not None else stored.consensus.n,
+        threshold=(
+            args.consensus_t if args.consensus_t is not None
+            else stored.consensus.threshold
+        ),
+    )
 
 
 def _filter_override(args: argparse.Namespace, stored: ExperimentManifest) -> FilterConfig | None:
@@ -127,8 +134,13 @@ def _filter_override(args: argparse.Namespace, stored: ExperimentManifest) -> Fi
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    consensus, filters = _analysis_overrides(args)
-    report = analyze(args.dir, consensus=consensus, filters=filters, cpc_path=args.cpc)
+    stored = _stored_manifest(args)
+    report = analyze(
+        args.dir,
+        consensus=_consensus_override(args, stored),
+        filters=_filter_override(args, stored),
+        cpc_path=args.cpc,
+    )
     store = ExperimentStore(args.dir)
     print(f"scored {len(report['cells'])} cells "
           f"({len(report['personas'])} personas, {len(report['sources'])} sources)")
@@ -137,10 +149,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    # consensus flags do not exist on this subcommand
-    args.consensus_n = None
-    args.consensus_t = None
-    _, filters = _analysis_overrides(args)
+    filters = _filter_override(args, _stored_manifest(args))
     rows = filter_attrition(args.dir, filters=filters)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
@@ -153,8 +162,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for level in result["levels"]:
         agg = level["aggregate"]
         print(
-            f"spurious {level['spurious']:<6} recall {_fmt(agg['recall'])} "
-            f"accuracy {_fmt(agg['accuracy'])} fpr {_fmt(agg['fpr'])}"
+            f"spurious {level['spurious']:<6} recall {fmt(agg['recall'], 4)} "
+            f"accuracy {fmt(agg['accuracy'], 4)} fpr {fmt(agg['fpr'], 4)}"
         )
     print("clean profile pure: " + ("yes" if result["clean_profile_pure"] else "NO"))
     return 0
@@ -163,10 +172,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     sys.stdout.write(digest(args.dir))
     return 0
-
-
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ Store layout. An experiment directory holds
     visits.jsonl         append-only visit event log
     impressions.jsonl    append-only ad impression log
     personas.json        persona definitions with selection attrition
+    sessions.json        per-session metadata
     world.json           simulator inventory and ground truth (if simulated)
     manifest.json        the experiment manifest actually used
     report.json/.csv     analysis output
@@ -23,14 +24,16 @@ load snapshots, so a reader never observes a torn line.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
-from .errors import CorpusDataError, IncompleteCorpus, SourceUnavailable
+from .errors import CorpusDataError, IncompleteCorpus, InvalidConfig, SourceUnavailable
 from .taxonomy import normalize_keyword
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
@@ -83,7 +86,6 @@ class TagSource:
     """Descriptor of a tagging source."""
 
     name: str
-    granularity: str = ""
 
     def __post_init__(self) -> None:
         if not _SOURCE_NAME.match(self.name):
@@ -153,9 +155,8 @@ class FixtureTagSource:
     """
 
     def __init__(self, name: str, records: dict[str, Iterable[str]] | None = None,
-                 path: str | Path | None = None, granularity: str = ""):
+                 path: str | Path | None = None):
         self.name = name
-        self.granularity = granularity
         mapping: dict[str, set[str]] = {}
         if records is not None:
             for url, kws in records.items():
@@ -178,24 +179,6 @@ class FixtureTagSource:
 
     def keywords_for(self, page: WebPage) -> set[str]:
         return set(self._records.get(page.url, ()))
-
-
-class NetworkTagSource:
-    """Placeholder for live categorization services.
-
-    Real network clients are out of scope for this build; any use raises
-    SourceUnavailable so callers fail loudly instead of silently missing
-    keywords.
-    """
-
-    def __init__(self, name: str, endpoint: str):
-        self.name = name
-        self.endpoint = endpoint
-
-    def keywords_for(self, page: WebPage) -> set[str]:
-        raise SourceUnavailable(
-            f"source {self.name!r} is a network stub; supply a fixture instead"
-        )
 
 
 def tag_pages(pages: Iterable[WebPage], source: TaggingSource) -> list[TagAssignment]:
@@ -249,8 +232,53 @@ def write_json(path: Path, obj) -> None:
     )
 
 
+def check_keys(data, known: Iterable[str], section: str) -> Mapping:
+    """`data` itself, if it is a mapping whose keys all lie in `known`."""
+    if not isinstance(data, Mapping):
+        raise InvalidConfig(f"{section} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise InvalidConfig(f"unknown {section} keys: {sorted(unknown)}")
+    return data
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def from_dict(cls, data, section: str):
+    """Inverse of `dataclasses.asdict` for config dataclasses.
+
+    Fields typed as a dataclass or `list[dataclass]` are built from their
+    type hints, under the field name as section; other values pass as
+    they are. A key that names no field raises InvalidConfig.
+    """
+    types = _field_types(cls)
+    kwargs = {}
+    for name, value in check_keys(data, types, section).items():
+        kind, args = types[name], typing.get_args(types[name])
+        if is_dataclass(kind):
+            value = from_dict(kind, value, name)
+        elif typing.get_origin(kind) is list and is_dataclass(args[0]):
+            value = [from_dict(args[0], v, name) for v in value]
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise InvalidConfig(f"bad {section} section: {exc}") from exc
+
+
 class ExperimentStore:
     """JSONL-backed experiment directory."""
+
+    # every file of the layout above except the per-source tag files
+    FILES = (
+        "pages.jsonl", "visits.jsonl", "impressions.jsonl", "personas.json",
+        "sessions.json", "world.json", "manifest.json", "report.json",
+        "report.csv", "performance.json",
+    )
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -258,6 +286,11 @@ class ExperimentStore:
     def create(self) -> "ExperimentStore":
         self.root.mkdir(parents=True, exist_ok=True)
         return self
+
+    def clear(self) -> None:
+        """Delete every file the layout names; leave anything else alone."""
+        for p in [*map(self.path, self.FILES), *self.root.glob("tags.*.jsonl")]:
+            p.unlink(missing_ok=True)
 
     # path helpers
 

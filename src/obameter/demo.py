@@ -262,14 +262,6 @@ DEFAULT_PERSONA_CATEGORIES: list[str] = [
     "dating",
 ]
 
-# Sensitive categories keep the persona profile empty during selection.
-SENSITIVE_CATEGORIES: list[str] = [
-    "diabetes",
-    "aids & hiv",
-    "hinduism",
-    "left-wing politics",
-]
-
 # Category pools for non-targeted ad kinds. Disjoint from every default
 # persona bundle and from the weather theme, so a zero-noise run cannot
 # produce a keyword match on a non-OBA landing page.
@@ -298,8 +290,9 @@ LOCAL_AD_CATEGORIES: list[str] = [
     "car rental",
 ]
 
-WEATHER_CATEGORIES: list[str] = [
-    "weather",
+# Control pages and contextual ads carry "weather" plus one of these,
+# alternating.
+WEATHER_SUBCATEGORIES: list[str] = [
     "weather forecasts",
     "severe weather",
 ]

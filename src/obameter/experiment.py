@@ -33,22 +33,29 @@ import io
 import itertools
 import json
 import statistics
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import demo
 from .adsim import (
+    PersonaRecord,
     PersonaSpec,
     SimConfig,
     TagNoise,
     World,
     build_world,
     default_persona_specs,
-    _config_from_dict,
-    _config_to_dict,
 )
-from .corpus import AdImpression, ExperimentStore, TagAssignment, WebPage, tag_pages
+from .corpus import (
+    AdImpression,
+    ExperimentStore,
+    TagAssignment,
+    WebPage,
+    check_keys,
+    from_dict,
+    tag_pages,
+)
 from .errors import (
     DegenerateSeries,
     EmptyTrainingSet,
@@ -66,7 +73,7 @@ from .metrics import (
     value_correlation,
 )
 from .persona import ConsensusConfig, Persona, consensus_training_keywords
-from .pipeline import FilterConfig, apply_filters, build_audience
+from .pipeline import FilterConfig, PipelineResult, apply_filters, build_audience
 from .seeding import derive_seed
 from .session import SessionConfig, run_session
 from .taxonomy import KeywordTaxonomy
@@ -76,6 +83,9 @@ CLEAN_ID = "__clean__"
 
 # pipeline stage key -> the cumulative filter set it completes
 _STAGE_TO_FILTERS = {"r": "r", "sc": "rsc", "dg": "rscdg"}
+
+# manifest fields stored under "session" in manifest.json
+_SESSION_KEYS = ("visit_budget", "mean_interval")
 
 
 @dataclass
@@ -114,6 +124,8 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if not self.experiment_id:
             raise InvalidConfig("experiment_id must be non-empty")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if self.repetitions < 1:
             raise InvalidConfig(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.conditions:
@@ -130,89 +142,35 @@ class ExperimentManifest:
         for spec in self.personas:
             if spec.id == CLEAN_ID:
                 raise InvalidConfig(f"persona id {CLEAN_ID!r} is reserved")
+        if len(self.sim.sources) < self.consensus.n + 1:
+            raise InvalidConfig(
+                f"consensus n={self.consensus.n} needs at least "
+                f"{self.consensus.n + 1} tag sources, sim.sources has "
+                f"{len(self.sim.sources)}"
+            )
 
     def persona_specs(self) -> list[PersonaSpec]:
         return list(self.personas) or default_persona_specs(self.n_personas)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentManifest":
-        known = {
-            "experiment_id", "seed", "n_personas", "personas", "conditions",
-            "repetitions", "session", "sim", "consensus", "filters", "taxonomy",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidConfig(f"unknown manifest keys: {sorted(unknown)}")
-        session = dict(data.get("session", {}))
-        bad = set(session) - {"visit_budget", "mean_interval"}
-        if bad:
-            raise InvalidConfig(f"unknown session keys: {sorted(bad)}")
-        try:
-            personas = [PersonaSpec(**p) for p in data.get("personas", [])]
-            conditions = [Condition(**c) for c in data.get("conditions", [])]
-        except TypeError as exc:
-            raise InvalidConfig(f"bad persona or condition entry: {exc}") from exc
-        consensus = dict(data.get("consensus", {}))
-        bad = set(consensus) - {"n", "threshold"}
-        if bad:
-            raise InvalidConfig(f"unknown consensus keys: {sorted(bad)}")
-        filt = dict(data.get("filters", {}))
-        bad = set(filt) - {"enabled", "t_prime"}
-        if bad:
-            raise InvalidConfig(f"unknown filter keys: {sorted(bad)}")
-        kwargs = {}
-        if filt.get("enabled") is not None:
-            kwargs["filters"] = filt["enabled"]
-        if filt.get("t_prime") is not None:
-            kwargs["t_prime"] = filt["t_prime"]
-        return cls(
-            experiment_id=data.get("experiment_id", "experiment"),
-            seed=data.get("seed", 0),
-            n_personas=data.get("n_personas", 10),
-            personas=personas,
-            conditions=conditions or [Condition()],
-            repetitions=data.get("repetitions", 4),
-            visit_budget=session.get("visit_budget", 310),
-            mean_interval=session.get("mean_interval", 180.0),
-            sim=_sim_from_dict(data.get("sim", {})),
-            consensus=ConsensusConfig(**consensus),
-            filters=FilterConfig(**kwargs),
-            taxonomy=data.get("taxonomy", "demo"),
+        """Inverse of to_dict; unknown keys in any section raise InvalidConfig."""
+        top = {f.name for f in fields(cls)} - set(_SESSION_KEYS) | {"session"}
+        doc = dict(check_keys(data, top, "manifest"))
+        doc.update(check_keys(doc.pop("session", {}), _SESSION_KEYS, "session"))
+        filters = dict(
+            check_keys(doc.get("filters", {}), ("enabled", "t_prime"), "filter")
         )
+        if "enabled" in filters:
+            filters["filters"] = filters.pop("enabled")
+        doc["filters"] = filters
+        return from_dict(cls, doc, "manifest")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "seed": self.seed,
-            "n_personas": self.n_personas,
-            "personas": [
-                {"id": p.id, "category": p.category, "sensitive": p.sensitive}
-                for p in self.personas
-            ],
-            "conditions": [
-                {"geo": c.geo, "dnt": c.dnt} for c in self.conditions
-            ],
-            "repetitions": self.repetitions,
-            "session": {
-                "visit_budget": self.visit_budget,
-                "mean_interval": self.mean_interval,
-            },
-            "sim": _config_to_dict(self.sim),
-            "consensus": {"n": self.consensus.n, "threshold": self.consensus.threshold},
-            "filters": {"enabled": self.filters.filters, "t_prime": self.filters.t_prime},
-            "taxonomy": self.taxonomy,
-        }
-
-
-def _sim_from_dict(data: Mapping) -> SimConfig:
-    known = {f.name for f in dataclass_fields(SimConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidConfig(f"unknown sim keys: {sorted(unknown)}")
-    try:
-        return _config_from_dict(dict(data))
-    except TypeError as exc:
-        raise InvalidConfig(f"bad sim section: {exc}") from exc
+        doc = asdict(self)
+        doc["session"] = {key: doc.pop(key) for key in _SESSION_KEYS}
+        doc["filters"]["enabled"] = doc["filters"].pop("filters")
+        return doc
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
@@ -241,11 +199,9 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     world = build_world(manifest.sim, specs, taxonomy, seed=manifest.seed)
 
     store = ExperimentStore(out_dir).create()
-    # visits/impressions are append-only; a rerun must not double them
-    for name in ("visits.jsonl", "impressions.jsonl"):
-        p = store.path(name)
-        if p.exists():
-            p.unlink()
+    # the event logs are append-only, and analyze finds tag files by glob,
+    # so nothing from an earlier run may survive a rerun
+    store.clear()
 
     pages = world.all_pages()
     store.write_pages(pages)
@@ -276,16 +232,7 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     store.write_doc("manifest.json", manifest.to_dict())
     store.write_doc("world.json", world.to_dict())
     store.write_doc("personas.json", {
-        "personas": [
-            {
-                "id": rec.persona.id,
-                "category": rec.persona.category,
-                "sensitive": rec.persona.sensitive,
-                "training_pages": [p.url for p in rec.persona.training_pages],
-                "attrition": rec.attrition,
-            }
-            for rec in world.personas
-        ],
+        "personas": [rec.to_dict() for rec in world.personas],
     })
     store.write_doc("sessions.json", {"sessions": session_rows})
     return {
@@ -403,14 +350,12 @@ def _load_corpus(root: str | Path) -> _Corpus:
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
     taxonomy = resolve_taxonomy(manifest.taxonomy)
 
-    personas_doc = store.load_doc("personas.json")
     categories: dict[str, str] = {}
     training_pages: dict[str, list[WebPage]] = {}
-    for rec in personas_doc["personas"]:
-        categories[rec["id"]] = rec["category"]
-        training_pages[rec["id"]] = [
-            WebPage(url=u, role="training") for u in rec["training_pages"]
-        ]
+    for rec in store.load_doc("personas.json")["personas"]:
+        persona = PersonaRecord.from_dict(rec).persona
+        categories[persona.id] = persona.category
+        training_pages[persona.id] = persona.training_pages
 
     sessions = store.load_doc("sessions.json")["sessions"]
 
@@ -460,33 +405,33 @@ def _consensus_keywords(
     return out
 
 
-def _stage_cells(
-    corpus: _Corpus,
-    filter_config: FilterConfig,
-    audience: Mapping[str, set[str]],
-    clean_imps: list[AdImpression] | None,
-    row: dict,
-) -> tuple[dict[str, list[AdImpression]], dict[str, int]]:
-    """Run the pipeline for one session.
+def _filtered_sessions(
+    corpus: _Corpus, filters: FilterConfig
+) -> Iterator[tuple[str, dict, PipelineResult]]:
+    """(condition id, session row, pipeline result) per complete persona session.
 
-    Returns (filter-set name -> survivors, stage attrition counts).
+    The clean-profile impressions and the audience map are built once per
+    condition, over all of its persona sessions.
     """
-    sid = row["session"]
-    result = apply_filters(
-        impressions=corpus.imps_by_session.get(sid, []),
-        config=filter_config,
-        visited_urls=corpus.visited_by_session.get(sid, []),
-        clean_impressions=clean_imps,
-        persona_id=row["persona"],
-        persona_categories=corpus.categories,
-        audience=audience,
-        taxonomy=corpus.taxonomy,
-    )
-    staged = {
-        _STAGE_TO_FILTERS[stage]: survivors
-        for stage, survivors in result.by_stage.items()
-    }
-    return staged, dict(result.attrition)
+    for cond_id in corpus.condition_ids():
+        clean_imps = corpus.clean_impressions(cond_id)
+        audience = build_audience(corpus.pooled_impressions(cond_id))
+        for row in corpus.persona_sessions(cond_id):
+            sid = row["session"]
+            yield cond_id, row, apply_filters(
+                impressions=corpus.imps_by_session.get(sid, []),
+                config=filters,
+                visited_urls=corpus.visited_by_session.get(sid, []),
+                clean_impressions=clean_imps,
+                persona_id=row["persona"],
+                persona_categories=corpus.categories,
+                audience=audience,
+                taxonomy=corpus.taxonomy,
+            )
+
+
+def _attrition_row(cond_id: str, row: dict, result: PipelineResult) -> dict:
+    return {"session": row["session"], "condition": cond_id, "attrition": result.attrition}
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +452,14 @@ def analyze(
     keywords = _consensus_keywords(corpus, consensus)
     cells: list[dict] = []
     attritions: list[dict] = []
-    for cond_id in corpus.condition_ids():
-        clean_imps = corpus.clean_impressions(cond_id)
-        audience = build_audience(corpus.pooled_impressions(cond_id))
-        for row in corpus.persona_sessions(cond_id):
-            staged, attrition = _stage_cells(corpus, filters, audience, clean_imps, row)
-            attritions.append({
-                "session": row["session"],
-                "condition": cond_id,
-                "attrition": attrition,
-            })
-            for filter_set in sorted(staged):
-                survivors = staged[filter_set]
-                for src in corpus.sources():
-                    cells.append(_score_cell(
-                        corpus, keywords, row, cond_id, filter_set, src, survivors,
-                    ))
+    for cond_id, row, result in _filtered_sessions(corpus, filters):
+        attritions.append(_attrition_row(cond_id, row, result))
+        for stage, survivors in result.by_stage.items():
+            for src in corpus.sources():
+                cells.append(_score_cell(
+                    corpus, keywords, row, cond_id, _STAGE_TO_FILTERS[stage], src,
+                    survivors,
+                ))
 
     summary = _summarize_cells(cells)
     comparisons = _compare_conditions(corpus, cells, filters.filters)
@@ -701,18 +638,7 @@ def filter_attrition(root: str | Path, filters: FilterConfig | None = None) -> l
     """Per-session stage attrition for the chosen filter set, no scoring."""
     corpus = _load_corpus(root)
     filters = filters if filters is not None else corpus.manifest.filters
-    out = []
-    for cond_id in corpus.condition_ids():
-        clean_imps = corpus.clean_impressions(cond_id)
-        audience = build_audience(corpus.pooled_impressions(cond_id))
-        for row in corpus.persona_sessions(cond_id):
-            _, attrition = _stage_cells(corpus, filters, audience, clean_imps, row)
-            out.append({
-                "session": row["session"],
-                "condition": cond_id,
-                "attrition": attrition,
-            })
-    return out
+    return [_attrition_row(*entry) for entry in _filtered_sessions(corpus, filters)]
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +669,13 @@ def validate(
     filter_config = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
 
     # survivors never depend on tags, so filter once
-    survivors_by_session: dict[str, list[AdImpression]] = {}
-    pooled: dict[tuple[str, str], list[AdImpression]] = {}
-    for cond_id in corpus.condition_ids():
-        clean_imps = corpus.clean_impressions(cond_id)
-        audience = build_audience(corpus.pooled_impressions(cond_id))
-        for row in corpus.persona_sessions(cond_id):
-            staged, _ = _stage_cells(corpus, filter_config, audience, clean_imps, row)
-            survivors_by_session[row["session"]] = staged["rscdg"]
-            pooled.setdefault((cond_id, row["persona"]), []).extend(
-                corpus.imps_by_session.get(row["session"], [])
-            )
+    survivors: dict[tuple[str, str], list[AdImpression]] = {}
+    for cond_id, row, result in _filtered_sessions(corpus, filter_config):
+        survivors.setdefault((cond_id, row["persona"]), []).extend(
+            result.by_stage["dg"]
+        )
+    pooled = {cond_id: corpus.pooled_impressions(cond_id)
+              for cond_id in corpus.condition_ids()}
 
     levels = []
     for spurious in spurious_levels:
@@ -766,19 +688,15 @@ def validate(
 
         detail = []
         total = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-        for cond_id in corpus.condition_ids():
-            for pid in sorted({p for c, p in pooled if c == cond_id}):
-                imps = pooled[(cond_id, pid)]
+        for cond_id, imps_by_pid in pooled.items():
+            for pid in sorted(imps_by_pid):
                 for src in sorted(tags):
                     k_t = keywords[pid].get(src, set())
-                    predicted = set()
-                    for row in corpus.persona_sessions(cond_id):
-                        if row["persona"] != pid:
-                            continue
-                        for imp in survivors_by_session[row["session"]]:
-                            if k_t & tags[src].get(imp.landing_page, set()):
-                                predicted.add(imp.key)
-                    perf = detection_performance(imps, predicted)
+                    predicted = {
+                        imp.key for imp in survivors[(cond_id, pid)]
+                        if k_t & tags[src].get(imp.landing_page, set())
+                    }
+                    perf = detection_performance(imps_by_pid[pid], predicted)
                     for k in total:
                         total[k] += getattr(perf, k)
                     detail.append({
@@ -844,15 +762,15 @@ def digest(root: str | Path) -> str:
             bailp_mean, _, _ = _mean_sd(r["bailp_mean"] for r in rows)
             lines.append(
                 f"  filters {filter_set:<5}  "
-                f"TTK {_fmt(ttk_mean)}  BAiLP {_fmt(bailp_mean)}"
+                f"TTK {fmt(ttk_mean)}  BAiLP {fmt(bailp_mean)}"
             )
         lines.append("")
     for comp in report.get("comparisons") or []:
         if "diff" in comp:
             d = comp["diff"]
             lines.append(
-                f"{comp['a']} vs {comp['b']}: median BAiLP diff {_fmt(d['median'])} "
-                f"(IQR {_fmt(d['iqr'])}, n={d['n']})"
+                f"{comp['a']} vs {comp['b']}: median BAiLP diff {fmt(d['median'])} "
+                f"(IQR {fmt(d['iqr'])}, n={d['n']})"
             )
         else:
             lines.append(f"{comp['a']} vs {comp['b']}: {comp.get('error')}")
@@ -861,8 +779,8 @@ def digest(root: str | Path) -> str:
             c = corr["correlation"]
             lines.append(
                 f"price correlation [{corr['condition']}]: "
-                f"spearman {_fmt(c['spearman'])} (p={_fmt(c['spearman_p'])}), "
-                f"pearson {_fmt(c['pearson'])} (p={_fmt(c['pearson_p'])})"
+                f"spearman {fmt(c['spearman'])} (p={fmt(c['spearman_p'])}), "
+                f"pearson {fmt(c['pearson'])} (p={fmt(c['pearson_p'])})"
             )
         else:
             lines.append(
@@ -878,8 +796,8 @@ def digest(root: str | Path) -> str:
             agg = level["aggregate"]
             lines.append(
                 f"  spurious {level['spurious']:<5}  "
-                f"recall {_fmt(agg['recall'])}  accuracy {_fmt(agg['accuracy'])}  "
-                f"fpr {_fmt(agg['fpr'])}"
+                f"recall {fmt(agg['recall'])}  accuracy {fmt(agg['accuracy'])}  "
+                f"fpr {fmt(agg['fpr'])}"
             )
         lines.append(
             "  clean profile pure: " + ("yes" if perf["clean_profile_pure"] else "NO")
@@ -887,5 +805,6 @@ def digest(root: str | Path) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.3f}"
+def fmt(value: float | None, places: int = 3) -> str:
+    """A metric for display; None (undefined) prints as n/a."""
+    return "n/a" if value is None else f"{value:.{places}f}"

@@ -154,7 +154,6 @@ def filter_demo_geo(
 class PipelineResult:
     """Survivors after each enabled stage, plus attrition counts."""
 
-    survivors: list[AdImpression]
     by_stage: dict[str, list[AdImpression]]
     attrition: dict[str, int]
 
@@ -187,4 +186,4 @@ def apply_filters(
             )
             attrition["after_demo_geo"] = len(current)
         by_stage[stage] = current
-    return PipelineResult(survivors=current, by_stage=by_stage, attrition=attrition)
+    return PipelineResult(by_stage=by_stage, attrition=attrition)

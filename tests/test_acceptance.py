@@ -359,10 +359,10 @@ def test_criterion_05_filter_properties(taxonomy):
             len(result.by_stage[s]) for s in ("r", "sc", "dg")
         ]
         assert sizes == sorted(sizes, reverse=True)
-        again = apply_filters(result.survivors, FilterConfig(t_prime=t_prime),
+        again = apply_filters(result.by_stage["dg"], FilterConfig(t_prime=t_prime),
                               visited, clean, pid, categories, audience,
                               taxonomy)
-        assert again.survivors == result.survivors
+        assert again.by_stage["dg"] == result.by_stage["dg"]
 
     # simulated zero-noise corpus: targeted ads never fall to r or sc
     world = build_world(SimConfig(n_ads=80), default_persona_specs(3),

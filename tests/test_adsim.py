@@ -1,5 +1,7 @@
 """World building, serving rules, and ground-truth soundness."""
 
+from dataclasses import asdict
+
 import pytest
 
 from obameter import (
@@ -15,6 +17,7 @@ from obameter import (
     run_session,
 )
 from obameter.adsim import _Browser
+from obameter.corpus import from_dict
 from obameter.errors import InvalidConfig
 
 
@@ -196,6 +199,11 @@ class TestDeterminismAndRoundTrip:
         r2 = _session(w2, "banking", seed=7)
         assert [(i.landing_page, i.ntimes, i.ground_truth) for i in r1.impressions] \
             == [(i.landing_page, i.ntimes, i.ground_truth) for i in r2.impressions]
+
+    def test_config_round_trips_through_asdict(self):
+        config = SimConfig(n_ads=50, tag_noise=TagNoise(dropout=0.1),
+                           profile_decay_halflife=600.0, sources=["x", "y"])
+        assert from_dict(SimConfig, asdict(config), "sim") == config
 
     def test_world_round_trip_replays_identically(self, make_world, taxonomy):
         world = make_world(seed=12)

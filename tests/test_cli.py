@@ -41,6 +41,17 @@ class TestSimulate:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_personas_flag_conflicts_with_explicit_roster(self, tmp_path, capsys):
+        manifest = tmp_path / "roster.json"
+        manifest.write_text(json.dumps(
+            {"personas": [{"id": "one", "category": "banking"}]}
+        ), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"),
+                     "--manifest", str(manifest), "--personas", "2"])
+        assert code == 2
+        assert "--personas" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAnalyze:
     def test_default_run(self, cli_corpus, capsys):

@@ -13,7 +13,7 @@ from obameter import (
     normalize_url,
     tag_pages,
 )
-from obameter.corpus import NetworkTagSource, TagSource
+from obameter.corpus import TagSource
 from obameter.errors import CorpusDataError, IncompleteCorpus, SourceUnavailable
 
 
@@ -67,11 +67,6 @@ class TestPagesAndTags:
     def test_fixture_source_missing_file(self, tmp_path):
         with pytest.raises(SourceUnavailable):
             FixtureTagSource("alpha", path=tmp_path / "absent.jsonl")
-
-    def test_network_source_is_a_stub(self):
-        src = NetworkTagSource("live", endpoint="https://api.example")
-        with pytest.raises(SourceUnavailable):
-            src.keywords_for(WebPage(url="http://x.example"))
 
     def test_tag_pages_covers_every_page(self):
         pages = [WebPage(url=f"http://p{i}.example") for i in range(3)]

