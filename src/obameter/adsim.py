@@ -13,10 +13,15 @@ in which every ad unit carries exactly one kind label:
     geo_demo     keyed on the session's geo label, profile-independent
 
 Serving draws a fixed number of ad slots per control visit, weighted by
-the units' base weights, without replacement within the visit. Aggregator
-profiles build up from tracked page visits; a browser whose state is reset
-after every visit (the clean profile) can therefore never receive oba or
-retargeting ads.
+the units' base weights, without replacement within the visit. Eligibility
+builds one category -> profile weight map per control visit (the max over
+the aggregators present on the page, or with `share_profiles` the sum over
+all of them), so each oba unit costs one lookup against the activation
+threshold; the eligible units keep inventory order, which the weighted
+draw picks from by position. Aggregator profiles build up from tracked
+page visits; a browser whose state is reset after every visit (the clean
+profile) can therefore never receive oba or retargeting ads, which is why
+the activation threshold must be positive.
 
 Tag noise is a post-processing of the world's true page categories and
 never influences serving. Keyword dropout and spurious injection decide
@@ -109,8 +114,11 @@ class SimConfig:
             raise InvalidConfig(f"n_ads must be >= 1, got {self.n_ads}")
         if self.ads_per_visit < 1:
             raise InvalidConfig(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
-        if self.activation_threshold < 0:
-            raise InvalidConfig("activation_threshold must be >= 0")
+        if self.activation_threshold <= 0:
+            # at 0 an empty profile already activates every oba unit
+            raise InvalidConfig(
+                f"activation_threshold must be > 0, got {self.activation_threshold}"
+            )
         unknown = set(self.mix) - set(AD_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown ad kinds in mix: {sorted(unknown)}")
@@ -236,6 +244,10 @@ class World:
         self.spurious_pool = sorted(
             {c for cats in page_categories.values() for c in cats}
         )
+        # landing keys of the ads (inventory order) and of the tracked
+        # publisher pages, so serving never re-parses a URL
+        self._ad_keys = [landing_key(ad.landing_url) for ad in ads]
+        self._page_keys = {url: landing_key(url) for url in trackers}
         self._browsers: dict[str, _Browser] = {}
         self._serve_rng: dict[str, random.Random] = {}
 
@@ -280,25 +292,37 @@ class World:
             prof = browser.profiles.setdefault(agg, {})
             for cat in cats:
                 prof[cat] = prof.get(cat, 0.0) + 1.0
-        browser.history.add(landing_key(url))
+        key = self._page_keys.get(url)
+        browser.history.add(key if key is not None else landing_key(url))
 
-    def _profile_weight(self, browser: _Browser, present: Sequence[str], category: str) -> float:
+    def _category_weights(self, browser: _Browser, present: Sequence[str]) -> dict[str, float]:
+        """Profile weight per category as the page's aggregators see it."""
+        weights: dict[str, float] = {}
         if self.config.share_profiles:
-            # data brokers pooled their observations
-            return sum(
-                prof.get(category, 0.0) for prof in browser.profiles.values()
-            )
-        return max(
-            (browser.profiles.get(agg, {}).get(category, 0.0) for agg in present),
-            default=0.0,
-        )
+            # data brokers pooled their observations; added up in profile
+            # order, so each total is the float a per-category sum gives
+            for prof in browser.profiles.values():
+                for cat, w in prof.items():
+                    weights[cat] = weights.get(cat, 0.0) + w
+            return weights
+        for agg in present:
+            for cat, w in browser.profiles.get(agg, {}).items():
+                if w > weights.get(cat, 0.0):
+                    weights[cat] = w
+        return weights
 
     def _eligible(self, config: SessionConfig, browser: _Browser, url: str) -> list[AdUnit]:
         suppressed = self.config.honor_dnt and config.dnt
         theme = self.page_themes.get(url)
         present = self.trackers.get(url, ())
+        # DNT suppression and a page without aggregators leave the map
+        # empty, which activates nothing because the threshold is positive
+        weights: dict[str, float] = {}
+        if present and not suppressed:
+            weights = self._category_weights(browser, present)
+        threshold = self.config.activation_threshold
         out: list[AdUnit] = []
-        for ad in self.ads:
+        for ad, key in zip(self.ads, self._ad_keys):
             if ad.kind == "static":
                 out.append(ad)
             elif ad.kind == "contextual":
@@ -308,23 +332,19 @@ class World:
                 if ad.geo == config.geo:
                     out.append(ad)
             elif ad.kind == "retargeting":
-                if not suppressed and landing_key(ad.landing_url) in browser.history:
+                if not suppressed and key in browser.history:
                     out.append(ad)
             elif ad.kind == "oba":
-                if suppressed or not present:
-                    continue
-                weight = self._profile_weight(browser, present, ad.target_category)
-                if weight >= self.config.activation_threshold:
+                if weights.get(ad.target_category, 0.0) >= threshold:
                     out.append(ad)
         return out
 
     def _serve(self, config: SessionConfig, browser: _Browser, url: str) -> list[AdUnit]:
-        eligible = self._eligible(config, browser, url)
-        if not eligible:
+        pool = self._eligible(config, browser, url)
+        if not pool:
             return []
         rng = self._serve_rng[config.session_id]
-        slots = min(self.config.ads_per_visit, len(eligible))
-        pool = list(eligible)
+        slots = min(self.config.ads_per_visit, len(pool))
         weights = [ad.base_weight for ad in pool]
         picked: list[AdUnit] = []
         for _ in range(slots):

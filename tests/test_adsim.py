@@ -1,8 +1,9 @@
 """World building, serving rules, and ground-truth soundness."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obameter import (
     Persona,
@@ -62,6 +63,12 @@ class TestKindCounts:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_activation_threshold_must_be_positive(self, threshold):
+        # at 0 an empty (clean) profile would activate every oba unit
+        with pytest.raises(InvalidConfig, match="activation_threshold"):
+            SimConfig(activation_threshold=threshold)
+
     def test_mix_must_sum_to_one(self):
         with pytest.raises(InvalidConfig):
             SimConfig(mix={"oba": 0.5, "contextual": 0.5, "static": 0.5,
@@ -185,11 +192,108 @@ class TestServingRules:
     def test_shared_profiles_sum_across_aggregators(self, world):
         browser = _Browser()
         browser.profiles = {"agg-00": {"banking": 2.0}, "agg-01": {"banking": 1.5}}
-        alone = world._profile_weight(browser, ["agg-00"], "banking")
-        assert alone == 2.0
+        alone = world._category_weights(browser, ["agg-00"])
+        assert alone["banking"] == 2.0
         world.config.share_profiles = True
-        pooled = world._profile_weight(browser, ["agg-00"], "banking")
-        assert pooled == 3.5
+        pooled = world._category_weights(browser, ["agg-00"])
+        assert pooled["banking"] == 3.5
+
+
+def _reference_eligible(world, config, browser, url):
+    """The serving rule written out per ad: each oba unit takes its own
+    max (or, with shared profiles, sum) over the aggregators' profiles."""
+    sim = world.config
+    suppressed = sim.honor_dnt and config.dnt
+    present = world.trackers.get(url, ())
+    out = []
+    for ad in world.ads:
+        if ad.kind == "static":
+            ok = True
+        elif ad.kind == "contextual":
+            ok = ad.theme == world.page_themes.get(url)
+        elif ad.kind == "geo_demo":
+            ok = ad.geo == config.geo
+        elif ad.kind == "retargeting":
+            ok = not suppressed and landing_key(ad.landing_url) in browser.history
+        else:
+            if sim.share_profiles:
+                weight = 0.0
+                for prof in browser.profiles.values():  # left to right
+                    weight += prof.get(ad.target_category, 0.0)
+            else:
+                weight = max(
+                    (browser.profiles.get(agg, {}).get(ad.target_category, 0.0)
+                     for agg in present),
+                    default=0.0,
+                )
+            ok = not suppressed and bool(present) and weight >= sim.activation_threshold
+        if ok:
+            out.append(ad)
+    return out
+
+
+@pytest.fixture(scope="module")
+def base_world(taxonomy):
+    return build_world(SimConfig(), default_persona_specs(4), taxonomy, seed=5)
+
+
+_AGGS = [f"agg-{i:02d}" for i in range(6)]
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+
+
+@st.composite
+def _serving_cases(draw, world):
+    cats = sorted({ad.target_category for ad in world.ads if ad.kind == "oba"})
+    profiles = draw(st.dictionaries(
+        st.sampled_from(_AGGS),
+        st.dictionaries(st.sampled_from(cats + ["weather"]), _WEIGHT, max_size=4),
+        max_size=5,
+    ))
+    retarget = [landing_key(ad.landing_url) for ad in world.ads
+                if ad.kind == "retargeting"]
+    history = draw(st.sets(st.sampled_from(retarget + ["elsewhere.example/x"])))
+    url = draw(st.sampled_from([
+        world.control_pages[0].url,
+        world.personas[0].persona.training_pages[0].url,
+        "https://unlisted.example/page",
+    ]))
+    present = draw(st.lists(st.sampled_from(_AGGS), max_size=4))
+    sim = replace(
+        world.config,
+        activation_threshold=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5])),
+        honor_dnt=draw(st.booleans()),
+        share_profiles=draw(st.booleans()),
+    )
+    variant = World(
+        config=sim, taxonomy=world.taxonomy, seed=world.seed,
+        personas=world.personas, control_pages=world.control_pages,
+        ads=world.ads, page_categories=world.page_categories,
+        page_themes=world.page_themes,
+        trackers={**world.trackers, url: present},
+        aggregators=world.aggregators,
+    )
+    browser = _Browser()
+    browser.profiles = profiles
+    browser.history = history
+    config = SessionConfig(
+        persona_id="p",
+        geo=draw(st.sampled_from(["ES", "US", "FR"])),
+        dnt=draw(st.booleans()),
+    )
+    return variant, config, browser, url
+
+
+class TestEligibilityEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_eligible_matches_per_ad_rule_in_inventory_order(self, base_world, data):
+        world, config, browser, url = data.draw(_serving_cases(base_world))
+        got = world._eligible(config, browser, url)
+        want = _reference_eligible(world, config, browser, url)
+        assert [ad.ad_id for ad in got] == [ad.ad_id for ad in want]
 
 
 class TestDeterminismAndRoundTrip:
