@@ -21,6 +21,7 @@ import sys
 from .corpus import ExperimentStore
 from .errors import ConfigurationError, CorpusDataError, InvalidConfig, ObameterError
 from .experiment import (
+    DEFAULT_SPURIOUS_LEVELS,
     ExperimentManifest,
     analyze,
     digest,
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("dir", help="corpus directory (needs world.json)")
     val.add_argument(
         "--spurious-levels", type=float, nargs="+",
-        default=[0.0, 0.02, 0.05, 0.1, 0.2, 0.4],
+        default=list(DEFAULT_SPURIOUS_LEVELS),
         help="spurious tag rates to sweep",
     )
     val.add_argument("--dropout", type=float, help="fixed dropout rate")

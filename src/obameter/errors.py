@@ -67,13 +67,9 @@ class EmptyPool(ConfigurationError):
 class HarvesterFailure(ObameterError):
     """The ad harvester failed mid-session.
 
-    The partial session result collected before the failure is attached so
-    the caller can flush it marked incomplete.
+    Nothing of the session is kept: the failure propagates and aborts the
+    run before sessions.json is written.
     """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ad ecosystem simulator

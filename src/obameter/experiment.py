@@ -12,6 +12,10 @@ persona session against it, writing a corpus directory:
     impressions.jsonl  ads observed on control pages, repeat-aggregated
     sessions.json      per-session metadata (condition, rep, mix, counts)
 
+Every session runs to the end or the run fails: an error raised while
+replaying a session propagates before manifest.json and sessions.json
+are written, so a directory holding both is a finished run.
+
 analyze consumes such a directory (world.json not required, so corpora
 collected outside the simulator work too) and writes report.json and
 report.csv: TTK and BAiLP per persona, source, filter set, condition and
@@ -33,7 +37,7 @@ import io
 import itertools
 import json
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,7 +63,6 @@ from .corpus import (
 from .errors import (
     DegenerateSeries,
     EmptyTrainingSet,
-    HarvesterFailure,
     InvalidConfig,
     KeyMismatch,
     NoImpressions,
@@ -86,6 +89,9 @@ _STAGE_TO_FILTERS = {"r": "r", "sc": "rsc", "dg": "rscdg"}
 
 # manifest fields stored under "session" in manifest.json
 _SESSION_KEYS = ("visit_budget", "mean_interval")
+
+# spurious tag rates validate sweeps unless told otherwise
+DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
 
 
 @dataclass
@@ -255,6 +261,10 @@ def _run_one(
     manifest: ExperimentManifest,
     clean: bool,
 ) -> dict:
+    """Run one session, append its event logs, return its sessions.json row.
+
+    A failing session raises before anything of it is written.
+    """
     sid = session_label(persona.id, cond.cond_id, rep)
     config = SessionConfig(
         persona_id=persona.id,
@@ -266,14 +276,7 @@ def _run_one(
         mean_interval=manifest.mean_interval,
         seed=derive_seed(manifest.seed, "session", sid),
     )
-    try:
-        result = run_session(persona, world.control_pages, config, world)
-    except HarvesterFailure as exc:
-        # keep whatever the session managed to collect, marked incomplete
-        if exc.partial is not None:
-            store.append_visits(sid, exc.partial.visits)
-            store.append_impressions(exc.partial.impressions)
-        raise
+    result = run_session(persona, world.control_pages, config, world)
     store.append_visits(sid, result.visits)
     store.append_impressions(result.impressions)
     return {
@@ -284,7 +287,7 @@ def _run_one(
         "dnt": cond.dnt,
         "rep": rep,
         "clean": clean,
-        "complete": result.complete,
+        "complete": True,
         "visit_mix": result.visit_mix,
         "raw_served": result.raw_served,
         "n_impressions": len(result.impressions),
@@ -303,7 +306,7 @@ class _Corpus:
     taxonomy: KeywordTaxonomy
     categories: dict[str, str]              # persona id -> category
     training_pages: dict[str, list[WebPage]]
-    sessions: list[dict]                    # rows from sessions.json
+    sessions: list[dict]                    # complete rows from sessions.json
     imps_by_session: dict[str, list[AdImpression]]
     visited_by_session: dict[str, list[str]]
     tags: dict[str, dict[str, set[str]]]    # source -> url -> keywords
@@ -320,13 +323,13 @@ class _Corpus:
     def persona_sessions(self, cond_id: str) -> list[dict]:
         return [
             row for row in self.sessions
-            if row["condition"] == cond_id and not row["clean"] and row["complete"]
+            if row["condition"] == cond_id and not row["clean"]
         ]
 
     def clean_impressions(self, cond_id: str) -> list[AdImpression] | None:
         rows = [
             row for row in self.sessions
-            if row["condition"] == cond_id and row["clean"] and row["complete"]
+            if row["condition"] == cond_id and row["clean"]
         ]
         if not rows:
             return None
@@ -357,7 +360,12 @@ def _load_corpus(root: str | Path) -> _Corpus:
         categories[persona.id] = persona.category
         training_pages[persona.id] = persona.training_pages
 
-    sessions = store.load_doc("sessions.json")["sessions"]
+    # simulate writes only complete sessions, but a corpus from another
+    # harvester may mark aborted ones; they are dropped here, once
+    sessions = [
+        row for row in store.load_doc("sessions.json")["sessions"]
+        if row["complete"]
+    ]
 
     imps_by_session: dict[str, list[AdImpression]] = {}
     for imp in store.load_impressions():
@@ -408,7 +416,9 @@ def _consensus_keywords(
 def _filtered_sessions(
     corpus: _Corpus, filters: FilterConfig
 ) -> Iterator[tuple[str, dict, PipelineResult]]:
-    """(condition id, session row, pipeline result) per complete persona session.
+    """(condition id, session row, pipeline result) per persona session.
+
+    Sessions marked incomplete never get here: _load_corpus drops them.
 
     The clean-profile impressions and the audience map are built once per
     condition, over all of its persona sessions.
@@ -647,7 +657,7 @@ def filter_attrition(root: str | Path, filters: FilterConfig | None = None) -> l
 
 def validate(
     root: str | Path,
-    spurious_levels: Sequence[float] = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4),
+    spurious_levels: Sequence[float] = DEFAULT_SPURIOUS_LEVELS,
     dropout: float | None = None,
 ) -> dict:
     """Score ground-truth OBA detection across tag-noise levels.
@@ -655,15 +665,19 @@ def validate(
     Serving, sessions and filter survivorship are fixed by the stored
     corpus; only the tagging is redone per spurious level (dropout held
     constant), then consensus and the keyword match are recomputed. The
-    result lands in performance.json.
+    result lands in performance.json. Every rate is checked before the
+    corpus is read.
     """
+    if not spurious_levels:
+        raise InvalidConfig("need at least one spurious level")
+    # dropout None takes the manifest's rate, checked when the manifest loads
+    noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)
     store = ExperimentStore(root)
     world = World.from_dict(store.load_doc("world.json"), corpus.taxonomy)
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
-    if not spurious_levels:
-        raise InvalidConfig("need at least one spurious level")
+        noises = [replace(noise, dropout=dropout) for noise in noises]
 
     pages = world.all_pages()
     filter_config = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
@@ -678,8 +692,7 @@ def validate(
               for cond_id in corpus.condition_ids()}
 
     levels = []
-    for spurious in spurious_levels:
-        noise = TagNoise(dropout=dropout, spurious=spurious)
+    for noise in noises:
         tags = {
             src.name: {p.url: src.keywords_for(p) for p in pages}
             for src in world.tag_sources(noise)
@@ -707,7 +720,7 @@ def validate(
                     })
         aggregate = PerformanceReport(**total)
         levels.append({
-            "spurious": spurious,
+            "spurious": noise.spurious,
             "dropout": dropout,
             "aggregate": aggregate.to_dict(),
             "detail": detail,

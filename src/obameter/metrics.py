@@ -14,7 +14,7 @@ counts as often as it was shown.
 
 Correlation against ad prices removes CPC outliers outside
 [Q1 - 1.5 IQR, Q3 + 1.5 IQR] first. Quartiles use the median-exclusive
-convention by default; pass method="inclusive" for the other one. The
+convention: with an odd count the median belongs to neither half. The
 Pearson p-value uses the t approximation, the Spearman p-value the
 large-sample normal approximation; both are reported, never gated on.
 """
@@ -147,15 +147,12 @@ def detection_performance(
 # order statistics
 
 
-def quartiles(values: Sequence[float], method: str = "exclusive") -> tuple[float, float, float]:
-    """(Q1, median, Q3) with the chosen half-splitting convention.
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3), each quartile the median of one half.
 
-    "exclusive" leaves the median out of both halves when n is odd;
-    "inclusive" puts it in both. With fewer than 3 values the quartiles
-    collapse toward the median.
+    With n odd the median is left out of both halves. With fewer than 3
+    values the quartiles collapse toward the median.
     """
-    if method not in ("exclusive", "inclusive"):
-        raise ValueError(f"unknown quartile method {method!r}")
     data = sorted(values)
     n = len(data)
     if n == 0:
@@ -164,19 +161,12 @@ def quartiles(values: Sequence[float], method: str = "exclusive") -> tuple[float
     if n == 1:
         return data[0], med, data[0]
     half = n // 2
-    if method == "exclusive":
-        lower = data[:half]
-        upper = data[n - half:]
-    else:
-        cut = half + (n % 2)
-        lower = data[:cut]
-        upper = data[n - cut:]
-    return statistics.median(lower), med, statistics.median(upper)
+    return statistics.median(data[:half]), med, statistics.median(data[n - half:])
 
 
-def iqr_bounds(values: Sequence[float], method: str = "exclusive") -> tuple[float, float]:
+def iqr_bounds(values: Sequence[float]) -> tuple[float, float]:
     """Tukey fences [Q1 - 1.5 IQR, Q3 + 1.5 IQR]."""
-    q1, _, q3 = quartiles(values, method)
+    q1, _, q3 = quartiles(values)
     iqr = q3 - q1
     return q1 - 1.5 * iqr, q3 + 1.5 * iqr
 
@@ -198,11 +188,7 @@ class CorrelationReport:
         }
 
 
-def value_correlation(
-    bailp_by_key: Mapping,
-    cpc_by_key: Mapping,
-    method: str = "exclusive",
-) -> CorrelationReport:
+def value_correlation(bailp_by_key: Mapping, cpc_by_key: Mapping) -> CorrelationReport:
     """Spearman and Pearson between BAiLP and ad price, outliers removed.
 
     Pairs align by key. CPC values outside the Tukey fences drop out
@@ -217,7 +203,7 @@ def value_correlation(
     keys = sorted(bailp_by_key)
     if not keys:
         raise DegenerateSeries("correlation of empty series")
-    lo, hi = iqr_bounds([cpc_by_key[k] for k in keys], method)
+    lo, hi = iqr_bounds([cpc_by_key[k] for k in keys])
     used = [k for k in keys if lo <= cpc_by_key[k] <= hi]
     removed = [k for k in keys if k not in set(used)]
     if len(used) < 3:
@@ -279,11 +265,7 @@ class ComparisonStats:
         }
 
 
-def comparison_stats(
-    series_a: Mapping,
-    series_b: Mapping,
-    method: str = "exclusive",
-) -> ComparisonStats:
+def comparison_stats(series_a: Mapping, series_b: Mapping) -> ComparisonStats:
     """Summarize paired differences a[k] - b[k] over the shared keys."""
     if set(series_a) != set(series_b):
         raise KeyMismatch(
@@ -293,7 +275,7 @@ def comparison_stats(
     if not keys:
         raise DegenerateSeries("comparison of empty series")
     diffs = [series_a[k] - series_b[k] for k in keys]
-    q1, med, q3 = quartiles(diffs, method)
+    q1, med, q3 = quartiles(diffs)
     return ComparisonStats(
         n=len(diffs),
         mean=statistics.fmean(diffs),

@@ -9,6 +9,10 @@ after every visit, so nothing accumulates across pages.
 Repeated sightings of the same ad merge: impressions aggregate by
 (persona, session, control page, landing page) with ntimes summed, and
 the sum of ntimes equals the raw number of served ads.
+
+A session either walks its whole schedule or fails: an error raised by
+the harvester (e.g. HarvesterFailure) propagates, and nothing of the
+session is returned.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .corpus import AdImpression, WebPage, landing_key
-from .errors import ConfigurationError, CorpusDataError, EmptyPool, HarvesterFailure
+from .errors import ConfigurationError, CorpusDataError, EmptyPool
 from .persona import Persona
 
 
@@ -82,12 +86,11 @@ class AdHarvester(Protocol):
 
 @dataclass
 class SessionResult:
-    """A finished (or aborted) session."""
+    """A finished session."""
 
     session_id: str
     visits: list[VisitEvent]
     impressions: list[AdImpression]
-    complete: bool = True
     visit_mix: dict[str, int] = field(default_factory=dict)
     raw_served: int = 0
 
@@ -123,9 +126,7 @@ def run_session(
 ) -> SessionResult:
     """Execute one session against a harvester.
 
-    On HarvesterFailure the partial result (visits walked so far, the
-    impressions already merged, complete=False) is attached to the raised
-    exception as .partial so the caller can flush it.
+    Any exception the harvester raises propagates unchanged.
     """
     pool = list(persona.training_pages) + list(control_pages)
     events = schedule_visits(pool, config)
@@ -133,23 +134,10 @@ def run_session(
     merged: dict[tuple[str, str], AdImpression] = {}
     mix = {"training": 0, "control": 0}
     raw = 0
-    walked: list[VisitEvent] = []
 
     harvester.begin(config)
     for event in events:
-        try:
-            served = harvester.visit(config, event)
-        except HarvesterFailure as failure:
-            failure.partial = SessionResult(
-                session_id=config.session_id,
-                visits=walked,
-                impressions=list(merged.values()),
-                complete=False,
-                visit_mix=dict(mix),
-                raw_served=raw,
-            )
-            raise
-        walked.append(event)
+        served = harvester.visit(config, event)
         mix[event.kind] = mix.get(event.kind, 0) + 1
         if event.kind == "control":
             for ad in served:
@@ -179,7 +167,6 @@ def run_session(
         session_id=config.session_id,
         visits=events,
         impressions=list(merged.values()),
-        complete=True,
         visit_mix=mix,
         raw_served=raw,
     )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import pytest
 
-from obameter import KeywordTaxonomy, demo_taxonomy
+from obameter import KeywordTaxonomy, World, demo_taxonomy
+from obameter.errors import HarvesterFailure
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _results: dict[int, str] = {}
@@ -27,6 +29,25 @@ def tiny_taxonomy() -> KeywordTaxonomy:
         ("dogs", "animals"),
         ("cats", "animals"),
     ])
+
+
+@pytest.fixture
+def fail_on_visit(monkeypatch):
+    """fail_on_visit(n) makes the nth World.visit call from now on raise
+    HarvesterFailure; monkeypatch.undo() restores the real harvester."""
+
+    def arm(n: int) -> None:
+        calls = itertools.count(1)
+        visit = World.visit
+
+        def failing(world, config, event):
+            if next(calls) == n:
+                raise HarvesterFailure(f"harvester failed on visit {n}")
+            return visit(world, config, event)
+
+        monkeypatch.setattr(World, "visit", failing)
+
+    return arm
 
 
 def pytest_runtest_logreport(report):

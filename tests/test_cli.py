@@ -52,6 +52,14 @@ class TestSimulate:
         assert "--personas" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_harvester_failure_is_a_tool_error(self, tmp_path, capsys, fail_on_visit):
+        fail_on_visit(10)
+        code = main(["simulate", "--out", str(tmp_path / "x"),
+                     "--personas", "2", "--repetitions", "1", "--budget", "25"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: harvester failed")
+        assert not (tmp_path / "x" / "sessions.json").exists()
+
 
 class TestAnalyze:
     def test_default_run(self, cli_corpus, capsys):

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
+
+from test_golden import GOLDEN_MANIFEST, GOLDEN_SHA256, _run
 
 from obameter import (
     Condition,
@@ -17,7 +20,13 @@ from obameter import (
     simulate,
     validate,
 )
-from obameter.errors import IncompleteCorpus, InvalidConfig
+from obameter.cli import main
+from obameter.errors import (
+    HarvesterFailure,
+    IncompleteCorpus,
+    InvalidConfig,
+    MissingCleanProfile,
+)
 from obameter.experiment import CLEAN_ID, resolve_taxonomy, session_label
 
 TINY = {
@@ -28,6 +37,23 @@ TINY = {
     "session": {"visit_budget": 40},
     "conditions": [{"geo": "ES"}, {"geo": "US", "dnt": True}],
 }
+
+
+def _copy_corpus(root, dest, skip=()):
+    """Copy a corpus directory without the files named in skip."""
+    shutil.copytree(root, dest, ignore=lambda _, names: [n for n in names if n in skip])
+    return dest
+
+
+def _mark_incomplete(root, dest, session_ids):
+    """Copy a corpus, marking the given sessions complete: false."""
+    store = ExperimentStore(_copy_corpus(root, dest))
+    doc = store.load_doc("sessions.json")
+    for row in doc["sessions"]:
+        if row["session"] in session_ids:
+            row["complete"] = False
+    store.write_doc("sessions.json", doc)
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +223,61 @@ class TestSimulate:
         assert analyze(tmp_path)["sources"] == ["x", "y"]
 
 
+class TestHarvesterFailure:
+    def test_failed_run_leaves_no_manifest_or_sessions(self, tmp_path, fail_on_visit):
+        fail_on_visit(100)  # inside the third of 14 sessions
+        with pytest.raises(HarvesterFailure):
+            simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
+        assert (tmp_path / "visits.jsonl").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "sessions.json").exists()
+        with pytest.raises(IncompleteCorpus):
+            analyze(tmp_path)
+
+    def test_rerun_after_failure_reproduces_the_golden_run(
+        self, tmp_path, monkeypatch, fail_on_visit
+    ):
+        fail_on_visit(100)
+        with pytest.raises(HarvesterFailure):
+            simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
+        monkeypatch.undo()
+        assert _run(tmp_path, GOLDEN_MANIFEST) == GOLDEN_SHA256
+
+
+class TestIncompleteSessions:
+    """sessions.json rows marked complete: false, as another harvester may write."""
+
+    def test_incomplete_session_is_not_analysed(self, corpus_dir, tmp_path):
+        root, _ = corpus_dir
+        full = analyze(root)
+        row = next(r for r in full["attrition"] if r["condition"] == "US+dnt")
+        sid = row["session"]
+        persona, cond_id, rep = sid.split("|")
+        cell_key = (persona, cond_id, int(rep[1:]))
+
+        def cell_keys(report):
+            return {(c["persona"], c["condition"], c["rep"]) for c in report["cells"]}
+
+        assert cell_key in cell_keys(full)
+        report = analyze(_mark_incomplete(root, tmp_path / "c", {sid}))
+        assert cell_key not in cell_keys(report)
+        assert [r["session"] for r in report["attrition"]] == [
+            r["session"] for r in full["attrition"] if r["session"] != sid
+        ]
+
+    def test_incomplete_clean_session_is_a_missing_clean_profile(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        root, _ = corpus_dir
+        clone = _mark_incomplete(
+            root, tmp_path / "c", {session_label(CLEAN_ID, "ES", 0)}
+        )
+        with pytest.raises(MissingCleanProfile):
+            analyze(clone)
+        assert main(["analyze", str(clone)]) == 3
+        assert "corpus error" in capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_report_shape(self, corpus_dir):
         root, _ = corpus_dir
@@ -283,13 +364,24 @@ class TestValidate:
 
     def test_needs_world_state(self, corpus_dir, tmp_path):
         root, _ = corpus_dir
-        clone = tmp_path / "no-world"
-        clone.mkdir()
-        for p in root.iterdir():
-            if p.name not in ("world.json", "performance.json"):
-                (clone / p.name).write_bytes(p.read_bytes())
+        clone = _copy_corpus(root, tmp_path / "no-world",
+                             skip=("world.json", "performance.json"))
         with pytest.raises(IncompleteCorpus, match="world"):
             validate(clone, spurious_levels=[0.0])
+
+    @pytest.mark.parametrize(
+        "levels, dropout",
+        [([], None), ([0.0, 1.5], None), ([0.0, -0.1], 0.0), ([0.0], 1.5)],
+        ids=["no-level", "level-above-1", "level-below-0", "dropout-above-1"],
+    )
+    def test_bad_rates_rejected_before_the_corpus_is_read(
+        self, corpus_dir, tmp_path, levels, dropout
+    ):
+        # without world.json, any corpus work would raise IncompleteCorpus
+        root, _ = corpus_dir
+        clone = _copy_corpus(root, tmp_path / "no-world", skip=("world.json",))
+        with pytest.raises(InvalidConfig):
+            validate(clone, spurious_levels=levels, dropout=dropout)
 
     def test_needs_a_level(self, corpus_dir):
         root, _ = corpus_dir

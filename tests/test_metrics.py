@@ -109,13 +109,8 @@ class TestQuartiles:
     def test_odd_exclusive(self):
         assert quartiles([7, 1, 3, 2, 6, 5, 4]) == (2, 4, 6)
 
-    def test_odd_inclusive(self):
-        assert quartiles([7, 1, 3, 2, 6, 5, 4], method="inclusive") == (2.5, 4, 5.5)
-
-    def test_even_both_methods_agree(self):
-        data = [8, 1, 5, 2, 6, 3, 7, 4]
-        assert quartiles(data) == (2.5, 4.5, 6.5)
-        assert quartiles(data, method="inclusive") == (2.5, 4.5, 6.5)
+    def test_even(self):
+        assert quartiles([8, 1, 5, 2, 6, 3, 7, 4]) == (2.5, 4.5, 6.5)
 
     def test_singleton_collapses(self):
         assert quartiles([42.0]) == (42.0, 42.0, 42.0)
@@ -126,10 +121,6 @@ class TestQuartiles:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateSeries):
             quartiles([])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            quartiles([1, 2, 3], method="linear")
 
     def test_iqr_bounds(self):
         assert iqr_bounds([1, 2, 3, 4, 5, 6, 7]) == (-4.0, 12.0)

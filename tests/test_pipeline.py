@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pools_fixture
 from obameter import (
@@ -221,3 +222,55 @@ class TestAudience:
         assert case.audience["u-fin-000.example/promo"] == {"pools"}
         assert case.audience["m-fin-000.example/offer"] == {"pools", "tubs"}
         assert case.audience["u-dg-000.example/promo"] == {"pools", "moto"}
+
+
+# landing pages that partly collide under the host + path equality rule
+_LANDINGS = st.sampled_from([
+    "https://a.example/x", "http://a.example/x?utm=1", "https://a.example/y",
+    "https://b.example/x", "https://b.example:8443/x", "https://c.example/",
+])
+
+# siblings, distant pairs, and categories outside the demo taxonomy
+# ("blockchain" and "Blockchain" match exactly, "web3" does not)
+_CATEGORIES = st.sampled_from([
+    "swimming pools & spas", "hot tubs & spas", "motor sports", "banking",
+    "blockchain", "Blockchain", "web3",
+])
+
+
+def _impressions(pid):
+    return st.lists(
+        st.builds(AdImpression, persona_id=st.just(pid), session_id=st.just(pid),
+                  control_page=st.just("https://ctrl.example/"),
+                  landing_page=_LANDINGS, ntimes=st.integers(1, 3)),
+        max_size=8,
+    )
+
+
+def _ids(imps):
+    return {id(imp) for imp in imps}
+
+
+class TestMonotoneFilters:
+    @settings(max_examples=200, deadline=None)
+    @given(imps=_impressions("p"), clean=_impressions("c"), extra=_impressions("c"))
+    def test_more_clean_impressions_never_add_sc_survivors(self, imps, clean, extra):
+        fewer = filter_static_contextual(imps, clean)
+        more = filter_static_contextual(imps, clean + extra)
+        assert _ids(more) <= _ids(fewer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_higher_t_prime_never_adds_dg_survivors(self, taxonomy, data):
+        pids = ["p0", "p1", "p2", "p3"]
+        categories = {pid: data.draw(_CATEGORIES) for pid in pids}
+        by_persona = {pid: data.draw(_impressions(pid)) for pid in pids}
+        audience = build_audience(by_persona)
+        thresholds = st.floats(0.0, taxonomy.max_score + 0.5)
+        low, high = sorted([data.draw(thresholds), data.draw(thresholds)])
+        kept = [
+            filter_demo_geo(by_persona["p0"], "p0", categories, audience,
+                            taxonomy, t_prime)
+            for t_prime in (low, high)
+        ]
+        assert _ids(kept[1]) <= _ids(kept[0])

@@ -97,7 +97,6 @@ class TestRunSession:
         )
         config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
         result = run_session(_persona(), CONTROLS, config, harvester)
-        assert result.complete
         controls = {p.url for p in CONTROLS}
         assert result.impressions
         assert all(imp.control_page in controls for imp in result.impressions)
@@ -140,19 +139,15 @@ class TestRunSession:
         run_session(_persona(), CONTROLS, config, harvester)
         assert harvester.resets == 0
 
-    def test_failure_carries_partial_result(self):
+    def test_failure_propagates(self):
         harvester = ScriptedHarvester(
             serve=lambda c, e: [ServedAd("http://ad.example/item", "static")],
             fail_at=50,
         )
         config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
-        with pytest.raises(HarvesterFailure) as err:
+        with pytest.raises(HarvesterFailure, match="backend went away"):
             run_session(_persona(), CONTROLS, config, harvester)
-        partial = err.value.partial
-        assert partial is not None
-        assert not partial.complete
-        assert len(partial.visits) == 49
-        assert sum(imp.ntimes for imp in partial.impressions) == partial.raw_served
+        assert harvester.seen == 50
 
     def test_session_id_defaults_to_persona(self):
         config = SessionConfig(persona_id="p7")
