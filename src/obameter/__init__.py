@@ -24,8 +24,6 @@ from .corpus import (
     AdImpression,
     Coverage,
     ExperimentStore,
-    FixtureTagSource,
-    TagAssignment,
     WebPage,
     coverage,
     landing_key,
@@ -104,7 +102,6 @@ __all__ = [
     "ExperimentManifest",
     "ExperimentStore",
     "FilterConfig",
-    "FixtureTagSource",
     "KeywordTaxonomy",
     "ObameterError",
     "PerformanceReport",
@@ -115,7 +112,6 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "SimConfig",
-    "TagAssignment",
     "TagNoise",
     "VisitEvent",
     "WebPage",

@@ -477,7 +477,15 @@ def build_world(
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig("persona ids must be unique")
+    # training URLs are built from the slug, so it must be unique too
+    slugs: dict[str, str] = {}
     for spec in specs:
+        first = slugs.setdefault(_slug(spec.id), spec.id)
+        if first != spec.id:
+            raise InvalidConfig(
+                f"persona ids {first!r} and {spec.id!r} share the URL slug "
+                f"{_slug(spec.id)!r}"
+            )
         if spec.category not in taxonomy:
             raise InvalidConfig(
                 f"persona {spec.id!r}: category {spec.category!r} not in taxonomy"

@@ -8,7 +8,7 @@ fragments, and every filter and audience map compares pages by that key.
 Store layout. An experiment directory holds
 
     pages.jsonl          one web page per line
-    tags.<source>.jsonl  keyword assignments of one tagging source
+    tags.<source>.jsonl  one tagging source's keywords, one line per page
     visits.jsonl         append-only visit event log
     impressions.jsonl    append-only ad impression log
     personas.json        persona definitions with selection attrition
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
-from .errors import CorpusDataError, IncompleteCorpus, InvalidConfig, SourceUnavailable
+from .errors import CorpusDataError, IncompleteCorpus, InvalidConfig
 from .taxonomy import normalize_keyword
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
@@ -81,31 +81,6 @@ class WebPage:
         return landing_key(self.url)
 
 
-@dataclass(frozen=True)
-class TagSource:
-    """Descriptor of a tagging source."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if not _SOURCE_NAME.match(self.name):
-            raise CorpusDataError(f"unusable source name: {self.name!r}")
-
-
-@dataclass
-class TagAssignment:
-    """Keywords one source assigned to one page. Keywords are normalized."""
-
-    url: str
-    source: str
-    keywords: set[str]
-
-    def __post_init__(self) -> None:
-        self.url = normalize_url(self.url)
-        self.keywords = {normalize_keyword(k) for k in self.keywords}
-        self.keywords.discard("")
-
-
 @dataclass
 class AdImpression:
     """An ad observed on a control page, aggregated over repeats.
@@ -146,47 +121,15 @@ class TaggingSource(Protocol):
     def keywords_for(self, page: WebPage) -> set[str]: ...
 
 
-class FixtureTagSource:
-    """File- or mapping-backed tagging source.
+def tag_pages(pages: Iterable[WebPage], source: TaggingSource) -> dict[str, set[str]]:
+    """URL -> normalized keywords of one source, in page order.
 
-    Records map URL to a keyword list; pages without a record get the
-    empty set. A missing or unreadable file raises SourceUnavailable at
-    construction, deterministically.
+    Pages the source misses get the empty set; an empty keyword is dropped.
     """
-
-    def __init__(self, name: str, records: dict[str, Iterable[str]] | None = None,
-                 path: str | Path | None = None):
-        self.name = name
-        mapping: dict[str, set[str]] = {}
-        if records is not None:
-            for url, kws in records.items():
-                mapping[normalize_url(url)] = {normalize_keyword(k) for k in kws}
-        if path is not None:
-            p = Path(path)
-            if not p.exists():
-                raise SourceUnavailable(f"tag fixture missing: {p}")
-            try:
-                for line in p.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    mapping[normalize_url(rec["url"])] = {
-                        normalize_keyword(k) for k in rec["keywords"]
-                    }
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SourceUnavailable(f"tag fixture unreadable: {p}: {exc}") from exc
-        self._records = mapping
-
-    def keywords_for(self, page: WebPage) -> set[str]:
-        return set(self._records.get(page.url, ()))
-
-
-def tag_pages(pages: Iterable[WebPage], source: TaggingSource) -> list[TagAssignment]:
-    """One assignment per page; pages the source misses get empty keywords."""
-    return [
-        TagAssignment(url=p.url, source=source.name, keywords=source.keywords_for(p))
+    return {
+        p.url: {normalize_keyword(k) for k in source.keywords_for(p)} - {""}
         for p in pages
-    ]
+    }
 
 
 @dataclass
@@ -197,23 +140,21 @@ class Coverage:
     degenerate: bool = False
 
 
-def coverage(assignments: Iterable[TagAssignment], pages: Iterable[WebPage]) -> Coverage:
-    """Tagging coverage per source over a page set.
+def coverage(
+    tags: Mapping[str, Mapping[str, set[str]]], pages: Iterable[WebPage]
+) -> Coverage:
+    """Tagging coverage per source (source -> url -> keywords) over a page set.
 
-    An empty page set yields coverage 1.0 for every seen source, flagged
+    An empty page set yields coverage 1.0 for every source, flagged
     degenerate.
     """
     urls = {p.url for p in pages}
-    tagged: dict[str, set[str]] = {}
-    for a in assignments:
-        tagged.setdefault(a.source, set())
-        if a.keywords and a.url in urls:
-            tagged[a.source].add(a.url)
     if not urls:
-        return Coverage({s: 1.0 for s in sorted(tagged)}, degenerate=True)
-    return Coverage(
-        {s: len(hits) / len(urls) for s, hits in sorted(tagged.items())}
-    )
+        return Coverage({s: 1.0 for s in sorted(tags)}, degenerate=True)
+    return Coverage({
+        s: sum(1 for url in urls if table.get(url)) / len(urls)
+        for s, table in sorted(tags.items())
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +239,8 @@ class ExperimentStore:
         return self.root / name
 
     def tags_path(self, source: str) -> Path:
-        TagSource(name=source)  # validates the name
+        if not _SOURCE_NAME.match(source):
+            raise CorpusDataError(f"unusable source name: {source!r}")
         return self.root / f"tags.{source}.jsonl"
 
     def _require(self, name: str) -> Path:
@@ -321,12 +263,11 @@ class ExperimentStore:
 
     # tags
 
-    def write_tags(self, source: str, assignments: Iterable[TagAssignment]) -> None:
+    def write_tags(self, source: str, table: Mapping[str, set[str]]) -> None:
+        """One line per URL of `table` (url -> keywords), in its order."""
         lines = [
-            _dump_line(
-                {"keywords": sorted(a.keywords), "source": a.source, "url": a.url}
-            )
-            for a in assignments
+            _dump_line({"keywords": sorted(kws), "source": source, "url": url})
+            for url, kws in table.items()
         ]
         self.tags_path(source).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

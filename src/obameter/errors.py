@@ -32,10 +32,6 @@ class UnknownKeyword(ObameterError):
 
 # corpus
 
-class SourceUnavailable(CorpusDataError):
-    """A tagging source cannot deliver keyword assignments."""
-
-
 class IncompleteCorpus(CorpusDataError):
     """An experiment directory lacks files required by the requested step."""
 

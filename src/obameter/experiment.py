@@ -7,7 +7,7 @@ persona session against it, writing a corpus directory:
     world.json         full simulator state (ground truth; simulated runs only)
     personas.json      persona roster, training pages, selection attrition
     pages.jsonl        every page: training, control, ad landing
-    tags.<src>.jsonl   per-source keyword assignments over all pages
+    tags.<src>.jsonl   per-source keywords, one line per page
     visits.jsonl       the visit log of every session
     impressions.jsonl  ads observed on control pages, repeat-aggregated
     sessions.json      per-session metadata (condition, rep, mix, counts)
@@ -54,7 +54,6 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    TagAssignment,
     WebPage,
     check_keys,
     from_dict,
@@ -402,14 +401,7 @@ def _consensus_keywords(
             category=corpus.categories[pid],
             training_pages=corpus.training_pages[pid],
         )
-        assignments = [
-            TagAssignment(url=page.url, source=src, keywords=tags[src].get(page.url, set()))
-            for src in sorted(tags)
-            for page in persona.training_pages
-        ]
-        out[pid] = consensus_training_keywords(
-            persona, assignments, config, corpus.taxonomy
-        )
+        out[pid] = consensus_training_keywords(persona, tags, config, corpus.taxonomy)
     return out
 
 
@@ -693,10 +685,7 @@ def validate(
 
     levels = []
     for noise in noises:
-        tags = {
-            src.name: {p.url: src.keywords_for(p) for p in pages}
-            for src in world.tag_sources(noise)
-        }
+        tags = {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
         keywords = _consensus_keywords(corpus, corpus.manifest.consensus, tags)
 
         detail = []

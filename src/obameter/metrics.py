@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from scipy import stats as _scipy_stats
@@ -181,11 +181,7 @@ class CorrelationReport:
     removed_keys: list
 
     def to_dict(self) -> dict:
-        return {
-            "spearman": self.spearman, "spearman_p": self.spearman_p,
-            "pearson": self.pearson, "pearson_p": self.pearson_p,
-            "n_used": self.n_used, "removed_keys": list(self.removed_keys),
-        }
+        return asdict(self)
 
 
 def value_correlation(bailp_by_key: Mapping, cpc_by_key: Mapping) -> CorrelationReport:
@@ -258,11 +254,7 @@ class ComparisonStats:
     max: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "mean": self.mean, "median": self.median,
-            "q1": self.q1, "q3": self.q3, "iqr": self.iqr,
-            "min": self.min, "max": self.max,
-        }
+        return asdict(self)
 
 
 def comparison_stats(series_a: Mapping, series_b: Mapping) -> ComparisonStats:

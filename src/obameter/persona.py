@@ -19,9 +19,9 @@ are not in the taxonomy fall back to exact string equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .corpus import TagAssignment, WebPage
+from .corpus import WebPage
 from .errors import ConfigurationError, InsufficientSources, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -144,22 +144,22 @@ class ConsensusConfig:
 
 def consensus_training_keywords(
     persona: Persona,
-    assignments: Iterable[TagAssignment],
+    tags: Mapping[str, Mapping[str, Iterable[str]]],
     config: ConsensusConfig,
     taxonomy: KeywordTaxonomy,
 ) -> dict[str, set[str]]:
     """Cross-source consensus over the persona's training-page keywords.
 
-    Returns the retained keyword set per source. Only assignments for the
-    persona's training pages count. Raises InsufficientSources when fewer
-    sources are present than the rule needs (at least two, and at least
-    n + 1 so that n other sources can exist).
+    `tags` maps source -> url -> keywords, as stored in tags.<source>.jsonl;
+    every source in it counts, and only the persona's training pages are
+    read. Returns the retained keyword set per source. Raises
+    InsufficientSources when fewer sources are present than the rule needs
+    (at least two, and at least n + 1 so that n other sources can exist).
     """
-    training_urls = set(persona.visited_urls)
-    union: dict[str, set[str]] = {}
-    for a in assignments:
-        if a.url in training_urls:
-            union.setdefault(a.source, set()).update(a.keywords)
+    union = {
+        src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
+        for src, table in tags.items()
+    }
 
     needed = max(2, config.n + 1)
     if len(union) < needed:

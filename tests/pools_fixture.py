@@ -26,7 +26,6 @@ from obameter import (
     AdImpression,
     ConsensusConfig,
     Persona,
-    TagAssignment,
     WebPage,
     build_audience,
     consensus_training_keywords,
@@ -64,7 +63,7 @@ class PoolsCase:
     impressions_by_persona: dict[str, list[AdImpression]]
     audience: dict[str, set[str]]
     categories: dict[str, str]
-    training_assignments: list[TagAssignment]
+    training_tags: dict[str, dict[str, set[str]]]  # source -> url -> keywords
     consensus: ConsensusConfig
     tags: dict[str, set[str]] = field(default_factory=dict)  # landing url -> keywords
 
@@ -154,15 +153,13 @@ def build() -> PoolsCase:
     }
 
     # three sources agree on the training keywords, so consensus keeps both
-    training_assignments = []
-    for src in SOURCES:
-        for i, page in enumerate(training):
-            kws = {"swimming pools & spas"}
-            if i < 3:
-                kws.add("surf & swim")
-            training_assignments.append(
-                TagAssignment(url=page.url, source=src, keywords=kws)
-            )
+    training_tags = {
+        src: {
+            page.url: {"swimming pools & spas"} | ({"surf & swim"} if i < 3 else set())
+            for i, page in enumerate(training)
+        }
+        for src in SOURCES
+    }
 
     return PoolsCase(
         taxonomy=taxonomy,
@@ -173,7 +170,7 @@ def build() -> PoolsCase:
         impressions_by_persona=impressions_by_persona,
         audience=build_audience(impressions_by_persona),
         categories=categories,
-        training_assignments=training_assignments,
+        training_tags=training_tags,
         consensus=ConsensusConfig(n=2, threshold=2.5),
         tags=tags,
     )
@@ -182,7 +179,7 @@ def build() -> PoolsCase:
 def training_keywords(case: PoolsCase) -> dict[str, set[str]]:
     """Consensus result per source; all three agree here."""
     return consensus_training_keywords(
-        case.persona, case.training_assignments, case.consensus, case.taxonomy
+        case.persona, case.training_tags, case.consensus, case.taxonomy
     )
 
 
@@ -215,7 +212,7 @@ CONSENSUS_EXPECTED = {
 }
 
 
-def consensus_case() -> tuple[Persona, list[TagAssignment]]:
+def consensus_case() -> tuple[Persona, dict[str, dict[str, set[str]]]]:
     """One persona, two training pages, three disagreeing sources.
 
     The hierarchical source assigns six keywords; two of them are backed
@@ -243,9 +240,8 @@ def consensus_case() -> tuple[Persona, list[TagAssignment]]:
             {"security", "toys & games"},
         ],
     }
-    assignments = [
-        TagAssignment(url=page.url, source=src, keywords=kws)
+    tags = {
+        src: {page.url: kws for page, kws in zip(pages, page_kws)}
         for src, page_kws in per_page.items()
-        for page, kws in zip(pages, page_kws)
-    ]
-    return persona, assignments
+    }
+    return persona, tags

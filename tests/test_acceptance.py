@@ -229,9 +229,9 @@ def test_criterion_02_worked_example_replay():
 
 def test_criterion_03_consensus_disagreement():
     t0 = time.monotonic()
-    persona, assignments = pools_fixture.consensus_case()
+    persona, tags = pools_fixture.consensus_case()
     retained = consensus_training_keywords(
-        persona, assignments, ConsensusConfig(n=2, threshold=2.5), demo_taxonomy()
+        persona, tags, ConsensusConfig(n=2, threshold=2.5), demo_taxonomy()
     )
     expected = pools_fixture.CONSENSUS_EXPECTED
     assert len(expected["hier"]["input"]) == 6

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from obameter import (
     Persona,
+    PersonaSpec,
     SessionConfig,
     SimConfig,
     TagNoise,
@@ -117,6 +118,15 @@ class TestWorldShape:
         specs[1].id = specs[0].id
         with pytest.raises(InvalidConfig):
             build_world(SimConfig(), specs, taxonomy)
+
+    # without retargeting units nothing else notices the shared pages
+    @pytest.mark.parametrize("mix", [None, {"oba": 0.6, "contextual": 0.4}])
+    def test_persona_ids_sharing_a_slug_rejected(self, taxonomy, mix):
+        specs = [PersonaSpec(id="movies", category="movies"),
+                 PersonaSpec(id="Movies!", category="motor sports")]
+        config = SimConfig() if mix is None else SimConfig(mix=mix)
+        with pytest.raises(InvalidConfig, match=r"'movies' and 'Movies!' share"):
+            build_world(config, specs, taxonomy, seed=1)
 
     def test_unknown_category_rejected(self, taxonomy):
         specs = default_persona_specs(1)

@@ -5,16 +5,25 @@ import pytest
 from obameter import (
     AdImpression,
     ExperimentStore,
-    FixtureTagSource,
-    TagAssignment,
     WebPage,
     coverage,
     landing_key,
     normalize_url,
     tag_pages,
 )
-from obameter.corpus import TagSource
-from obameter.errors import CorpusDataError, IncompleteCorpus, SourceUnavailable
+from obameter.errors import CorpusDataError, IncompleteCorpus
+
+
+class FakeSource:
+    """A tagging source that answers from a url -> keywords mapping."""
+
+    name = "fake"
+
+    def __init__(self, records):
+        self.records = records
+
+    def keywords_for(self, page):
+        return set(self.records.get(page.url, ()))
 
 
 class TestUrlNormalization:
@@ -49,14 +58,14 @@ class TestPagesAndTags:
         with pytest.raises(CorpusDataError):
             WebPage(url="http://x.example", role="banner")
 
-    def test_tag_assignment_normalizes(self):
-        a = TagAssignment(url="X.example/a/", source="s", keywords={"Pools ", ""})
-        assert a.url == "http://x.example/a"
-        assert a.keywords == {"pools"}
+    def test_tag_pages_normalizes_keywords(self):
+        page = WebPage(url="X.example/a/")
+        tags = tag_pages([page], FakeSource({page.url: ["Pools ", "", "  "]}))
+        assert tags == {"http://x.example/a": {"pools"}}
 
-    def test_source_name_validated(self):
+    def test_source_name_validated(self, tmp_path):
         with pytest.raises(CorpusDataError):
-            TagSource(name="bad name!")
+            ExperimentStore(tmp_path).tags_path("bad name!")
 
     def test_impression_ntimes_positive(self):
         with pytest.raises(CorpusDataError):
@@ -64,41 +73,30 @@ class TestPagesAndTags:
                          control_page="c.example", landing_page="l.example",
                          ntimes=0)
 
-    def test_fixture_source_missing_file(self, tmp_path):
-        with pytest.raises(SourceUnavailable):
-            FixtureTagSource("alpha", path=tmp_path / "absent.jsonl")
-
     def test_tag_pages_covers_every_page(self):
-        pages = [WebPage(url=f"http://p{i}.example") for i in range(3)]
-        src = FixtureTagSource("alpha", records={pages[0].url: ["pools"]})
-        tags = tag_pages(pages, src)
-        assert len(tags) == 3
-        assert tags[0].keywords == {"pools"}
-        assert tags[1].keywords == set()
+        pages = [WebPage(url=f"http://p{i}.example") for i in (2, 0, 1)]
+        tags = tag_pages(pages, FakeSource({pages[0].url: ["pools"]}))
+        assert list(tags) == [p.url for p in pages]
+        assert tags[pages[0].url] == {"pools"}
+        assert tags[pages[1].url] == set()
 
 
 class TestCoverage:
     def test_fixture_rates(self):
         pages = [WebPage(url=f"http://page-{i:04d}.example") for i in range(1000)]
-        assignments = []
-        for i, p in enumerate(pages):
-            assignments.append(TagAssignment(url=p.url, source="alpha",
-                                             keywords={"news"}))
-            assignments.append(TagAssignment(
-                url=p.url, source="beta",
-                keywords=set() if i < 10 else {"news"}))
-            assignments.append(TagAssignment(
-                url=p.url, source="gamma",
-                keywords=set() if i < 45 else {"news"}))
-        cov = coverage(assignments, pages)
+        tags = {
+            "alpha": {p.url: {"news"} for p in pages},
+            "beta": {p.url: set() if i < 10 else {"news"} for i, p in enumerate(pages)},
+            "gamma": {p.url: set() if i < 45 else {"news"} for i, p in enumerate(pages)},
+        }
+        cov = coverage(tags, pages)
         assert not cov.degenerate
         assert cov.by_source["alpha"] == pytest.approx(1.0)
         assert cov.by_source["beta"] == pytest.approx(0.990)
         assert cov.by_source["gamma"] == pytest.approx(0.955)
 
     def test_empty_pages_flagged_degenerate(self):
-        cov = coverage([TagAssignment(url="http://x.example", source="a",
-                                      keywords={"k"})], [])
+        cov = coverage({"a": {"http://x.example": {"k"}}}, [])
         assert cov.degenerate
         assert cov.by_source["a"] == 1.0
 
@@ -113,9 +111,7 @@ class TestStore:
 
     def test_tags_round_trip(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
-        store.write_tags("alpha", [
-            TagAssignment(url="http://a.example", source="alpha", keywords={"x", "y"}),
-        ])
+        store.write_tags("alpha", {"http://a.example": {"x", "y"}})
         assert store.tag_sources() == ["alpha"]
         assert store.load_tags("alpha") == {"http://a.example": {"x", "y"}}
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import shutil
 
 import pytest
@@ -276,6 +277,54 @@ class TestIncompleteSessions:
             analyze(clone)
         assert main(["analyze", str(clone)]) == 3
         assert "corpus error" in capsys.readouterr().err
+
+
+class TestRecordOrder:
+    """Metamorphic: reordering corpus records changes nothing analyze reports
+    except the order of its per-session rows."""
+
+    @pytest.fixture(scope="class")
+    def four_personas(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("four-personas")
+        simulate(ExperimentManifest.from_dict(dict(TINY, n_personas=4)), root)
+        analyze(root)
+        return root
+
+    @staticmethod
+    def _shuffled(items, rng):
+        out = rng.sample(items, len(items))
+        assert out != items
+        return out
+
+    def test_record_order_leaves_the_report_unchanged(self, four_personas, tmp_path):
+        rng = random.Random(7)
+        store = ExperimentStore(_copy_corpus(four_personas, tmp_path / "c"))
+        for name in ("impressions.jsonl", "visits.jsonl", "tags.sim-b.jsonl"):
+            lines = store.path(name).read_text(encoding="utf-8").splitlines(True)
+            store.path(name).write_text("".join(self._shuffled(lines, rng)), "utf-8")
+        doc = store.load_doc("personas.json")
+        doc["personas"] = self._shuffled(doc["personas"], rng)
+        store.write_doc("personas.json", doc)
+        analyze(store.root)
+        assert (store.path("report.json").read_bytes()
+                == (four_personas / "report.json").read_bytes())
+
+    def test_session_order_changes_only_row_order(self, four_personas, tmp_path):
+        store = ExperimentStore(_copy_corpus(four_personas, tmp_path / "c"))
+        doc = store.load_doc("sessions.json")
+        doc["sessions"] = self._shuffled(doc["sessions"], random.Random(7))
+        store.write_doc("sessions.json", doc)
+        analyze(store.root)
+        base = json.loads((four_personas / "report.json").read_text(encoding="utf-8"))
+        report = store.load_doc("report.json")
+        for key in ("cells", "attrition"):
+            assert report[key] != base[key]
+            rows, base_rows = (
+                sorted(json.dumps(row, sort_keys=True) for row in side.pop(key))
+                for side in (report, base)
+            )
+            assert rows == base_rows
+        assert report == base
 
 
 class TestAnalyze:

@@ -6,7 +6,6 @@ from obameter import (
     CandidatePage,
     ConsensusConfig,
     Persona,
-    TagAssignment,
     WebPage,
     consensus_training_keywords,
     select_training_pages,
@@ -97,25 +96,25 @@ class TestSelection:
 
 class TestConsensus:
     def test_disagreeing_sources(self, taxonomy):
-        persona, assignments = consensus_case()
+        persona, tags = consensus_case()
         retained = consensus_training_keywords(
-            persona, assignments, ConsensusConfig(n=2, threshold=2.5), taxonomy
+            persona, tags, ConsensusConfig(n=2, threshold=2.5), taxonomy
         )
         for src, expect in CONSENSUS_EXPECTED.items():
             assert retained[src] == expect["retained"], src
             assert expect["input"] - retained[src] == expect["eliminated"], src
 
     def test_insufficient_sources(self, taxonomy):
-        persona, assignments = consensus_case()
-        two = [a for a in assignments if a.source != "flat-b"]
+        persona, tags = consensus_case()
+        two = {src: table for src, table in tags.items() if src != "flat-b"}
         with pytest.raises(InsufficientSources):
             consensus_training_keywords(
                 persona, two, ConsensusConfig(n=2, threshold=2.5), taxonomy
             )
 
     def test_n1_works_with_two_sources(self, taxonomy):
-        persona, assignments = consensus_case()
-        two = [a for a in assignments if a.source != "flat-b"]
+        persona, tags = consensus_case()
+        two = {src: table for src, table in tags.items() if src != "flat-b"}
         retained = consensus_training_keywords(
             persona, two, ConsensusConfig(n=1, threshold=2.5), taxonomy
         )
@@ -126,26 +125,22 @@ class TestConsensus:
     def test_exact_match_outside_taxonomy_counts(self, taxonomy):
         pages = [WebPage(url="http://t.example")]
         persona = Persona(id="p", category="banking", training_pages=pages)
-        assignments = [
-            TagAssignment(url="http://t.example", source=s, keywords={"blockchain"})
-            for s in ("a", "b", "c")
-        ]
+        tags = {s: {"http://t.example": {"blockchain"}} for s in ("a", "b", "c")}
         retained = consensus_training_keywords(
-            persona, assignments, ConsensusConfig(n=2, threshold=2.5), taxonomy
+            persona, tags, ConsensusConfig(n=2, threshold=2.5), taxonomy
         )
         assert retained["a"] == {"blockchain"}
 
     def test_assignments_off_training_pages_ignored(self, taxonomy):
-        persona, assignments = consensus_case()
-        noise = [
-            TagAssignment(url="http://unrelated.example", source=s,
-                          keywords={"dating"})
-            for s in ("hier", "flat-a", "flat-b")
-        ]
+        persona, tags = consensus_case()
+        noisy = {
+            src: {**table, "http://unrelated.example": {"dating"}}
+            for src, table in tags.items()
+        }
         with_noise = consensus_training_keywords(
-            persona, assignments + noise, ConsensusConfig(2, 2.5), taxonomy
+            persona, noisy, ConsensusConfig(2, 2.5), taxonomy
         )
         without = consensus_training_keywords(
-            persona, assignments, ConsensusConfig(2, 2.5), taxonomy
+            persona, tags, ConsensusConfig(2, 2.5), taxonomy
         )
         assert with_noise == without
