@@ -22,10 +22,8 @@ from .adsim import (
 )
 from .corpus import (
     AdImpression,
-    Coverage,
     ExperimentStore,
     WebPage,
-    coverage,
     landing_key,
     normalize_url,
     tag_pages,
@@ -98,7 +96,6 @@ __all__ = [
     "ConsensusConfig",
     "CorpusDataError",
     "CorrelationReport",
-    "Coverage",
     "ExperimentManifest",
     "ExperimentStore",
     "FilterConfig",
@@ -124,7 +121,6 @@ __all__ = [
     "build_world",
     "comparison_stats",
     "consensus_training_keywords",
-    "coverage",
     "default_persona_specs",
     "demo_taxonomy",
     "demo_taxonomy_text",

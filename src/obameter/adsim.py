@@ -186,44 +186,14 @@ class _Browser:
         self.clock = 0.0
 
 
-@dataclass
-class PersonaRecord:
-    """A built persona plus its selection attrition (for personas.json)."""
-
-    persona: Persona
-    attrition: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.persona.id,
-            "category": self.persona.category,
-            "sensitive": self.persona.sensitive,
-            "training_pages": [p.url for p in self.persona.training_pages],
-            "attrition": self.attrition,
-        }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "PersonaRecord":
-        persona = Persona(
-            id=rec["id"],
-            category=rec["category"],
-            sensitive=rec["sensitive"],
-            training_pages=[
-                WebPage(url=u, role="training") for u in rec["training_pages"]
-            ],
-        )
-        return cls(persona=persona, attrition=rec["attrition"])
-
-
 class World:
     """Built ad ecosystem; implements the session AdHarvester protocol."""
 
     def __init__(
         self,
         config: SimConfig,
-        taxonomy: KeywordTaxonomy,
         seed: int,
-        personas: list[PersonaRecord],
+        personas: list[Persona],
         control_pages: list[WebPage],
         ads: list[AdUnit],
         page_categories: dict[str, list[str]],
@@ -232,7 +202,6 @@ class World:
         aggregators: list[str],
     ):
         self.config = config
-        self.taxonomy = taxonomy
         self.seed = seed
         self.personas = personas
         self.control_pages = control_pages
@@ -365,8 +334,8 @@ class World:
 
     def all_pages(self) -> list[WebPage]:
         pages: list[WebPage] = []
-        for rec in self.personas:
-            pages.extend(rec.persona.training_pages)
+        for persona in self.personas:
+            pages.extend(persona.training_pages)
         pages.extend(self.control_pages)
         publisher = {p.url for p in pages}
         for ad in self.ads:
@@ -389,7 +358,7 @@ class World:
             "config": asdict(self.config),
             "aggregators": self.aggregators,
             "control_pages": [p.url for p in self.control_pages],
-            "personas": [rec.to_dict() for rec in self.personas],
+            "personas": [persona.to_dict() for persona in self.personas],
             "ads": [asdict(ad) for ad in self.ads],
             "page_categories": self.page_categories,
             "page_themes": self.page_themes,
@@ -397,12 +366,11 @@ class World:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, taxonomy: KeywordTaxonomy) -> "World":
+    def from_dict(cls, data: dict) -> "World":
         return cls(
             config=from_dict(SimConfig, data["config"], "sim"),
-            taxonomy=taxonomy,
             seed=data["seed"],
-            personas=[PersonaRecord.from_dict(rec) for rec in data["personas"]],
+            personas=[Persona.from_dict(rec) for rec in data["personas"]],
             control_pages=[WebPage(url=u, role="control") for u in data["control_pages"]],
             ads=[from_dict(AdUnit, ad, "ad") for ad in data["ads"]],
             page_categories=data["page_categories"],
@@ -477,14 +445,21 @@ def build_world(
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
         raise InvalidConfig("persona ids must be unique")
-    # training URLs are built from the slug, so it must be unique too
+    # training URLs are built from the slug, so it must be non-empty and
+    # unique too
     slugs: dict[str, str] = {}
     for spec in specs:
-        first = slugs.setdefault(_slug(spec.id), spec.id)
+        slug = _slug(spec.id)
+        if not slug:
+            raise InvalidConfig(
+                f"persona id {spec.id!r} has no letter or digit to build "
+                "its URL slug from"
+            )
+        first = slugs.setdefault(slug, spec.id)
         if first != spec.id:
             raise InvalidConfig(
                 f"persona ids {first!r} and {spec.id!r} share the URL slug "
-                f"{_slug(spec.id)!r}"
+                f"{slug!r}"
             )
         if spec.category not in taxonomy:
             raise InvalidConfig(
@@ -509,21 +484,20 @@ def build_world(
         page_themes[page.url] = "weather"
         trackers[page.url] = list(aggregators)
 
-    personas: list[PersonaRecord] = []
+    personas: list[Persona] = []
     selection_source = config.sources[0]
     for spec in specs:
-        persona, attrition = _build_persona(
+        persona = _build_persona(
             spec, config, taxonomy, rng, page_categories, selection_source
         )
         _place_trackers(persona, config, rng, aggregators, trackers)
-        personas.append(PersonaRecord(persona=persona, attrition=attrition))
+        personas.append(persona)
 
     ads = _build_inventory(
         config, personas, control_pages, taxonomy, page_categories, rng
     )
     return World(
         config=config,
-        taxonomy=taxonomy,
         seed=seed,
         personas=personas,
         control_pages=control_pages,
@@ -542,7 +516,7 @@ def _build_persona(
     rng: random.Random,
     page_categories: dict[str, list[str]],
     selection_source: str,
-) -> tuple[Persona, dict[str, int]]:
+) -> Persona:
     cat = normalize_keyword(spec.category)
     bundle = demo.persona_bundle(taxonomy, cat)
     slug = _slug(spec.id)
@@ -590,13 +564,13 @@ def _build_persona(
         selection_source=selection_source,
         min_pages=10,
     )
-    persona = Persona(
+    return Persona(
         id=spec.id,
         category=cat,
         sensitive=spec.sensitive,
         training_pages=selection.pages,
+        attrition=selection.attrition,
     )
-    return persona, selection.attrition
 
 
 def _place_trackers(
@@ -624,7 +598,7 @@ def _place_trackers(
 
 def _build_inventory(
     config: SimConfig,
-    personas: list[PersonaRecord],
+    personas: list[Persona],
     control_pages: list[WebPage],
     taxonomy: KeywordTaxonomy,
     page_categories: dict[str, list[str]],
@@ -636,7 +610,7 @@ def _build_inventory(
     ads: list[AdUnit] = []
     weights = config.kind_weights
 
-    categories = [rec.persona.category for rec in personas]
+    categories = [persona.category for persona in personas]
     for i in range(counts["oba"]):
         target = categories[i % len(categories)]
         url = f"https://ads-oba-{i:03d}.example/offer"
@@ -666,8 +640,8 @@ def _build_inventory(
 
     # retargeting units point back at real publisher pages, one page each
     targets: list[str] = []
-    for rec in personas:
-        targets.extend(p.url for p in rec.persona.training_pages)
+    for persona in personas:
+        targets.extend(p.url for p in persona.training_pages)
     targets.extend(p.url for p in control_pages)
     rng.shuffle(targets)
     if counts["retargeting"] > len(targets):

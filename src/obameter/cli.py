@@ -31,8 +31,7 @@ from .experiment import (
     simulate,
     validate,
 )
-from .persona import ConsensusConfig
-from .pipeline import FILTER_SETS, FilterConfig
+from .pipeline import FILTER_SETS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,26 +82,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(stored, **flags):
+    """`stored` with each flag that was given (not None) replacing its field."""
+    return dataclasses.replace(
+        stored, **{name: value for name, value in flags.items() if value is not None}
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else ExperimentManifest()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.budget is not None:
-        overrides["visit_budget"] = args.budget
-    if args.mean_interval is not None:
-        overrides["mean_interval"] = args.mean_interval
-    if args.repetitions is not None:
-        overrides["repetitions"] = args.repetitions
-    if args.personas is not None:
-        if manifest.personas:
-            raise InvalidConfig(
-                "--personas sets the default roster size, but the manifest "
-                "lists its personas explicitly"
-            )
-        overrides["n_personas"] = args.personas
-    if overrides:
-        manifest = dataclasses.replace(manifest, **overrides)
+    if args.personas is not None and manifest.personas:
+        raise InvalidConfig(
+            "--personas sets the default roster size, but the manifest "
+            "lists its personas explicitly"
+        )
+    manifest = _override(
+        manifest,
+        seed=args.seed,
+        visit_budget=args.budget,
+        mean_interval=args.mean_interval,
+        repetitions=args.repetitions,
+        n_personas=args.personas,
+    )
     summary = simulate(manifest, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -113,33 +114,14 @@ def _stored_manifest(args: argparse.Namespace) -> ExperimentManifest:
     return ExperimentManifest.from_dict(store.load_doc("manifest.json"))
 
 
-def _consensus_override(args: argparse.Namespace, stored: ExperimentManifest) -> ConsensusConfig | None:
-    if args.consensus_n is None and args.consensus_t is None:
-        return None
-    return ConsensusConfig(
-        n=args.consensus_n if args.consensus_n is not None else stored.consensus.n,
-        threshold=(
-            args.consensus_t if args.consensus_t is not None
-            else stored.consensus.threshold
-        ),
-    )
-
-
-def _filter_override(args: argparse.Namespace, stored: ExperimentManifest) -> FilterConfig | None:
-    if args.filters is None and args.tprime is None:
-        return None
-    return FilterConfig(
-        filters=args.filters if args.filters is not None else stored.filters.filters,
-        t_prime=args.tprime if args.tprime is not None else stored.filters.t_prime,
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     stored = _stored_manifest(args)
     report = analyze(
         args.dir,
-        consensus=_consensus_override(args, stored),
-        filters=_filter_override(args, stored),
+        consensus=_override(
+            stored.consensus, n=args.consensus_n, threshold=args.consensus_t
+        ),
+        filters=_override(stored.filters, filters=args.filters, t_prime=args.tprime),
         cpc_path=args.cpc,
     )
     store = ExperimentStore(args.dir)
@@ -150,7 +132,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    filters = _filter_override(args, _stored_manifest(args))
+    filters = _override(
+        _stored_manifest(args).filters, filters=args.filters, t_prime=args.tprime
+    )
     rows = filter_attrition(args.dir, filters=filters)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0

@@ -1,8 +1,10 @@
 """Experiment corpus: pages, tags, impressions, and their on-disk store.
 
 URL identity. `normalize_url` lowercases scheme and host, strips default
-ports and a trailing slash, and is idempotent. Landing-page equality is
-coarser: `landing_key` keeps host + path only, dropping query strings and
+ports, userinfo and a trailing slash, keeps the brackets of an IPv6 host,
+and is idempotent; a URL it cannot parse (a bad port, an unclosed IPv6
+bracket) raises CorpusDataError. Landing-page equality is coarser:
+`landing_key` keeps host + path only, dropping query strings and
 fragments, and every filter and audience map compares pages by that key.
 
 Store layout. An experiment directory holds
@@ -47,10 +49,15 @@ def normalize_url(url: str) -> str:
     raw = url.strip()
     if "://" not in raw:
         raw = "http://" + raw
-    parts = urlsplit(raw)
+    try:
+        parts = urlsplit(raw)
+        port = parts.port
+    except ValueError as exc:
+        raise CorpusDataError(f"unusable URL {url!r}: {exc}") from exc
     scheme = parts.scheme.lower()
     host = parts.hostname or ""
-    port = parts.port
+    if ":" in host:  # IPv6; hostname strips the brackets
+        host = f"[{host}]"
     netloc = host
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme, ""):
         netloc = f"{host}:{port}"
@@ -75,10 +82,6 @@ class WebPage:
         object.__setattr__(self, "url", normalize_url(self.url))
         if self.role not in PAGE_ROLES:
             raise CorpusDataError(f"unknown page role: {self.role!r}")
-
-    @property
-    def key(self) -> str:
-        return landing_key(self.url)
 
 
 @dataclass
@@ -130,31 +133,6 @@ def tag_pages(pages: Iterable[WebPage], source: TaggingSource) -> dict[str, set[
         p.url: {normalize_keyword(k) for k in source.keywords_for(p)} - {""}
         for p in pages
     }
-
-
-@dataclass
-class Coverage:
-    """Per-source fraction of pages that received at least one keyword."""
-
-    by_source: dict[str, float]
-    degenerate: bool = False
-
-
-def coverage(
-    tags: Mapping[str, Mapping[str, set[str]]], pages: Iterable[WebPage]
-) -> Coverage:
-    """Tagging coverage per source (source -> url -> keywords) over a page set.
-
-    An empty page set yields coverage 1.0 for every source, flagged
-    degenerate.
-    """
-    urls = {p.url for p in pages}
-    if not urls:
-        return Coverage({s: 1.0 for s in sorted(tags)}, degenerate=True)
-    return Coverage({
-        s: sum(1 for url in urls if table.get(url)) / len(urls)
-        for s, table in sorted(tags.items())
-    })
 
 
 # ---------------------------------------------------------------------------

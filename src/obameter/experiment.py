@@ -12,9 +12,9 @@ persona session against it, writing a corpus directory:
     impressions.jsonl  ads observed on control pages, repeat-aggregated
     sessions.json      per-session metadata (condition, rep, mix, counts)
 
-Every session runs to the end or the run fails: an error raised while
-replaying a session propagates before manifest.json and sessions.json
-are written, so a directory holding both is a finished run.
+Every session runs to the end or the run fails. All sessions run before
+the first file is written, so an error raised while replaying a session
+propagates and leaves the output directory as it was.
 
 analyze consumes such a directory (world.json not required, so corpora
 collected outside the simulator work too) and writes report.json and
@@ -43,7 +43,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import demo
 from .adsim import (
-    PersonaRecord,
     PersonaSpec,
     SimConfig,
     TagNoise,
@@ -54,7 +53,6 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    WebPage,
     check_keys,
     from_dict,
     tag_pages,
@@ -77,7 +75,7 @@ from .metrics import (
 from .persona import ConsensusConfig, Persona, consensus_training_keywords
 from .pipeline import FilterConfig, PipelineResult, apply_filters, build_audience
 from .seeding import derive_seed
-from .session import SessionConfig, run_session
+from .session import SessionConfig, SessionResult, run_session
 from .taxonomy import KeywordTaxonomy
 
 # the clean reference profile; not a real persona, excluded from analysis
@@ -198,46 +196,44 @@ def resolve_taxonomy(spec: str) -> KeywordTaxonomy:
 
 
 def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
-    """Build the world, run every session, write the corpus directory."""
+    """Build the world, run every session, write the corpus directory.
+
+    Nothing is written until every session has run, so a failing session
+    leaves an earlier corpus in out_dir untouched.
+    """
     taxonomy = resolve_taxonomy(manifest.taxonomy)
     specs = manifest.persona_specs()
     world = build_world(manifest.sim, specs, taxonomy, seed=manifest.seed)
+
+    persona_by_id = {persona.id: persona for persona in world.personas}
+    clean_persona = Persona(id=CLEAN_ID, category="weather")
+
+    runs: list[tuple[dict, SessionResult]] = []
+    for cond in manifest.conditions:
+        for rep in range(manifest.repetitions):
+            for spec in specs:
+                runs.append(_run_one(
+                    world, persona_by_id[spec.id], cond, rep, manifest, clean=False,
+                ))
+        # one clean reference session per condition
+        runs.append(_run_one(world, clean_persona, cond, 0, manifest, clean=True))
 
     store = ExperimentStore(out_dir).create()
     # the event logs are append-only, and analyze finds tag files by glob,
     # so nothing from an earlier run may survive a rerun
     store.clear()
-
     pages = world.all_pages()
     store.write_pages(pages)
     for source in world.tag_sources():
         store.write_tags(source.name, tag_pages(pages, source))
-
-    persona_by_id = {rec.persona.id: rec.persona for rec in world.personas}
-    clean_persona = Persona(
-        id=CLEAN_ID, category="weather", sensitive=False, training_pages=[]
-    )
-
-    session_rows: list[dict] = []
-    n_impressions = 0
-    for cond in manifest.conditions:
-        for rep in range(manifest.repetitions):
-            for spec in specs:
-                row = _run_one(
-                    store, world, persona_by_id[spec.id], cond, rep,
-                    manifest, clean=False,
-                )
-                session_rows.append(row)
-                n_impressions += row["n_impressions"]
-        # one clean reference session per condition
-        row = _run_one(store, world, clean_persona, cond, 0, manifest, clean=True)
-        session_rows.append(row)
-        n_impressions += row["n_impressions"]
-
+    for row, result in runs:
+        store.append_visits(row["session"], result.visits)
+        store.append_impressions(result.impressions)
+    session_rows = [row for row, _ in runs]
     store.write_doc("manifest.json", manifest.to_dict())
     store.write_doc("world.json", world.to_dict())
     store.write_doc("personas.json", {
-        "personas": [rec.to_dict() for rec in world.personas],
+        "personas": [persona.to_dict() for persona in world.personas],
     })
     store.write_doc("sessions.json", {"sessions": session_rows})
     return {
@@ -247,23 +243,19 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
         "conditions": [c.cond_id for c in manifest.conditions],
         "sessions": len(session_rows),
         "pages": len(pages),
-        "impressions": n_impressions,
+        "impressions": sum(row["n_impressions"] for row in session_rows),
     }
 
 
 def _run_one(
-    store: ExperimentStore,
     world: World,
     persona: Persona,
     cond: Condition,
     rep: int,
     manifest: ExperimentManifest,
     clean: bool,
-) -> dict:
-    """Run one session, append its event logs, return its sessions.json row.
-
-    A failing session raises before anything of it is written.
-    """
+) -> tuple[dict, SessionResult]:
+    """Run one session; return its sessions.json row and its result."""
     sid = session_label(persona.id, cond.cond_id, rep)
     config = SessionConfig(
         persona_id=persona.id,
@@ -276,8 +268,6 @@ def _run_one(
         seed=derive_seed(manifest.seed, "session", sid),
     )
     result = run_session(persona, world.control_pages, config, world)
-    store.append_visits(sid, result.visits)
-    store.append_impressions(result.impressions)
     return {
         "session": sid,
         "persona": persona.id,
@@ -290,7 +280,7 @@ def _run_one(
         "visit_mix": result.visit_mix,
         "raw_served": result.raw_served,
         "n_impressions": len(result.impressions),
-    }
+    }, result
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +293,14 @@ class _Corpus:
 
     manifest: ExperimentManifest
     taxonomy: KeywordTaxonomy
-    categories: dict[str, str]              # persona id -> category
-    training_pages: dict[str, list[WebPage]]
+    personas: dict[str, Persona]            # persona id -> persona
     sessions: list[dict]                    # complete rows from sessions.json
     imps_by_session: dict[str, list[AdImpression]]
     visited_by_session: dict[str, list[str]]
     tags: dict[str, dict[str, set[str]]]    # source -> url -> keywords
 
     def persona_ids(self) -> list[str]:
-        return sorted(self.categories)
+        return sorted(self.personas)
 
     def sources(self) -> list[str]:
         return sorted(self.tags)
@@ -352,12 +341,10 @@ def _load_corpus(root: str | Path) -> _Corpus:
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
     taxonomy = resolve_taxonomy(manifest.taxonomy)
 
-    categories: dict[str, str] = {}
-    training_pages: dict[str, list[WebPage]] = {}
-    for rec in store.load_doc("personas.json")["personas"]:
-        persona = PersonaRecord.from_dict(rec).persona
-        categories[persona.id] = persona.category
-        training_pages[persona.id] = persona.training_pages
+    personas = {
+        rec["id"]: Persona.from_dict(rec)
+        for rec in store.load_doc("personas.json")["personas"]
+    }
 
     # simulate writes only complete sessions, but a corpus from another
     # harvester may mark aborted ones; they are dropped here, once
@@ -378,8 +365,7 @@ def _load_corpus(root: str | Path) -> _Corpus:
     return _Corpus(
         manifest=manifest,
         taxonomy=taxonomy,
-        categories=categories,
-        training_pages=training_pages,
+        personas=personas,
         sessions=sessions,
         imps_by_session=imps_by_session,
         visited_by_session=visited_by_session,
@@ -394,15 +380,12 @@ def _consensus_keywords(
 ) -> dict[str, dict[str, set[str]]]:
     """Persona id -> source -> retained training keywords."""
     tags = tags if tags is not None else corpus.tags
-    out: dict[str, dict[str, set[str]]] = {}
-    for pid in corpus.persona_ids():
-        persona = Persona(
-            id=pid,
-            category=corpus.categories[pid],
-            training_pages=corpus.training_pages[pid],
+    return {
+        pid: consensus_training_keywords(
+            corpus.personas[pid], tags, config, corpus.taxonomy
         )
-        out[pid] = consensus_training_keywords(persona, tags, config, corpus.taxonomy)
-    return out
+        for pid in corpus.persona_ids()
+    }
 
 
 def _filtered_sessions(
@@ -415,6 +398,7 @@ def _filtered_sessions(
     The clean-profile impressions and the audience map are built once per
     condition, over all of its persona sessions.
     """
+    categories = {pid: persona.category for pid, persona in corpus.personas.items()}
     for cond_id in corpus.condition_ids():
         clean_imps = corpus.clean_impressions(cond_id)
         audience = build_audience(corpus.pooled_impressions(cond_id))
@@ -426,7 +410,7 @@ def _filtered_sessions(
                 visited_urls=corpus.visited_by_session.get(sid, []),
                 clean_impressions=clean_imps,
                 persona_id=row["persona"],
-                persona_categories=corpus.categories,
+                persona_categories=categories,
                 audience=audience,
                 taxonomy=corpus.taxonomy,
             )
@@ -666,7 +650,7 @@ def validate(
     noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)
     store = ExperimentStore(root)
-    world = World.from_dict(store.load_doc("world.json"), corpus.taxonomy)
+    world = World.from_dict(store.load_doc("world.json"))
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
         noises = [replace(noise, dropout=dropout) for noise in noises]

@@ -28,12 +28,17 @@ from .taxonomy import KeywordTaxonomy, normalize_keyword
 
 @dataclass
 class Persona:
-    """A trained browsing identity."""
+    """A trained browsing identity and its training-page selection attrition.
+
+    `to_dict`/`from_dict` are the one record codec, shared by personas.json
+    and world.json.
+    """
 
     id: str
     category: str
     sensitive: bool = False
     training_pages: list[WebPage] = field(default_factory=list)
+    attrition: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.category = normalize_keyword(self.category)
@@ -41,6 +46,27 @@ class Persona:
     @property
     def visited_urls(self) -> list[str]:
         return [p.url for p in self.training_pages]
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "category": self.category,
+            "sensitive": self.sensitive,
+            "training_pages": self.visited_urls,
+            "attrition": self.attrition,
+        }
+
+    @classmethod
+    def from_dict(cls, rec: Mapping) -> "Persona":
+        return cls(
+            id=rec["id"],
+            category=rec["category"],
+            sensitive=rec["sensitive"],
+            training_pages=[
+                WebPage(url=u, role="training") for u in rec["training_pages"]
+            ],
+            attrition=rec["attrition"],
+        )
 
 
 @dataclass

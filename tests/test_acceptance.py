@@ -369,11 +369,11 @@ def test_criterion_05_filter_properties(taxonomy):
                         taxonomy, seed=77)
     imps_by = {}
     visited_by = {}
-    for rec in world.personas:
-        cfg = SessionConfig(persona_id=rec.persona.id, visit_budget=60, seed=101)
-        res = run_session(rec.persona, world.control_pages, cfg, world)
-        imps_by[rec.persona.id] = res.impressions
-        visited_by[rec.persona.id] = [ev.page.url for ev in res.visits]
+    for persona in world.personas:
+        cfg = SessionConfig(persona_id=persona.id, visit_budget=60, seed=101)
+        res = run_session(persona, world.control_pages, cfg, world)
+        imps_by[persona.id] = res.impressions
+        visited_by[persona.id] = [ev.page.url for ev in res.visits]
     clean_cfg = SessionConfig(persona_id="clean", visit_budget=60, seed=102,
                               clean_profile=True)
     clean_res = run_session(
@@ -381,10 +381,10 @@ def test_criterion_05_filter_properties(taxonomy):
         world.control_pages, clean_cfg, world,
     )
     audience = build_audience(imps_by)
-    categories = {rec.persona.id: rec.persona.category for rec in world.personas}
+    categories = {persona.id: persona.category for persona in world.personas}
     saw_oba = False
-    for rec in world.personas:
-        pid = rec.persona.id
+    for persona in world.personas:
+        pid = persona.id
         result = apply_filters(imps_by[pid], FilterConfig(), visited_by[pid],
                                clean_res.impressions, pid, categories,
                                audience, taxonomy)

@@ -1,5 +1,6 @@
 """World building, serving rules, and ground-truth soundness."""
 
+import json
 from dataclasses import asdict, replace
 
 import pytest
@@ -37,9 +38,7 @@ def world(make_world):
 
 
 def _session(world, persona_id, seed=1, **kwargs):
-    persona = next(
-        rec.persona for rec in world.personas if rec.persona.id == persona_id
-    )
+    persona = next(p for p in world.personas if p.id == persona_id)
     config = SessionConfig(persona_id=persona_id, visit_budget=150,
                            seed=seed, **kwargs)
     return run_session(persona, world.control_pages, config, world)
@@ -98,14 +97,14 @@ class TestConfigValidation:
 
 class TestWorldShape:
     def test_personas_have_enough_training_pages(self, world):
-        for rec in world.personas:
-            assert len(rec.persona.training_pages) >= 10
-            assert rec.attrition["candidates"] > rec.attrition["selected"]
+        for persona in world.personas:
+            assert len(persona.training_pages) >= 10
+            assert persona.attrition["candidates"] > persona.attrition["selected"]
 
     def test_tracker_count_within_bounds(self, world):
-        for rec in world.personas:
+        for persona in world.personas:
             aggs = set()
-            for page in rec.persona.training_pages:
+            for page in persona.training_pages:
                 aggs.update(world.trackers[page.url])
             assert world.config.trackers_min <= len(aggs) <= world.config.trackers_max
 
@@ -127,6 +126,11 @@ class TestWorldShape:
         config = SimConfig() if mix is None else SimConfig(mix=mix)
         with pytest.raises(InvalidConfig, match=r"'movies' and 'Movies!' share"):
             build_world(config, specs, taxonomy, seed=1)
+
+    def test_persona_id_without_a_slug_rejected(self, taxonomy):
+        specs = [PersonaSpec(id="!!!", category="movies")]
+        with pytest.raises(InvalidConfig, match=r"persona id '!!!' has no letter"):
+            build_world(SimConfig(), specs, taxonomy, seed=1)
 
     def test_unknown_category_rejected(self, taxonomy):
         specs = default_persona_specs(1)
@@ -267,7 +271,7 @@ def _serving_cases(draw, world):
     history = draw(st.sets(st.sampled_from(retarget + ["elsewhere.example/x"])))
     url = draw(st.sampled_from([
         world.control_pages[0].url,
-        world.personas[0].persona.training_pages[0].url,
+        world.personas[0].training_pages[0].url,
         "https://unlisted.example/page",
     ]))
     present = draw(st.lists(st.sampled_from(_AGGS), max_size=4))
@@ -278,7 +282,7 @@ def _serving_cases(draw, world):
         share_profiles=draw(st.booleans()),
     )
     variant = World(
-        config=sim, taxonomy=world.taxonomy, seed=world.seed,
+        config=sim, seed=world.seed,
         personas=world.personas, control_pages=world.control_pages,
         ads=world.ads, page_categories=world.page_categories,
         page_themes=world.page_themes,
@@ -314,14 +318,21 @@ class TestDeterminismAndRoundTrip:
         assert [(i.landing_page, i.ntimes, i.ground_truth) for i in r1.impressions] \
             == [(i.landing_page, i.ntimes, i.ground_truth) for i in r2.impressions]
 
+    def test_persona_round_trips_through_its_record(self, world):
+        for persona in world.personas:
+            assert persona.attrition
+            assert Persona.from_dict(persona.to_dict()) == persona
+            record = json.loads(json.dumps(persona.to_dict()))
+            assert Persona.from_dict(record) == persona
+
     def test_config_round_trips_through_asdict(self):
         config = SimConfig(n_ads=50, tag_noise=TagNoise(dropout=0.1),
                            profile_decay_halflife=600.0, sources=["x", "y"])
         assert from_dict(SimConfig, asdict(config), "sim") == config
 
-    def test_world_round_trip_replays_identically(self, make_world, taxonomy):
+    def test_world_round_trip_replays_identically(self, make_world):
         world = make_world(seed=12)
-        clone = World.from_dict(world.to_dict(), taxonomy)
+        clone = World.from_dict(world.to_dict())
         r1 = _session(world, "banking", seed=7)
         r2 = _session(clone, "banking", seed=7)
         assert [(i.landing_page, i.ntimes) for i in r1.impressions] \
@@ -331,12 +342,12 @@ class TestDeterminismAndRoundTrip:
 class TestTagSources:
     def test_zero_noise_returns_true_categories(self, world):
         src = world.tag_sources(TagNoise())[0]
-        page = world.personas[0].persona.training_pages[0]
+        page = world.personas[0].training_pages[0]
         assert src.keywords_for(page) == set(world.page_categories[page.url])
 
     def test_dropout_one_empties_everything(self, world):
         src = world.tag_sources(TagNoise(dropout=1.0))[0]
-        page = world.personas[0].persona.training_pages[0]
+        page = world.personas[0].training_pages[0]
         assert src.keywords_for(page) == set()
 
     def test_spurious_one_floods_with_pool(self, world):

@@ -1,9 +1,12 @@
 """Command line behaviour: exit codes, overrides, output files."""
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
+from obameter import ExperimentManifest
 from obameter.cli import main
 
 
@@ -80,10 +83,82 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", str(cli_corpus), "--filters", "xyz"])
 
+    @staticmethod
+    def _with_landing(cli_corpus, dest, landing):
+        """Copy the corpus with the first impression landing on `landing`."""
+        shutil.copytree(cli_corpus, dest)
+        path = dest / "impressions.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        row = dict(json.loads(first), landing=landing)
+        path.write_text("\n".join([json.dumps(row), *rest]) + "\n", encoding="utf-8")
+        return dest
+
+    def test_ipv6_landing_page_is_analysed(self, cli_corpus, tmp_path):
+        clone = self._with_landing(cli_corpus, tmp_path / "v6", "http://[::1]:8080/a")
+        assert main(["analyze", str(clone)]) == 0
+
+    def test_bad_port_impression_is_a_data_error(self, cli_corpus, tmp_path, capsys):
+        clone = self._with_landing(
+            cli_corpus, tmp_path / "port", "https://ads.example:99999/x"
+        )
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and "ads.example:99999" in err
+
     def test_missing_corpus_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["analyze", str(tmp_path / "empty")]) == 3
         assert "corpus error" in capsys.readouterr().err
+
+
+class TestOverrides:
+    """A flag that was given replaces its stored field; the rest stay."""
+
+    STORED = {
+        "experiment_id": "stored",
+        "seed": 3,
+        "n_personas": 2,
+        "repetitions": 1,
+        "session": {"visit_budget": 25, "mean_interval": 90.0},
+        "consensus": {"n": 1, "threshold": 2.0},
+        "filters": {"enabled": "rsc", "t_prime": 2.0},
+    }
+
+    @pytest.fixture(scope="class")
+    def stored_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stored")
+        manifest = root / "stored.json"
+        manifest.write_text(json.dumps(self.STORED), encoding="utf-8")
+        assert main(["simulate", "--out", str(root / "corpus"),
+                     "--manifest", str(manifest), "--seed", "5"]) == 0
+        return root / "corpus"
+
+    @staticmethod
+    def _report(root):
+        return json.loads((root / "report.json").read_text(encoding="utf-8"))
+
+    def test_simulate_seed_alone_keeps_every_other_field(self, stored_corpus):
+        written = json.loads((stored_corpus / "manifest.json").read_text(encoding="utf-8"))
+        expected = dataclasses.replace(ExperimentManifest.from_dict(self.STORED), seed=5)
+        assert written == expected.to_dict()
+
+    def test_consensus_t_alone_keeps_the_stored_n(self, stored_corpus):
+        assert main(["analyze", str(stored_corpus), "--consensus-t", "1.5"]) == 0
+        report = self._report(stored_corpus)
+        assert report["consensus"] == {"n": 1, "threshold": 1.5}
+        assert report["filters"] == {"enabled": "rsc", "t_prime": 2.0}
+
+    def test_tprime_alone_keeps_the_stored_filter_set(self, stored_corpus, capsys):
+        assert main(["analyze", str(stored_corpus), "--tprime", "3.0"]) == 0
+        report = self._report(stored_corpus)
+        assert report["filters"] == {"enabled": "rsc", "t_prime": 3.0}
+        assert report["consensus"] == {"n": 1, "threshold": 2.0}
+        capsys.readouterr()
+        assert main(["filter", str(stored_corpus), "--tprime", "3.0"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {stage for row in rows for stage in row["attrition"]} == {
+            "input", "after_retargeting", "after_static_contextual",
+        }
 
 
 class TestFilter:

@@ -1,12 +1,13 @@
 """URL handling, tagging sources, and the experiment store."""
 
+import re
+
 import pytest
 
 from obameter import (
     AdImpression,
     ExperimentStore,
     WebPage,
-    coverage,
     landing_key,
     normalize_url,
     tag_pages,
@@ -44,6 +45,34 @@ class TestUrlNormalization:
         once = normalize_url("Shop.Example:80/a/")
         assert normalize_url(once) == once
 
+    @pytest.mark.parametrize("url", [
+        "http://[::1]:8080/a",
+        "HTTP://[2001:DB8::1]/x/",
+        "https://[2001:db8::1]:443/x?q=1#f",
+        "http://user:pw@Shop.Example:8080/a/",
+        "user@shop.example/a",
+        "http://[::1]:80",
+        "https://shop.example:8443",
+    ])
+    def test_idempotent_with_ipv6_userinfo_and_ports(self, url):
+        once = normalize_url(url)
+        assert normalize_url(once) == once
+
+    def test_ipv6_host_keeps_its_brackets(self):
+        assert normalize_url("http://[::1]:8080/a") == "http://[::1]:8080/a"
+        assert normalize_url("HTTP://[2001:DB8::1]:80/x/") == "http://[2001:db8::1]/x"
+
+    def test_distinct_ipv6_hosts_get_distinct_keys(self):
+        a = landing_key("http://[2001:db8::1]/x")
+        b = landing_key("http://[2001:db8::2]/x")
+        assert a != b
+        assert landing_key("https://[2001:db8::1]:8443/x?q") == a
+
+    @pytest.mark.parametrize("url", ["http://shop.example:99999/x", "http://[::1/a"])
+    def test_unparsable_url_is_a_corpus_error(self, url):
+        with pytest.raises(CorpusDataError, match=re.escape(url)):
+            normalize_url(url)
+
     def test_landing_key_ignores_query_and_scheme(self):
         a = landing_key("https://shop.example/item?utm=1")
         b = landing_key("http://shop.example/item?ref=2")
@@ -79,26 +108,6 @@ class TestPagesAndTags:
         assert list(tags) == [p.url for p in pages]
         assert tags[pages[0].url] == {"pools"}
         assert tags[pages[1].url] == set()
-
-
-class TestCoverage:
-    def test_fixture_rates(self):
-        pages = [WebPage(url=f"http://page-{i:04d}.example") for i in range(1000)]
-        tags = {
-            "alpha": {p.url: {"news"} for p in pages},
-            "beta": {p.url: set() if i < 10 else {"news"} for i, p in enumerate(pages)},
-            "gamma": {p.url: set() if i < 45 else {"news"} for i, p in enumerate(pages)},
-        }
-        cov = coverage(tags, pages)
-        assert not cov.degenerate
-        assert cov.by_source["alpha"] == pytest.approx(1.0)
-        assert cov.by_source["beta"] == pytest.approx(0.990)
-        assert cov.by_source["gamma"] == pytest.approx(0.955)
-
-    def test_empty_pages_flagged_degenerate(self):
-        cov = coverage({"a": {"http://x.example": {"k"}}}, [])
-        assert cov.degenerate
-        assert cov.by_source["a"] == 1.0
 
 
 class TestStore:

@@ -1,6 +1,7 @@
 """Manifest handling and the simulate/analyze/validate round trip."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import shutil
@@ -229,11 +230,24 @@ class TestHarvesterFailure:
         fail_on_visit(100)  # inside the third of 14 sessions
         with pytest.raises(HarvesterFailure):
             simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
-        assert (tmp_path / "visits.jsonl").exists()
+        assert not (tmp_path / "visits.jsonl").exists()
         assert not (tmp_path / "manifest.json").exists()
         assert not (tmp_path / "sessions.json").exists()
         with pytest.raises(IncompleteCorpus):
             analyze(tmp_path)
+
+    def test_failed_rerun_leaves_a_finished_corpus_alone(self, tmp_path, fail_on_visit):
+        assert _run(tmp_path, GOLDEN_MANIFEST) == GOLDEN_SHA256
+        (tmp_path / "notes.txt").write_text("mine", encoding="utf-8")
+        fail_on_visit(100)
+        with pytest.raises(HarvesterFailure):
+            simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
+        after = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir()) if p.name != "notes.txt"
+        }
+        assert after == GOLDEN_SHA256
+        assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "mine"
 
     def test_rerun_after_failure_reproduces_the_golden_run(
         self, tmp_path, monkeypatch, fail_on_visit
