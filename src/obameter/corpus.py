@@ -7,6 +7,11 @@ bracket) raises CorpusDataError. Landing-page equality is coarser:
 `landing_key` keeps host + path only, dropping query strings and
 fragments, and every filter and audience map compares pages by that key.
 
+URLs are parsed once, where they enter memory: an AdImpression stores
+its canonical URLs and their keys when it is built, and a reader or a
+session passes one `url_keys` memo to every impression it builds, so
+each distinct URL string is parsed once per read or session.
+
 Store layout. An experiment directory holds
 
     pages.jsonl          one web page per line
@@ -30,7 +35,7 @@ import functools
 import json
 import re
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
@@ -42,6 +47,9 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 _SOURCE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 PAGE_ROLES = ("training", "control", "landing")
+
+# the keys of one impressions.jsonl record, as append_impressions writes them
+_IMPRESSION_KEYS = ("control", "ground_truth", "landing", "ntimes", "persona", "session")
 
 
 def normalize_url(url: str) -> str:
@@ -71,6 +79,19 @@ def landing_key(url: str) -> str:
     return (parts.hostname or "") + parts.path
 
 
+# raw URL -> (canonical URL, landing key), filled by url_keys
+UrlMemo = dict[str, tuple[str, str]]
+
+
+def url_keys(url: str, memo: UrlMemo) -> tuple[str, str]:
+    """`(normalize_url(url), landing_key(url))`, computed once per url in memo."""
+    hit = memo.get(url)
+    if hit is None:
+        canonical = normalize_url(url)
+        hit = memo[url] = (canonical, landing_key(canonical))
+    return hit
+
+
 @dataclass(frozen=True)
 class WebPage:
     """A page in the corpus; url is stored normalized."""
@@ -89,7 +110,11 @@ class AdImpression:
     """An ad observed on a control page, aggregated over repeats.
 
     ground_truth is the simulator's ad-kind label and is present iff the
-    impression came from the simulator.
+    impression came from the simulator. Both URLs are stored normalized,
+    with their landing keys in control_key and landing_key and the
+    aggregation and prediction identity in key; all three are set once,
+    when the impression is built. `memo` is a `url_keys` memo shared by
+    the impressions of one read or session.
     """
 
     persona_id: str
@@ -98,22 +123,18 @@ class AdImpression:
     landing_page: str
     ntimes: int = 1
     ground_truth: str | None = None
+    memo: InitVar[UrlMemo | None] = None
+    control_key: str = field(init=False, compare=False, repr=False)
+    landing_key: str = field(init=False, compare=False, repr=False)
+    key: tuple[str, str, str, str] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.control_page = normalize_url(self.control_page)
-        self.landing_page = normalize_url(self.landing_page)
+    def __post_init__(self, memo: UrlMemo | None) -> None:
+        memo = {} if memo is None else memo
+        self.control_page, self.control_key = url_keys(self.control_page, memo)
+        self.landing_page, self.landing_key = url_keys(self.landing_page, memo)
+        self.key = (self.persona_id, self.session_id, self.control_key, self.landing_key)
         if self.ntimes < 1:
             raise CorpusDataError(f"ntimes must be >= 1, got {self.ntimes}")
-
-    @property
-    def key(self) -> tuple[str, str, str, str]:
-        """Aggregation and prediction identity."""
-        return (
-            self.persona_id,
-            self.session_id,
-            landing_key(self.control_page),
-            landing_key(self.landing_page),
-        )
 
 
 class TaggingSource(Protocol):
@@ -278,7 +299,7 @@ class ExperimentStore:
                 }) + "\n")
 
     def load_visits(self) -> list[dict]:
-        return list(self._iter_jsonl(self._require("visits.jsonl")))
+        return self.load_records("visits.jsonl", ("session", "url"))
 
     def append_impressions(self, impressions: Iterable[AdImpression]) -> None:
         with self.path("impressions.jsonl").open("a", encoding="utf-8") as fh:
@@ -293,17 +314,46 @@ class ExperimentStore:
                 }) + "\n")
 
     def load_impressions(self) -> list[AdImpression]:
-        out = []
-        for rec in self._iter_jsonl(self._require("impressions.jsonl")):
-            out.append(AdImpression(
+        memo: UrlMemo = {}
+        return [
+            AdImpression(
                 persona_id=rec["persona"],
                 session_id=rec["session"],
                 control_page=rec["control"],
                 landing_page=rec["landing"],
                 ntimes=rec["ntimes"],
                 ground_truth=rec["ground_truth"],
-            ))
-        return out
+                memo=memo,
+            )
+            for rec in self.load_records("impressions.jsonl", _IMPRESSION_KEYS)
+        ]
+
+    # record lists
+
+    def load_records(self, name: str, required: Iterable[str]) -> list[dict]:
+        """The records of `name`, each holding every key in `required`.
+
+        A JSONL file holds one record per line; a JSON document holds them
+        in the list under its stem ("sessions" in sessions.json). A record
+        that is not an object or lacks a key raises CorpusDataError.
+        """
+        if name.endswith(".jsonl"):
+            records = list(self._iter_jsonl(self._require(name)))
+        else:
+            stem = name.split(".")[0]
+            doc = self.load_doc(name)
+            records = doc.get(stem) if isinstance(doc, dict) else None
+            if not isinstance(records, list):
+                raise CorpusDataError(f"{name} in {self.root} has no {stem!r} list")
+        for i, rec in enumerate(records, 1):
+            if not isinstance(rec, dict):
+                raise CorpusDataError(f"{name} in {self.root}: record {i} is not an object")
+            for key in required:
+                if key not in rec:
+                    raise CorpusDataError(
+                        f"{name} in {self.root}: record {i} has no {key!r}"
+                    )
+        return records
 
     # json documents
 

@@ -53,9 +53,11 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
+    UrlMemo,
     check_keys,
     from_dict,
     tag_pages,
+    url_keys,
 )
 from .errors import (
     DegenerateSeries,
@@ -86,6 +88,9 @@ _STAGE_TO_FILTERS = {"r": "r", "sc": "rsc", "dg": "rscdg"}
 
 # manifest fields stored under "session" in manifest.json
 _SESSION_KEYS = ("visit_budget", "mean_interval")
+
+# the keys of a sessions.json row that analysis reads
+_SESSION_ROW_KEYS = ("session", "persona", "condition", "rep", "clean", "complete")
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -296,7 +301,7 @@ class _Corpus:
     personas: dict[str, Persona]            # persona id -> persona
     sessions: list[dict]                    # complete rows from sessions.json
     imps_by_session: dict[str, list[AdImpression]]
-    visited_by_session: dict[str, list[str]]
+    visited_by_session: dict[str, set[str]]  # session -> visited landing keys
     tags: dict[str, dict[str, set[str]]]    # source -> url -> keywords
 
     def persona_ids(self) -> list[str]:
@@ -343,13 +348,13 @@ def _load_corpus(root: str | Path) -> _Corpus:
 
     personas = {
         rec["id"]: Persona.from_dict(rec)
-        for rec in store.load_doc("personas.json")["personas"]
+        for rec in store.load_records("personas.json", Persona.RECORD_KEYS)
     }
 
     # simulate writes only complete sessions, but a corpus from another
     # harvester may mark aborted ones; they are dropped here, once
     sessions = [
-        row for row in store.load_doc("sessions.json")["sessions"]
+        row for row in store.load_records("sessions.json", _SESSION_ROW_KEYS)
         if row["complete"]
     ]
 
@@ -357,9 +362,12 @@ def _load_corpus(root: str | Path) -> _Corpus:
     for imp in store.load_impressions():
         imps_by_session.setdefault(imp.session_id, []).append(imp)
 
-    visited_by_session: dict[str, list[str]] = {}
+    memo: UrlMemo = {}
+    visited_by_session: dict[str, set[str]] = {}
     for rec in store.load_visits():
-        visited_by_session.setdefault(rec["session"], []).append(rec["url"])
+        visited_by_session.setdefault(rec["session"], set()).add(
+            url_keys(rec["url"], memo)[1]
+        )
 
     tags = {src: store.load_tags(src) for src in store.tag_sources()}
     return _Corpus(
@@ -407,7 +415,7 @@ def _filtered_sessions(
             yield cond_id, row, apply_filters(
                 impressions=corpus.imps_by_session.get(sid, []),
                 config=filters,
-                visited_urls=corpus.visited_by_session.get(sid, []),
+                visited_keys=corpus.visited_by_session.get(sid, set()),
                 clean_impressions=clean_imps,
                 persona_id=row["persona"],
                 persona_categories=categories,

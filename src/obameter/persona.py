@@ -19,7 +19,7 @@ are not in the taxonomy fall back to exact string equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from .corpus import WebPage
 from .errors import ConfigurationError, InsufficientSources, PersonaRejected
@@ -39,6 +39,11 @@ class Persona:
     sensitive: bool = False
     training_pages: list[WebPage] = field(default_factory=list)
     attrition: dict[str, int] = field(default_factory=dict)
+
+    # the keys of the record to_dict writes and from_dict reads
+    RECORD_KEYS: ClassVar[tuple[str, ...]] = (
+        "id", "category", "sensitive", "training_pages", "attrition",
+    )
 
     def __post_init__(self) -> None:
         self.category = normalize_keyword(self.category)

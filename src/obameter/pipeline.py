@@ -4,7 +4,7 @@ The stages run in a fixed order and each removes whole impressions,
 leaving survivors untouched (same objects, same ntimes):
 
 1. retargeting filter: drop impressions whose landing page matches any
-   visited training or control page;
+   visited training or control page, given as the set of their keys;
 2. static & contextual filter: drop impressions whose landing page also
    appeared in the clean profile's impressions, matched globally across
    control pages;
@@ -13,17 +13,18 @@ leaving survivors untouched (same objects, same ntimes):
    strictly; sharing with taxonomy-near personas (or with nobody) is fine.
 
 Landing pages always compare by the corpus equality rule (host + path,
-query stripped). Categories missing from the taxonomy use the exact-match
-fallback: an equal category never counts as dissimilar, a different one
-counts as dissimilar at any positive threshold.
+query stripped), through the landing_key each AdImpression stores.
+Categories missing from the taxonomy use the exact-match fallback: an
+equal category never counts as dissimilar, a different one counts as
+dissimilar at any positive threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
-from .corpus import AdImpression, landing_key
+from .corpus import AdImpression
 from .errors import ConfigurationError, MissingCleanProfile
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -57,14 +58,13 @@ class FilterConfig:
 
 
 def filter_retargeting(
-    impressions: Iterable[AdImpression], visited_urls: Iterable[str]
+    impressions: Iterable[AdImpression], visited_keys: AbstractSet[str]
 ) -> list[AdImpression]:
-    """Drop impressions that land on a page the persona already visited."""
-    visited = {landing_key(u) for u in visited_urls}
-    return [
-        imp for imp in impressions
-        if landing_key(imp.landing_page) not in visited
-    ]
+    """Drop impressions that land on a page the persona already visited.
+
+    visited_keys holds the landing keys of the visited pages.
+    """
+    return [imp for imp in impressions if imp.landing_key not in visited_keys]
 
 
 def filter_static_contextual(
@@ -81,11 +81,8 @@ def filter_static_contextual(
         raise MissingCleanProfile(
             "static & contextual filter needs a clean-profile impression corpus"
         )
-    clean_keys = {landing_key(c.landing_page) for c in clean_impressions}
-    return [
-        imp for imp in impressions
-        if landing_key(imp.landing_page) not in clean_keys
-    ]
+    clean_keys = {c.landing_key for c in clean_impressions}
+    return [imp for imp in impressions if imp.landing_key not in clean_keys]
 
 
 def build_audience(
@@ -99,7 +96,7 @@ def build_audience(
     audience: dict[str, set[str]] = {}
     for pid, imps in impressions_by_persona.items():
         for imp in imps:
-            audience.setdefault(landing_key(imp.landing_page), set()).add(pid)
+            audience.setdefault(imp.landing_key, set()).add(pid)
     return audience
 
 
@@ -133,7 +130,7 @@ def filter_demo_geo(
         ) from None
     out: list[AdImpression] = []
     for imp in impressions:
-        others = audience.get(landing_key(imp.landing_page), set()) - {persona_id}
+        others = audience.get(imp.landing_key, set()) - {persona_id}
         distant = False
         for other in sorted(others):
             try:
@@ -161,7 +158,7 @@ class PipelineResult:
 def apply_filters(
     impressions: Iterable[AdImpression],
     config: FilterConfig,
-    visited_urls: Iterable[str],
+    visited_keys: AbstractSet[str],
     clean_impressions: Iterable[AdImpression] | None,
     persona_id: str,
     persona_categories: Mapping[str, str],
@@ -174,7 +171,7 @@ def apply_filters(
     by_stage: dict[str, list[AdImpression]] = {}
     for stage in config.stages:
         if stage == "r":
-            current = filter_retargeting(current, visited_urls)
+            current = filter_retargeting(current, visited_keys)
             attrition["after_retargeting"] = len(current)
         elif stage == "sc":
             current = filter_static_contextual(current, clean_impressions)

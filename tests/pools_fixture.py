@@ -30,6 +30,7 @@ from obameter import (
     build_audience,
     consensus_training_keywords,
     demo_taxonomy,
+    landing_key,
 )
 
 SOURCES = ("alpha", "beta", "gamma")
@@ -57,7 +58,7 @@ EXPECTED = {
 class PoolsCase:
     taxonomy: object
     persona: Persona
-    visited_urls: list[str]
+    visited_keys: set[str]
     impressions: list[AdImpression]
     clean_impressions: list[AdImpression]
     impressions_by_persona: dict[str, list[AdImpression]]
@@ -164,7 +165,7 @@ def build() -> PoolsCase:
     return PoolsCase(
         taxonomy=taxonomy,
         persona=persona,
-        visited_urls=[p.url for p in training],
+        visited_keys={landing_key(p.url) for p in training},
         impressions=impressions,
         clean_impressions=clean_impressions,
         impressions_by_persona=impressions_by_persona,

@@ -191,7 +191,7 @@ def test_criterion_02_worked_example_replay():
         assert consensus[src] == E["training_keywords"]
 
     result = apply_filters(
-        case.impressions, FilterConfig(), case.visited_urls,
+        case.impressions, FilterConfig(), case.visited_keys,
         case.clean_impressions, "pools", case.categories,
         case.audience, case.taxonomy,
     )
@@ -314,6 +314,7 @@ def test_criterion_05_filter_properties(taxonomy):
         categories = {pid: rng.choice(cats) for pid in pids}
         pool = [f"https://ad-{i:02d}.example/x" for i in range(rng.randint(4, 14))]
         visited = [f"https://site-{i}.example/a" for i in range(4)]
+        visited_keys = {landing_key(u) for u in visited}
         imps_by = {}
         for pid in pids:
             imps = []
@@ -335,10 +336,9 @@ def test_criterion_05_filter_properties(taxonomy):
         audience = build_audience(imps_by)
         pid = pids[0]
         result = apply_filters(imps_by[pid], FilterConfig(t_prime=t_prime),
-                               visited, clean, pid, categories, audience,
+                               visited_keys, clean, pid, categories, audience,
                                taxonomy)
 
-        visited_keys = {landing_key(u) for u in visited}
         assert result.by_stage["r"] == [
             i for i in imps_by[pid]
             if landing_key(i.landing_page) not in visited_keys
@@ -360,7 +360,7 @@ def test_criterion_05_filter_properties(taxonomy):
         ]
         assert sizes == sorted(sizes, reverse=True)
         again = apply_filters(result.by_stage["dg"], FilterConfig(t_prime=t_prime),
-                              visited, clean, pid, categories, audience,
+                              visited_keys, clean, pid, categories, audience,
                               taxonomy)
         assert again.by_stage["dg"] == result.by_stage["dg"]
 
@@ -373,7 +373,7 @@ def test_criterion_05_filter_properties(taxonomy):
         cfg = SessionConfig(persona_id=persona.id, visit_budget=60, seed=101)
         res = run_session(persona, world.control_pages, cfg, world)
         imps_by[persona.id] = res.impressions
-        visited_by[persona.id] = [ev.page.url for ev in res.visits]
+        visited_by[persona.id] = {landing_key(ev.page.url) for ev in res.visits}
     clean_cfg = SessionConfig(persona_id="clean", visit_budget=60, seed=102,
                               clean_profile=True)
     clean_res = run_session(

@@ -110,6 +110,29 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "empty")]) == 3
         assert "corpus error" in capsys.readouterr().err
 
+    @staticmethod
+    def _without_key(cli_corpus, dest, name, key):
+        """Copy the corpus with `key` deleted from the first record of `name`."""
+        shutil.copytree(cli_corpus, dest)
+        path = dest / name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc[name.split(".")[0]][0][key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return dest
+
+    @pytest.mark.parametrize("name, key", [
+        ("personas.json", "attrition"),
+        ("sessions.json", "complete"),
+    ])
+    def test_record_without_a_key_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, name, key
+    ):
+        clone = self._without_key(cli_corpus, tmp_path / "c", name, key)
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and repr(key) in err
+
 
 class TestOverrides:
     """A flag that was given replaces its stored field; the rest stay."""

@@ -1,8 +1,11 @@
 """URL handling, tagging sources, and the experiment store."""
 
+import json
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obameter import (
     AdImpression,
@@ -13,6 +16,37 @@ from obameter import (
     tag_pages,
 )
 from obameter.errors import CorpusDataError, IncompleteCorpus
+
+_DEFAULT_PORT = {"http": 80, "https": 443}
+
+
+def _mixed_case(text):
+    """Strategy: `text` with each letter in either case."""
+    return st.tuples(*(st.sampled_from(sorted({c.lower(), c.upper()})) for c in text)
+                     ).map("".join)
+
+
+@st.composite
+def urls(draw):
+    """URLs that normalize_url must canonicalise: mixed-case scheme and host,
+    default and other ports, userinfo, bracketed IPv6 hosts, trailing
+    slashes, queries and fragments."""
+    scheme = draw(st.sampled_from(["http", "https"]))
+    if draw(st.booleans()):
+        host = "[" + draw(st.ip_addresses(v=6).map(str).flatmap(_mixed_case)) + "]"
+    else:
+        label = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6)
+        host = ".".join(draw(st.lists(label, min_size=1, max_size=3))) + ".example"
+        host = draw(_mixed_case(host))
+    port = draw(st.sampled_from([None, _DEFAULT_PORT[scheme], 8080, 1]))
+    userinfo = draw(st.sampled_from(["", "user@", "u:pw@"]))
+    segment = st.text("aAbB09-_.~", min_size=1, max_size=4)
+    path = "".join("/" + seg for seg in draw(st.lists(segment, max_size=3)))
+    path += draw(st.sampled_from(["", "/", "//"]))
+    query = draw(st.sampled_from(["", "?q=1", "?Q=1&r=/x/"]))
+    fragment = draw(st.sampled_from(["", "#top", "#Top/"]))
+    netloc = userinfo + host + ("" if port is None else f":{port}")
+    return f"{draw(_mixed_case(scheme))}://{netloc}{path}{query}{fragment}"
 
 
 class FakeSource:
@@ -80,6 +114,42 @@ class TestUrlNormalization:
 
     def test_landing_key_distinguishes_paths(self):
         assert landing_key("http://s.example/a") != landing_key("http://s.example/b")
+
+
+class TestStoredKeys:
+    """An AdImpression parses its URLs once and stores their keys."""
+
+    @staticmethod
+    def _check(imp, pid, sid, control, landing):
+        assert imp.key == (pid, sid, landing_key(control), landing_key(landing))
+        assert (imp.control_key, imp.landing_key) == imp.key[2:]
+        assert imp.control_page == normalize_url(control)
+        assert imp.landing_page == normalize_url(landing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(urls(), min_size=1, max_size=6))
+    def test_keys_match_the_url_functions(self, drawn):
+        # swapcase keeps scheme and host equal but not path, query or
+        # fragment, so a memo keyed coarser than the raw string goes wrong
+        batch = drawn + [u.swapcase() for u in drawn]
+        pairs = [(f"p{i}", c, batch[(i + 1) % len(batch)]) for i, c in enumerate(batch)]
+        memo = {}
+        for pid, control, landing in pairs:
+            args = dict(persona_id=pid, session_id="s",
+                        control_page=control, landing_page=landing)
+            self._check(AdImpression(**args), pid, "s", control, landing)
+            self._check(AdImpression(**args, memo=memo), pid, "s", control, landing)
+        assert set(memo) == set(batch)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ExperimentStore(tmp)
+            store.path("impressions.jsonl").write_text("".join(
+                json.dumps({"control": c, "ground_truth": None, "landing": l,
+                            "ntimes": 1, "persona": pid, "session": "s"}) + "\n"
+                for pid, c, l in pairs
+            ), encoding="utf-8")
+            for imp, (pid, control, landing) in zip(store.load_impressions(), pairs):
+                self._check(imp, pid, "s", control, landing)
 
 
 class TestPagesAndTags:

@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 import shutil
+import sys
+from urllib.parse import urlsplit, urlunsplit
 
 import pytest
 
@@ -19,9 +21,11 @@ from obameter import (
     analyze,
     filter_attrition,
     load_manifest,
+    normalize_url,
     simulate,
     validate,
 )
+from obameter import corpus
 from obameter.cli import main
 from obameter.errors import (
     HarvesterFailure,
@@ -339,6 +343,72 @@ class TestRecordOrder:
             )
             assert rows == base_rows
         assert report == base
+
+
+def _non_canonical(url):
+    """An equivalent URL that is not canonical: upper-case scheme and host,
+    the explicit default port and a trailing slash."""
+    parts = urlsplit(url)
+    port = {"http": 80, "https": 443}[parts.scheme]
+    return urlunsplit((parts.scheme.upper(), f"{parts.hostname.upper()}:{port}",
+                       parts.path + "/", parts.query, parts.fragment))
+
+
+class TestUrlKeys:
+    """Readers canonicalise every URL they load, and parse each distinct one
+    once per read."""
+
+    @pytest.fixture(scope="class")
+    def analysed(self, corpus_dir, tmp_path_factory):
+        root = _copy_corpus(corpus_dir[0], tmp_path_factory.mktemp("keys") / "c",
+                            skip=("report.json", "report.csv", "performance.json"))
+        analyze(root)
+        validate(root, spurious_levels=[0.0, 0.1])
+        return root
+
+    def test_non_canonical_urls_give_the_same_outputs(self, analysed, tmp_path):
+        store = ExperimentStore(_copy_corpus(
+            analysed, tmp_path / "c",
+            skip=("report.json", "report.csv", "performance.json"),
+        ))
+        for name, fields in (("impressions.jsonl", ("control", "landing")),
+                             ("visits.jsonl", ("url",))):
+            recs = [json.loads(line) for line in
+                    store.path(name).read_text(encoding="utf-8").splitlines()]
+            for rec in recs:
+                for f in fields:
+                    rec[f] = _non_canonical(rec[f])
+                    assert rec[f] != normalize_url(rec[f])
+            store.path(name).write_text(
+                "".join(json.dumps(rec) + "\n" for rec in recs), encoding="utf-8"
+            )
+        analyze(store.root)
+        validate(store.root, spurious_levels=[0.0, 0.1])
+        for name in ("report.json", "report.csv", "performance.json"):
+            assert store.path(name).read_bytes() == (analysed / name).read_bytes()
+
+    def test_analyze_keys_each_distinct_url_once(self, analysed, monkeypatch):
+        def distinct(name, *fields):
+            lines = (analysed / name).read_text(encoding="utf-8").splitlines()
+            return {json.loads(line)[f] for line in lines for f in fields}
+
+        bound = (len(distinct("impressions.jsonl", "control", "landing"))
+                 + len(distinct("visits.jsonl", "url")))
+
+        calls = 0
+        original = corpus.landing_key
+
+        def counted(url):
+            nonlocal calls
+            calls += 1
+            return original(url)
+
+        # every module that imported landing_key holds its own binding
+        for name, module in list(sys.modules.items()):
+            if name.startswith("obameter") and getattr(module, "landing_key", None) is original:
+                monkeypatch.setattr(module, "landing_key", counted)
+        analyze(analysed)
+        assert 0 < calls <= bound, (calls, bound)
 
 
 class TestAnalyze:

@@ -34,7 +34,7 @@ def result(case):
     return apply_filters(
         case.impressions,
         FilterConfig(),
-        case.visited_urls,
+        case.visited_keys,
         case.clean_impressions,
         "pools",
         case.categories,
@@ -88,7 +88,7 @@ class TestPipelineAlgebra:
         again = apply_filters(
             result.by_stage["dg"],
             FilterConfig(),
-            case.visited_urls,
+            case.visited_keys,
             case.clean_impressions,
             "pools",
             case.categories,
@@ -101,7 +101,7 @@ class TestPipelineAlgebra:
         partial = apply_filters(
             case.impressions,
             FilterConfig(filters="rsc"),
-            case.visited_urls,
+            case.visited_keys,
             case.clean_impressions,
             "pools",
             case.categories,
