@@ -255,10 +255,10 @@ class ExperimentStore:
         self.path("pages.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load_pages(self) -> list[WebPage]:
-        out = []
-        for rec in self._iter_jsonl(self._require("pages.jsonl")):
-            out.append(WebPage(url=rec["url"], role=rec["role"]))
-        return out
+        return [
+            WebPage(url=rec["url"], role=rec["role"])
+            for rec in self.load_records("pages.jsonl", ("url", "role"))
+        ]
 
     # tags
 
@@ -271,12 +271,10 @@ class ExperimentStore:
         self.tags_path(source).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
-        """URL to keyword set for one source."""
-        p = self.root / f"tags.{source}.jsonl"
-        if not p.exists():
-            raise IncompleteCorpus(f"missing tags for source {source!r} in {self.root}")
+        """URL to keyword set for one source, keyed by the URL as written."""
         return {
-            rec["url"]: set(rec["keywords"]) for rec in self._iter_jsonl(p)
+            rec["url"]: set(rec["keywords"])
+            for rec in self.load_records(f"tags.{source}.jsonl", ("url", "keywords"))
         }
 
     def tag_sources(self) -> list[str]:

@@ -16,14 +16,18 @@ Every session runs to the end or the run fails. All sessions run before
 the first file is written, so an error raised while replaying a session
 propagates and leaves the output directory as it was.
 
-analyze consumes such a directory (world.json not required, so corpora
-collected outside the simulator work too) and writes report.json and
-report.csv: TTK and BAiLP per persona, source, filter set, condition and
-repetition, repetition averages, condition comparisons, and optionally a
-correlation against ad prices. validate does need world.json: it re-tags
-all pages at increasing spurious-noise levels, reruns consensus and the
-full filter pipeline, and scores OBA detection against the ground-truth
-ad kinds into performance.json.
+analyze, filter_attrition and validate load manifest.json,
+personas.json, sessions.json, impressions.jsonl and visits.jsonl once,
+check them against each other and group the complete sessions by
+condition. analyze also reads the tag files (world.json not required,
+so corpora collected outside the simulator work too) and writes
+report.json and report.csv: TTK and BAiLP per persona, source, filter
+set, condition and repetition, repetition averages, condition
+comparisons, and optionally a correlation against ad prices. validate
+reads no tag file but needs world.json: it re-tags all pages at
+increasing spurious-noise levels, reruns consensus and the full filter
+pipeline, and scores OBA detection against the ground-truth ad kinds
+into performance.json.
 
 Every random draw is seeded by hashing the manifest seed with stable
 string labels, so rerunning a manifest reproduces each output file byte
@@ -60,6 +64,7 @@ from .corpus import (
     url_keys,
 )
 from .errors import (
+    CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
     InvalidConfig,
@@ -293,55 +298,37 @@ def _run_one(
 
 
 @dataclass
+class _ConditionGroup:
+    """One manifest condition's complete sessions, grouped once at load."""
+
+    cond_id: str
+    sessions: list[dict] = field(default_factory=list)  # persona-session rows
+    clean: list[AdImpression] | None = None  # None: no clean session
+    pooled: dict[str, list[AdImpression]] = field(default_factory=dict)  # over reps
+
+
+@dataclass
 class _Corpus:
     """Everything the analysis side needs, loaded once."""
 
     manifest: ExperimentManifest
     taxonomy: KeywordTaxonomy
     personas: dict[str, Persona]            # persona id -> persona
-    sessions: list[dict]                    # complete rows from sessions.json
+    groups: list[_ConditionGroup]           # one per condition, manifest order
     imps_by_session: dict[str, list[AdImpression]]
     visited_by_session: dict[str, set[str]]  # session -> visited landing keys
-    tags: dict[str, dict[str, set[str]]]    # source -> url -> keywords
 
     def persona_ids(self) -> list[str]:
         return sorted(self.personas)
 
-    def sources(self) -> list[str]:
-        return sorted(self.tags)
-
-    def condition_ids(self) -> list[str]:
-        return [c.cond_id for c in self.manifest.conditions]
-
-    def persona_sessions(self, cond_id: str) -> list[dict]:
-        return [
-            row for row in self.sessions
-            if row["condition"] == cond_id and not row["clean"]
-        ]
-
-    def clean_impressions(self, cond_id: str) -> list[AdImpression] | None:
-        rows = [
-            row for row in self.sessions
-            if row["condition"] == cond_id and row["clean"]
-        ]
-        if not rows:
-            return None
-        out: list[AdImpression] = []
-        for row in rows:
-            out.extend(self.imps_by_session.get(row["session"], []))
-        return out
-
-    def pooled_impressions(self, cond_id: str) -> dict[str, list[AdImpression]]:
-        """Persona id -> impressions pooled across repetitions."""
-        pooled: dict[str, list[AdImpression]] = {}
-        for row in self.persona_sessions(cond_id):
-            pooled.setdefault(row["persona"], []).extend(
-                self.imps_by_session.get(row["session"], [])
-            )
-        return pooled
-
 
 def _load_corpus(root: str | Path) -> _Corpus:
+    """Read and cross-check the corpus; group its sessions by condition.
+
+    A sessions.json row naming a condition the manifest lacks or a
+    persona (not the clean one) personas.json lacks, and an impression
+    naming a session no row has, raise CorpusDataError.
+    """
     store = ExperimentStore(root)
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
     taxonomy = resolve_taxonomy(manifest.taxonomy)
@@ -351,16 +338,36 @@ def _load_corpus(root: str | Path) -> _Corpus:
         for rec in store.load_records("personas.json", Persona.RECORD_KEYS)
     }
 
-    # simulate writes only complete sessions, but a corpus from another
-    # harvester may mark aborted ones; they are dropped here, once
-    sessions = [
-        row for row in store.load_records("sessions.json", _SESSION_ROW_KEYS)
-        if row["complete"]
-    ]
+    def bad(name: str, i: int, what: str) -> CorpusDataError:
+        return CorpusDataError(f"{name} in {store.root}: record {i} {what}")
 
-    imps_by_session: dict[str, list[AdImpression]] = {}
-    for imp in store.load_impressions():
-        imps_by_session.setdefault(imp.session_id, []).append(imp)
+    rows = store.load_records("sessions.json", _SESSION_ROW_KEYS)
+    imps_by_session: dict[str, list[AdImpression]] = {row["session"]: [] for row in rows}
+    for i, imp in enumerate(store.load_impressions(), 1):
+        if imp.session_id not in imps_by_session:
+            raise bad("impressions.jsonl", i,
+                      f"names session {imp.session_id!r}, not in sessions.json")
+        imps_by_session[imp.session_id].append(imp)
+
+    groups = {c.cond_id: _ConditionGroup(c.cond_id) for c in manifest.conditions}
+    for i, row in enumerate(rows, 1):
+        group = groups.get(row["condition"])
+        if group is None:
+            raise bad("sessions.json", i,
+                      f"names condition {row['condition']!r}, not in the manifest")
+        if not row["clean"] and row["persona"] not in personas:
+            raise bad("sessions.json", i,
+                      f"names persona {row['persona']!r}, not in personas.json")
+        # simulate writes only complete sessions, but a corpus from another
+        # harvester may mark aborted ones; they are dropped here, once
+        if not row["complete"]:
+            continue
+        imps = imps_by_session[row["session"]]
+        if row["clean"]:
+            group.clean = (group.clean or []) + imps
+        else:
+            group.sessions.append(row)
+            group.pooled.setdefault(row["persona"], []).extend(imps)
 
     memo: UrlMemo = {}
     visited_by_session: dict[str, set[str]] = {}
@@ -369,25 +376,22 @@ def _load_corpus(root: str | Path) -> _Corpus:
             url_keys(rec["url"], memo)[1]
         )
 
-    tags = {src: store.load_tags(src) for src in store.tag_sources()}
     return _Corpus(
         manifest=manifest,
         taxonomy=taxonomy,
         personas=personas,
-        sessions=sessions,
+        groups=list(groups.values()),
         imps_by_session=imps_by_session,
         visited_by_session=visited_by_session,
-        tags=tags,
     )
 
 
 def _consensus_keywords(
     corpus: _Corpus,
     config: ConsensusConfig,
-    tags: Mapping[str, Mapping[str, set[str]]] | None = None,
+    tags: Mapping[str, Mapping[str, set[str]]],
 ) -> dict[str, dict[str, set[str]]]:
     """Persona id -> source -> retained training keywords."""
-    tags = tags if tags is not None else corpus.tags
     return {
         pid: consensus_training_keywords(
             corpus.personas[pid], tags, config, corpus.taxonomy
@@ -403,20 +407,19 @@ def _filtered_sessions(
 
     Sessions marked incomplete never get here: _load_corpus drops them.
 
-    The clean-profile impressions and the audience map are built once per
-    condition, over all of its persona sessions.
+    The audience map is built once per condition, over all of its
+    persona sessions.
     """
     categories = {pid: persona.category for pid, persona in corpus.personas.items()}
-    for cond_id in corpus.condition_ids():
-        clean_imps = corpus.clean_impressions(cond_id)
-        audience = build_audience(corpus.pooled_impressions(cond_id))
-        for row in corpus.persona_sessions(cond_id):
+    for group in corpus.groups:
+        audience = build_audience(group.pooled)
+        for row in group.sessions:
             sid = row["session"]
-            yield cond_id, row, apply_filters(
-                impressions=corpus.imps_by_session.get(sid, []),
+            yield group.cond_id, row, apply_filters(
+                impressions=corpus.imps_by_session[sid],
                 config=filters,
                 visited_keys=corpus.visited_by_session.get(sid, set()),
-                clean_impressions=clean_imps,
+                clean_impressions=group.clean,
                 persona_id=row["persona"],
                 persona_categories=categories,
                 audience=audience,
@@ -443,15 +446,18 @@ def analyze(
     consensus = consensus if consensus is not None else corpus.manifest.consensus
     filters = filters if filters is not None else corpus.manifest.filters
 
-    keywords = _consensus_keywords(corpus, consensus)
+    store = ExperimentStore(root)
+    tags = {src: store.load_tags(src) for src in store.tag_sources()}
+
+    keywords = _consensus_keywords(corpus, consensus, tags)
     cells: list[dict] = []
     attritions: list[dict] = []
     for cond_id, row, result in _filtered_sessions(corpus, filters):
         attritions.append(_attrition_row(cond_id, row, result))
         for stage, survivors in result.by_stage.items():
-            for src in corpus.sources():
+            for src, url_tags in tags.items():
                 cells.append(_score_cell(
-                    corpus, keywords, row, cond_id, _STAGE_TO_FILTERS[stage], src,
+                    url_tags, keywords, row, cond_id, _STAGE_TO_FILTERS[stage], src,
                     survivors,
                 ))
 
@@ -463,8 +469,8 @@ def analyze(
         "experiment_id": corpus.manifest.experiment_id,
         "consensus": {"n": consensus.n, "threshold": consensus.threshold},
         "filters": {"enabled": filters.filters, "t_prime": filters.t_prime},
-        "conditions": corpus.condition_ids(),
-        "sources": corpus.sources(),
+        "conditions": [group.cond_id for group in corpus.groups],
+        "sources": list(tags),
         "personas": corpus.persona_ids(),
         "cells": cells,
         "attrition": attritions,
@@ -472,14 +478,13 @@ def analyze(
         "comparisons": comparisons,
         "correlation": correlation,
     }
-    store = ExperimentStore(root)
     store.write_doc("report.json", report)
     store.path("report.csv").write_text(_summary_csv(summary), encoding="utf-8")
     return report
 
 
 def _score_cell(
-    corpus: _Corpus,
+    url_tags: Mapping[str, set[str]],
     keywords: Mapping[str, Mapping[str, set[str]]],
     row: dict,
     cond_id: str,
@@ -488,7 +493,6 @@ def _score_cell(
     survivors: list[AdImpression],
 ) -> dict:
     k_t = keywords[row["persona"]].get(src, set())
-    url_tags = corpus.tags[src]
     k_l: set[str] = set()
     records: list[tuple[set[str], int]] = []
     for imp in survivors:
@@ -583,7 +587,8 @@ def _persona_bailp(cells: list[dict], filter_set: str, cond_id: str) -> dict[str
 def _compare_conditions(corpus: _Corpus, cells: list[dict], filter_set: str) -> list[dict]:
     """Paired per-persona BAiLP differences for every condition pair."""
     out = []
-    for a, b in itertools.combinations(corpus.condition_ids(), 2):
+    cond_ids = [group.cond_id for group in corpus.groups]
+    for a, b in itertools.combinations(cond_ids, 2):
         series_a = _persona_bailp(cells, filter_set, a)
         series_b = _persona_bailp(cells, filter_set, b)
         shared = sorted(set(series_a) & set(series_b))
@@ -614,9 +619,9 @@ def _correlate_prices(
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read price file {cpc_path}: {exc}") from exc
     out = []
-    for cond_id in corpus.condition_ids():
-        series = _persona_bailp(cells, filter_set, cond_id)
-        entry: dict = {"condition": cond_id, "filters": filter_set}
+    for group in corpus.groups:
+        series = _persona_bailp(cells, filter_set, group.cond_id)
+        entry: dict = {"condition": group.cond_id, "filters": filter_set}
         try:
             rep = value_correlation(series, {k: prices[k] for k in series})
             entry["correlation"] = rep.to_dict()
@@ -672,8 +677,6 @@ def validate(
         survivors.setdefault((cond_id, row["persona"]), []).extend(
             result.by_stage["dg"]
         )
-    pooled = {cond_id: corpus.pooled_impressions(cond_id)
-              for cond_id in corpus.condition_ids()}
 
     levels = []
     for noise in noises:
@@ -682,19 +685,19 @@ def validate(
 
         detail = []
         total = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-        for cond_id, imps_by_pid in pooled.items():
-            for pid in sorted(imps_by_pid):
+        for group in corpus.groups:
+            for pid in sorted(group.pooled):
                 for src in sorted(tags):
                     k_t = keywords[pid].get(src, set())
                     predicted = {
-                        imp.key for imp in survivors[(cond_id, pid)]
+                        imp.key for imp in survivors[(group.cond_id, pid)]
                         if k_t & tags[src].get(imp.landing_page, set())
                     }
-                    perf = detection_performance(imps_by_pid[pid], predicted)
+                    perf = detection_performance(group.pooled[pid], predicted)
                     for k in total:
                         total[k] += getattr(perf, k)
                     detail.append({
-                        "condition": cond_id,
+                        "condition": group.cond_id,
                         "persona": pid,
                         "source": src,
                         **perf.to_dict(),
@@ -720,13 +723,10 @@ def validate(
 
 def _clean_profile_pure(corpus: _Corpus) -> bool:
     """True when no clean session ever received an oba or retargeting ad."""
-    for row in corpus.sessions:
-        if not row["clean"]:
-            continue
-        for imp in corpus.imps_by_session.get(row["session"], []):
-            if imp.ground_truth in ("oba", "retargeting"):
-                return False
-    return True
+    return not any(
+        imp.ground_truth in ("oba", "retargeting")
+        for group in corpus.groups for imp in group.clean or ()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -111,18 +111,32 @@ class TestAnalyze:
         assert "corpus error" in capsys.readouterr().err
 
     @staticmethod
-    def _without_key(cli_corpus, dest, name, key):
-        """Copy the corpus with `key` deleted from the first record of `name`."""
+    def _edit_first_record(cli_corpus, dest, name, edit):
+        """Copy the corpus with `edit` applied to the first record of `name`."""
         shutil.copytree(cli_corpus, dest)
         path = dest / name
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        del doc[name.split(".")[0]][0][key]
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        if name.endswith(".jsonl"):
+            first, *rest = text.splitlines()
+            rec = json.loads(first)
+            edit(rec)
+            path.write_text("\n".join([json.dumps(rec), *rest]) + "\n",
+                            encoding="utf-8")
+        else:
+            doc = json.loads(text)
+            edit(doc[name.split(".")[0]][0])
+            path.write_text(json.dumps(doc), encoding="utf-8")
         return dest
+
+    @classmethod
+    def _without_key(cls, cli_corpus, dest, name, key):
+        """Copy the corpus with `key` deleted from the first record of `name`."""
+        return cls._edit_first_record(cli_corpus, dest, name, lambda rec: rec.pop(key))
 
     @pytest.mark.parametrize("name, key", [
         ("personas.json", "attrition"),
         ("sessions.json", "complete"),
+        ("tags.sim-a.jsonl", "keywords"),
     ])
     def test_record_without_a_key_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key
@@ -132,6 +146,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
         assert name in err and repr(key) in err
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("sessions.json", "condition", "FR"),
+        ("sessions.json", "persona", "nobody"),
+        ("impressions.jsonl", "session", "ghost|ES|r0"),
+    ], ids=["unknown-condition", "unknown-persona", "unknown-session"])
+    def test_record_naming_an_unknown_id_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, name, key, value
+    ):
+        clone = self._edit_first_record(
+            cli_corpus, tmp_path / "c", name, lambda rec: rec.update({key: value})
+        )
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and "record 1 " in err and repr(value) in err
 
 
 class TestOverrides:

@@ -214,6 +214,15 @@ class TestStore:
         with pytest.raises(IncompleteCorpus):
             store.load_tags("alpha")
 
+    def test_page_without_a_role_is_a_data_error(self, tmp_path):
+        store = ExperimentStore(tmp_path).create()
+        store.path("pages.jsonl").write_text(
+            '{"url": "http://a.example"}\n', encoding="utf-8"
+        )
+        with pytest.raises(CorpusDataError,
+                           match=r"pages\.jsonl in .*: record 1 has no 'role'"):
+            store.load_pages()
+
     def test_corrupt_jsonl_names_the_line(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
         store.path("pages.jsonl").write_text(

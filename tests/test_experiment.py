@@ -479,6 +479,27 @@ class TestAnalyze:
             analyze(tmp_path / "empty")
 
 
+class TestTagReads:
+    """analyze alone reads tags.<source>.jsonl; validate re-tags from world.json."""
+
+    def test_only_analyze_reads_tag_files(self, corpus_dir, monkeypatch):
+        root, _ = corpus_dir
+        calls = []
+        original = ExperimentStore.load_tags
+
+        def counted(store, source):
+            calls.append(source)
+            return original(store, source)
+
+        monkeypatch.setattr(ExperimentStore, "load_tags", counted)
+        filter_attrition(root)
+        assert calls == []
+        validate(root, spurious_levels=[0.0])
+        assert calls == []
+        analyze(root)
+        assert calls == ["sim-a", "sim-b", "sim-c"]
+
+
 class TestValidate:
     def test_zero_noise_detection_is_exact(self, corpus_dir):
         root, _ = corpus_dir
