@@ -23,6 +23,10 @@ page visits; a browser whose state is reset after every visit (the clean
 profile) can therefore never receive oba or retargeting ads, which is why
 the activation threshold must be positive.
 
+The world generates every URL in canonical form, so serving parses none:
+trackers, categories, themes and the browser history all hold canonical
+URLs, and a retargeting unit's landing URL is looked up as it is.
+
 Tag noise is a post-processing of the world's true page categories and
 never influences serving. Keyword dropout and spurious injection decide
 each (source, page, keyword) with a deterministic hash compared against
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 from . import demo
-from .corpus import WebPage, from_dict, landing_key
+from .corpus import WebPage, from_dict
 from .errors import InvalidConfig
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
@@ -180,7 +184,7 @@ class _Browser:
     __slots__ = ("history", "profiles", "clock")
 
     def __init__(self) -> None:
-        self.history: set[str] = set()
+        self.history: set[str] = set()  # canonical URLs of visited pages
         # aggregator id -> category -> accumulated weight
         self.profiles: dict[str, dict[str, float]] = {}
         self.clock = 0.0
@@ -213,10 +217,6 @@ class World:
         self.spurious_pool = sorted(
             {c for cats in page_categories.values() for c in cats}
         )
-        # landing keys of the ads (inventory order) and of the tracked
-        # publisher pages, so serving never re-parses a URL
-        self._ad_keys = [landing_key(ad.landing_url) for ad in ads]
-        self._page_keys = {url: landing_key(url) for url in trackers}
         self._browsers: dict[str, _Browser] = {}
         self._serve_rng: dict[str, random.Random] = {}
 
@@ -261,8 +261,7 @@ class World:
             prof = browser.profiles.setdefault(agg, {})
             for cat in cats:
                 prof[cat] = prof.get(cat, 0.0) + 1.0
-        key = self._page_keys.get(url)
-        browser.history.add(key if key is not None else landing_key(url))
+        browser.history.add(url)
 
     def _category_weights(self, browser: _Browser, present: Sequence[str]) -> dict[str, float]:
         """Profile weight per category as the page's aggregators see it."""
@@ -291,7 +290,7 @@ class World:
             weights = self._category_weights(browser, present)
         threshold = self.config.activation_threshold
         out: list[AdUnit] = []
-        for ad, key in zip(self.ads, self._ad_keys):
+        for ad in self.ads:
             if ad.kind == "static":
                 out.append(ad)
             elif ad.kind == "contextual":
@@ -301,7 +300,7 @@ class World:
                 if ad.geo == config.geo:
                     out.append(ad)
             elif ad.kind == "retargeting":
-                if not suppressed and key in browser.history:
+                if not suppressed and ad.landing_url in browser.history:
                     out.append(ad)
             elif ad.kind == "oba":
                 if weights.get(ad.target_category, 0.0) >= threshold:

@@ -1,16 +1,16 @@
 """Experiment corpus: pages, tags, impressions, and their on-disk store.
 
 URL identity. `normalize_url` lowercases scheme and host, strips default
-ports, userinfo and a trailing slash, keeps the brackets of an IPv6 host,
-and is idempotent; a URL it cannot parse (a bad port, an unclosed IPv6
-bracket) raises CorpusDataError. Landing-page equality is coarser:
-`landing_key` keeps host + path only, dropping query strings and
-fragments, and every filter and audience map compares pages by that key.
+ports, userinfo and a trailing slash, keeps IPv6 brackets, and is
+idempotent; a URL that does not parse, as given or in canonical form,
+raises CorpusDataError. `landing_key` is coarser, host + path only, and
+every filter and audience map compares pages by it. One parse gives both.
 
 URLs are parsed once, where they enter memory: an AdImpression stores
-its canonical URLs and their keys when it is built, and a reader or a
-session passes one `url_keys` memo to every impression it builds, so
-each distinct URL string is parsed once per read or session.
+its canonical URLs and keys when it is built, and one `url_keys` memo per
+store (shared by its impression, visit and tag readers) or per session
+parses each distinct URL string once. Tag tables are keyed by canonical
+URL too; a tag file that names one page twice is an error.
 
 Store layout. An experiment directory holds
 
@@ -52,31 +52,36 @@ PAGE_ROLES = ("training", "control", "landing")
 _IMPRESSION_KEYS = ("control", "ground_truth", "landing", "ntimes", "persona", "session")
 
 
-def normalize_url(url: str) -> str:
-    """Canonical URL: lowercase scheme/host, no default port, no trailing slash."""
+def _split(url: str) -> tuple[str, str]:
+    """`(canonical URL, landing key)` of `url`, from one parse."""
     raw = url.strip()
-    if "://" not in raw:
-        raw = "http://" + raw
     try:
-        parts = urlsplit(raw)
+        parts = urlsplit(raw if "://" in raw else "http://" + raw)
         port = parts.port
+        scheme = parts.scheme.lower()
+        host = parts.hostname or ""
+        netloc = f"[{host}]" if ":" in host else host  # hostname strips IPv6 brackets
+        if port is not None and str(port) != _DEFAULT_PORTS.get(scheme, ""):
+            netloc = f"{netloc}:{port}"
+        path = parts.path.rstrip("/")
+        canonical = urlunsplit((scheme, netloc, path, parts.query, parts.fragment))
+        # an empty, bracketed or non-ASCII host may read back otherwise
+        if not netloc or "[" in netloc or "]" in netloc or not netloc.isascii():
+            parts = urlsplit(canonical)
+            host, path = parts.hostname or "", parts.path
     except ValueError as exc:
         raise CorpusDataError(f"unusable URL {url!r}: {exc}") from exc
-    scheme = parts.scheme.lower()
-    host = parts.hostname or ""
-    if ":" in host:  # IPv6; hostname strips the brackets
-        host = f"[{host}]"
-    netloc = host
-    if port is not None and str(port) != _DEFAULT_PORTS.get(scheme, ""):
-        netloc = f"{host}:{port}"
-    path = parts.path.rstrip("/")
-    return urlunsplit((scheme, netloc, path, parts.query, parts.fragment))
+    return canonical, host + path
+
+
+def normalize_url(url: str) -> str:
+    """Canonical URL: lowercase scheme/host, no default port, no trailing slash."""
+    return _split(url)[0]
 
 
 def landing_key(url: str) -> str:
     """Equality key for landing and visited pages: host + path only."""
-    parts = urlsplit(normalize_url(url))
-    return (parts.hostname or "") + parts.path
+    return _split(url)[1]
 
 
 # raw URL -> (canonical URL, landing key), filled by url_keys
@@ -87,8 +92,7 @@ def url_keys(url: str, memo: UrlMemo) -> tuple[str, str]:
     """`(normalize_url(url), landing_key(url))`, computed once per url in memo."""
     hit = memo.get(url)
     if hit is None:
-        canonical = normalize_url(url)
-        hit = memo[url] = (canonical, landing_key(canonical))
+        hit = memo[url] = _split(url)
     return hit
 
 
@@ -164,14 +168,6 @@ def _dump_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def write_json(path: Path, obj) -> None:
-    """Canonical pretty JSON write; stable bytes for identical data."""
-    path.write_text(
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
 def check_keys(data, known: Iterable[str], section: str) -> Mapping:
     """`data` itself, if it is a mapping whose keys all lie in `known`."""
     if not isinstance(data, Mapping):
@@ -222,6 +218,7 @@ class ExperimentStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._memo: UrlMemo = {}
 
     def create(self) -> "ExperimentStore":
         self.root.mkdir(parents=True, exist_ok=True)
@@ -241,6 +238,10 @@ class ExperimentStore:
         if not _SOURCE_NAME.match(source):
             raise CorpusDataError(f"unusable source name: {source!r}")
         return self.root / f"tags.{source}.jsonl"
+
+    def url_keys(self, url: str) -> tuple[str, str]:
+        """`(normalize_url(url), landing_key(url))`, parsed once per store."""
+        return url_keys(url, self._memo)
 
     def _require(self, name: str) -> Path:
         p = self.root / name
@@ -271,11 +272,15 @@ class ExperimentStore:
         self.tags_path(source).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
-        """URL to keyword set for one source, keyed by the URL as written."""
-        return {
-            rec["url"]: set(rec["keywords"])
-            for rec in self.load_records(f"tags.{source}.jsonl", ("url", "keywords"))
-        }
+        """Canonical URL to keyword set for one source; each page once."""
+        name = f"tags.{source}.jsonl"
+        table: dict[str, set[str]] = {}
+        for i, rec in enumerate(self.load_records(name, ("url", "keywords")), 1):
+            url = self.url_keys(rec["url"])[0]
+            if url in table:
+                raise self.bad_record(name, i, f"names page {url!r} again")
+            table[url] = set(rec["keywords"])
+        return table
 
     def tag_sources(self) -> list[str]:
         return sorted(
@@ -312,7 +317,6 @@ class ExperimentStore:
                 }) + "\n")
 
     def load_impressions(self) -> list[AdImpression]:
-        memo: UrlMemo = {}
         return [
             AdImpression(
                 persona_id=rec["persona"],
@@ -321,7 +325,7 @@ class ExperimentStore:
                 landing_page=rec["landing"],
                 ntimes=rec["ntimes"],
                 ground_truth=rec["ground_truth"],
-                memo=memo,
+                memo=self._memo,
             )
             for rec in self.load_records("impressions.jsonl", _IMPRESSION_KEYS)
         ]
@@ -345,18 +349,24 @@ class ExperimentStore:
                 raise CorpusDataError(f"{name} in {self.root} has no {stem!r} list")
         for i, rec in enumerate(records, 1):
             if not isinstance(rec, dict):
-                raise CorpusDataError(f"{name} in {self.root}: record {i} is not an object")
+                raise self.bad_record(name, i, "is not an object")
             for key in required:
                 if key not in rec:
-                    raise CorpusDataError(
-                        f"{name} in {self.root}: record {i} has no {key!r}"
-                    )
+                    raise self.bad_record(name, i, f"has no {key!r}")
         return records
+
+    def bad_record(self, name: str, i: int, what: str) -> CorpusDataError:
+        """The error for record `i` (from 1) of file `name`."""
+        return CorpusDataError(f"{name} in {self.root}: record {i} {what}")
 
     # json documents
 
     def write_doc(self, name: str, obj) -> None:
-        write_json(self.path(name), obj)
+        """Canonical pretty JSON; stable bytes for identical data."""
+        self.path(name).write_text(
+            json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
 
     def load_doc(self, name: str):
         p = self._require(name)

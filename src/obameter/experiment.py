@@ -57,14 +57,11 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    UrlMemo,
     check_keys,
     from_dict,
     tag_pages,
-    url_keys,
 )
 from .errors import (
-    CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
     InvalidConfig,
@@ -80,7 +77,7 @@ from .metrics import (
     value_correlation,
 )
 from .persona import ConsensusConfig, Persona, consensus_training_keywords
-from .pipeline import FilterConfig, PipelineResult, apply_filters, build_audience
+from .pipeline import FILTER_SETS, FilterConfig, PipelineResult, apply_filters, build_audience
 from .seeding import derive_seed
 from .session import SessionConfig, SessionResult, run_session
 from .taxonomy import KeywordTaxonomy
@@ -89,7 +86,7 @@ from .taxonomy import KeywordTaxonomy
 CLEAN_ID = "__clean__"
 
 # pipeline stage key -> the cumulative filter set it completes
-_STAGE_TO_FILTERS = {"r": "r", "sc": "rsc", "dg": "rscdg"}
+_STAGE_TO_FILTERS = {stages[-1]: name for name, stages in FILTER_SETS.items()}
 
 # manifest fields stored under "session" in manifest.json
 _SESSION_KEYS = ("visit_budget", "mean_interval")
@@ -311,15 +308,13 @@ class _ConditionGroup:
 class _Corpus:
     """Everything the analysis side needs, loaded once."""
 
+    store: ExperimentStore
     manifest: ExperimentManifest
     taxonomy: KeywordTaxonomy
     personas: dict[str, Persona]            # persona id -> persona
     groups: list[_ConditionGroup]           # one per condition, manifest order
     imps_by_session: dict[str, list[AdImpression]]
     visited_by_session: dict[str, set[str]]  # session -> visited landing keys
-
-    def persona_ids(self) -> list[str]:
-        return sorted(self.personas)
 
 
 def _load_corpus(root: str | Path) -> _Corpus:
@@ -338,9 +333,7 @@ def _load_corpus(root: str | Path) -> _Corpus:
         for rec in store.load_records("personas.json", Persona.RECORD_KEYS)
     }
 
-    def bad(name: str, i: int, what: str) -> CorpusDataError:
-        return CorpusDataError(f"{name} in {store.root}: record {i} {what}")
-
+    bad = store.bad_record
     rows = store.load_records("sessions.json", _SESSION_ROW_KEYS)
     imps_by_session: dict[str, list[AdImpression]] = {row["session"]: [] for row in rows}
     for i, imp in enumerate(store.load_impressions(), 1):
@@ -369,14 +362,14 @@ def _load_corpus(root: str | Path) -> _Corpus:
             group.sessions.append(row)
             group.pooled.setdefault(row["persona"], []).extend(imps)
 
-    memo: UrlMemo = {}
     visited_by_session: dict[str, set[str]] = {}
     for rec in store.load_visits():
         visited_by_session.setdefault(rec["session"], set()).add(
-            url_keys(rec["url"], memo)[1]
+            store.url_keys(rec["url"])[1]
         )
 
     return _Corpus(
+        store=store,
         manifest=manifest,
         taxonomy=taxonomy,
         personas=personas,
@@ -396,7 +389,7 @@ def _consensus_keywords(
         pid: consensus_training_keywords(
             corpus.personas[pid], tags, config, corpus.taxonomy
         )
-        for pid in corpus.persona_ids()
+        for pid in sorted(corpus.personas)
     }
 
 
@@ -446,8 +439,7 @@ def analyze(
     consensus = consensus if consensus is not None else corpus.manifest.consensus
     filters = filters if filters is not None else corpus.manifest.filters
 
-    store = ExperimentStore(root)
-    tags = {src: store.load_tags(src) for src in store.tag_sources()}
+    tags = {src: corpus.store.load_tags(src) for src in corpus.store.tag_sources()}
 
     keywords = _consensus_keywords(corpus, consensus, tags)
     cells: list[dict] = []
@@ -471,15 +463,15 @@ def analyze(
         "filters": {"enabled": filters.filters, "t_prime": filters.t_prime},
         "conditions": [group.cond_id for group in corpus.groups],
         "sources": list(tags),
-        "personas": corpus.persona_ids(),
+        "personas": sorted(corpus.personas),
         "cells": cells,
         "attrition": attritions,
         "summary": summary,
         "comparisons": comparisons,
         "correlation": correlation,
     }
-    store.write_doc("report.json", report)
-    store.path("report.csv").write_text(_summary_csv(summary), encoding="utf-8")
+    corpus.store.write_doc("report.json", report)
+    corpus.store.path("report.csv").write_text(_summary_csv(summary), encoding="utf-8")
     return report
 
 
@@ -662,8 +654,7 @@ def validate(
     # dropout None takes the manifest's rate, checked when the manifest loads
     noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)
-    store = ExperimentStore(root)
-    world = World.from_dict(store.load_doc("world.json"))
+    world = World.from_dict(corpus.store.load_doc("world.json"))
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
         noises = [replace(noise, dropout=dropout) for noise in noises]
@@ -717,7 +708,7 @@ def validate(
         "clean_profile_pure": _clean_profile_pure(corpus),
         "levels": levels,
     }
-    store.write_doc("performance.json", result)
+    corpus.store.write_doc("performance.json", result)
     return result
 
 

@@ -181,8 +181,8 @@ def consensus_training_keywords(
 ) -> dict[str, set[str]]:
     """Cross-source consensus over the persona's training-page keywords.
 
-    `tags` maps source -> url -> keywords, as stored in tags.<source>.jsonl;
-    every source in it counts, and only the persona's training pages are
+    `tags` maps source -> canonical URL -> keywords, as `load_tags` reads
+    them; every source in it counts, and only the persona's training pages are
     read. Returns the retained keyword set per source. Raises
     InsufficientSources when fewer sources are present than the rule needs
     (at least two, and at least n + 1 so that n other sources can exist).

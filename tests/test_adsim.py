@@ -228,7 +228,7 @@ def _reference_eligible(world, config, browser, url):
         elif ad.kind == "geo_demo":
             ok = ad.geo == config.geo
         elif ad.kind == "retargeting":
-            ok = not suppressed and landing_key(ad.landing_url) in browser.history
+            ok = not suppressed and ad.landing_url in browser.history
         else:
             if sim.share_profiles:
                 weight = 0.0
@@ -266,9 +266,8 @@ def _serving_cases(draw, world):
         st.dictionaries(st.sampled_from(cats + ["weather"]), _WEIGHT, max_size=4),
         max_size=5,
     ))
-    retarget = [landing_key(ad.landing_url) for ad in world.ads
-                if ad.kind == "retargeting"]
-    history = draw(st.sets(st.sampled_from(retarget + ["elsewhere.example/x"])))
+    retarget = [ad.landing_url for ad in world.ads if ad.kind == "retargeting"]
+    history = draw(st.sets(st.sampled_from(retarget + ["https://elsewhere.example/x"])))
     url = draw(st.sampled_from([
         world.control_pages[0].url,
         world.personas[0].training_pages[0].url,

@@ -83,15 +83,11 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", str(cli_corpus), "--filters", "xyz"])
 
-    @staticmethod
-    def _with_landing(cli_corpus, dest, landing):
+    @classmethod
+    def _with_landing(cls, cli_corpus, dest, landing):
         """Copy the corpus with the first impression landing on `landing`."""
-        shutil.copytree(cli_corpus, dest)
-        path = dest / "impressions.jsonl"
-        first, *rest = path.read_text(encoding="utf-8").splitlines()
-        row = dict(json.loads(first), landing=landing)
-        path.write_text("\n".join([json.dumps(row), *rest]) + "\n", encoding="utf-8")
-        return dest
+        return cls._edit_first_record(cli_corpus, dest, "impressions.jsonl",
+                                      lambda rec: rec.update(landing=landing))
 
     def test_ipv6_landing_page_is_analysed(self, cli_corpus, tmp_path):
         clone = self._with_landing(cli_corpus, tmp_path / "v6", "http://[::1]:8080/a")
@@ -104,6 +100,21 @@ class TestAnalyze:
         assert main(["analyze", str(clone)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and "ads.example:99999" in err
+
+    def test_tag_file_naming_a_page_twice_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys
+    ):
+        name = "tags.sim-a.jsonl"
+        second = (cli_corpus / name).read_text(encoding="utf-8").splitlines()[1]
+        url = json.loads(second)["url"]
+        host, path = url.removeprefix("https://").split("/", 1)
+        respelt = f"HTTPS://{host.upper()}:443/{path}/"
+        clone = self._edit_first_record(cli_corpus, tmp_path / "c", name,
+                                        lambda rec: rec.update(url=respelt))
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and "record 2 " in err and repr(url) in err
 
     def test_missing_corpus_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

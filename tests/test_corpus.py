@@ -3,9 +3,10 @@
 import json
 import re
 import tempfile
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obameter import (
     AdImpression,
@@ -15,6 +16,7 @@ from obameter import (
     normalize_url,
     tag_pages,
 )
+from obameter.corpus import url_keys
 from obameter.errors import CorpusDataError, IncompleteCorpus
 
 _DEFAULT_PORT = {"http": 80, "https": 443}
@@ -116,8 +118,37 @@ class TestUrlNormalization:
         assert landing_key("http://s.example/a") != landing_key("http://s.example/b")
 
 
+def _two_parse_key(url):
+    """The landing key as host + path of the canonical URL parsed again."""
+    parts = urlsplit(normalize_url(url))
+    return (parts.hostname or "") + parts.path
+
+
+def _outcome(f, url):
+    """f(url), or "raises" for a URL that cannot be keyed."""
+    try:
+        return f(url)
+    except (CorpusDataError, ValueError):
+        return "raises"
+
+
 class TestStoredKeys:
     """An AdImpression parses its URLs once and stores their keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(urls(), urls().map(str.swapcase), st.text(),
+                     st.text(":/?#[]@.aA1 ")))
+    # canonical forms that read back otherwise, or not at all
+    @example("//a.example/x")
+    @example("Https:://x")
+    @example("http:////[")
+    @example("[::]@]")
+    @example("http://[::1]@[zz:q]/x")
+    def test_one_parse_gives_the_two_parse_key(self, url):
+        key = _outcome(landing_key, url)
+        assert key == _outcome(_two_parse_key, url)
+        if key != "raises":
+            assert url_keys(url, {}) == (normalize_url(url), key)
 
     @staticmethod
     def _check(imp, pid, sid, control, landing):

@@ -5,7 +5,6 @@ import hashlib
 import json
 import random
 import shutil
-import sys
 from urllib.parse import urlsplit, urlunsplit
 
 import pytest
@@ -355,8 +354,8 @@ def _non_canonical(url):
 
 
 class TestUrlKeys:
-    """Readers canonicalise every URL they load, and parse each distinct one
-    once per read."""
+    """Readers canonicalise every URL they load, tag tables included, and a
+    store parses each distinct one once."""
 
     @pytest.fixture(scope="class")
     def analysed(self, corpus_dir, tmp_path_factory):
@@ -371,8 +370,10 @@ class TestUrlKeys:
             analysed, tmp_path / "c",
             skip=("report.json", "report.csv", "performance.json"),
         ))
+        tag_files = [(f"tags.{src}.jsonl", ("url",)) for src in store.tag_sources()]
+        assert tag_files
         for name, fields in (("impressions.jsonl", ("control", "landing")),
-                             ("visits.jsonl", ("url",))):
+                             ("visits.jsonl", ("url",)), *tag_files):
             recs = [json.loads(line) for line in
                     store.path(name).read_text(encoding="utf-8").splitlines()]
             for rec in recs:
@@ -392,21 +393,26 @@ class TestUrlKeys:
             lines = (analysed / name).read_text(encoding="utf-8").splitlines()
             return {json.loads(line)[f] for line in lines for f in fields}
 
-        bound = (len(distinct("impressions.jsonl", "control", "landing"))
-                 + len(distinct("visits.jsonl", "url")))
+        store = ExperimentStore(analysed)
+        read = (distinct("impressions.jsonl", "control", "landing")
+                | distinct("visits.jsonl", "url"))
+        for src in store.tag_sources():
+            read |= distinct(f"tags.{src}.jsonl", "url")
+        # personas.json training pages are parsed as pages, outside the memo
+        training = sum(len(rec["training_pages"])
+                       for rec in store.load_doc("personas.json")["personas"])
+        bound = len(read) + training
 
         calls = 0
-        original = corpus.landing_key
+        original = corpus._split
 
         def counted(url):
             nonlocal calls
             calls += 1
             return original(url)
 
-        # every module that imported landing_key holds its own binding
-        for name, module in list(sys.modules.items()):
-            if name.startswith("obameter") and getattr(module, "landing_key", None) is original:
-                monkeypatch.setattr(module, "landing_key", counted)
+        # normalize_url, landing_key and url_keys all parse through _split
+        monkeypatch.setattr(corpus, "_split", counted)
         analyze(analysed)
         assert 0 < calls <= bound, (calls, bound)
 
