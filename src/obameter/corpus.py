@@ -154,10 +154,11 @@ def tag_pages(pages: Iterable[WebPage], source: TaggingSource) -> dict[str, set[
 
     Pages the source misses get the empty set; an empty keyword is dropped.
     """
-    return {
-        p.url: {normalize_keyword(k) for k in source.keywords_for(p)} - {""}
-        for p in pages
-    }
+    return {p.url: _keyword_set(source.keywords_for(p)) for p in pages}
+
+
+def _keyword_set(keywords: Iterable[str]) -> set[str]:
+    return {normalize_keyword(k) for k in keywords} - {""}
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +273,20 @@ class ExperimentStore:
         self.tags_path(source).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
-        """Canonical URL to keyword set for one source; each page once."""
+        """Canonical URL to keywords as `tag_pages` makes them; each page once."""
         name = f"tags.{source}.jsonl"
         table: dict[str, set[str]] = {}
         for i, rec in enumerate(self.load_records(name, ("url", "keywords")), 1):
             url = self.url_keys(rec["url"])[0]
             if url in table:
                 raise self.bad_record(name, i, f"names page {url!r} again")
-            table[url] = set(rec["keywords"])
+            keywords = rec["keywords"]
+            if not (isinstance(keywords, list)
+                    and all(isinstance(k, str) for k in keywords)):
+                raise self.bad_record(
+                    name, i, "has 'keywords' that is not a list of strings"
+                )
+            table[url] = _keyword_set(keywords)
         return table
 
     def tag_sources(self) -> list[str]:

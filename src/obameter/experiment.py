@@ -40,6 +40,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -434,7 +435,11 @@ def analyze(
     filters: FilterConfig | None = None,
     cpc_path: str | Path | None = None,
 ) -> dict:
-    """Score the corpus; write report.json and report.csv, return the report."""
+    """Score the corpus; write report.json and report.csv, return the report.
+
+    A price file at cpc_path is checked before the corpus is read.
+    """
+    prices = _load_prices(cpc_path)
     corpus = _load_corpus(root)
     consensus = consensus if consensus is not None else corpus.manifest.consensus
     filters = filters if filters is not None else corpus.manifest.filters
@@ -455,7 +460,7 @@ def analyze(
 
     summary = _summarize_cells(cells)
     comparisons = _compare_conditions(corpus, cells, filters.filters)
-    correlation = _correlate_prices(corpus, cells, filters.filters, cpc_path)
+    correlation = _correlate_prices(corpus, cells, filters.filters, prices)
 
     report = {
         "experiment_id": corpus.manifest.experiment_id,
@@ -597,19 +602,38 @@ def _compare_conditions(corpus: _Corpus, cells: list[dict], filter_set: str) -> 
     return out
 
 
-def _correlate_prices(
-    corpus: _Corpus,
-    cells: list[dict],
-    filter_set: str,
-    cpc_path: str | Path | None,
-) -> list[dict] | None:
-    """BAiLP against a persona -> price mapping, one entry per condition."""
+def _load_prices(cpc_path: str | Path | None) -> dict[str, float] | None:
+    """The persona -> price mapping of a price file, each price a finite number."""
     if cpc_path is None:
         return None
     try:
         prices = json.loads(Path(cpc_path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read price file {cpc_path}: {exc}") from exc
+    if not isinstance(prices, dict):
+        raise InvalidConfig(
+            f"price file {cpc_path} must map persona ids to prices, "
+            f"got {type(prices).__name__}"
+        )
+    for pid, price in prices.items():
+        if (isinstance(price, bool) or not isinstance(price, (int, float))
+                or not math.isfinite(price)):
+            raise InvalidConfig(
+                f"price file {cpc_path}: price of persona {pid!r} is not a "
+                f"finite number: {price!r}"
+            )
+    return prices
+
+
+def _correlate_prices(
+    corpus: _Corpus,
+    cells: list[dict],
+    filter_set: str,
+    prices: Mapping[str, float] | None,
+) -> list[dict] | None:
+    """BAiLP against a persona -> price mapping, one entry per condition."""
+    if prices is None:
+        return None
     out = []
     for group in corpus.groups:
         series = _persona_bailp(cells, filter_set, group.cond_id)

@@ -7,10 +7,10 @@ ad share) quantify how strongly surviving ads reflect the training:
     bailp = sum(ntimes over impressions whose landing page shares at least
             one training keyword) / sum(ntimes over all impressions)
 
-Both work on unique normalized keyword sets and exact string overlap; the
-taxonomy plays no role here. Detection performance weighs every displayed
-ad (ntimes), not just distinct landing pages, so a frequently repeated ad
-counts as often as it was shown.
+Both compare canonical keyword sets, as tag tables and consensus hold
+them, by exact string overlap; the taxonomy plays no role here. Detection
+performance weighs every displayed ad (ntimes), not just distinct landing
+pages, so a frequently repeated ad counts as often as it was shown.
 
 Correlation against ad prices removes CPC outliers outside
 [Q1 - 1.5 IQR, Q3 + 1.5 IQR] first. Quartiles use the median-exclusive
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from scipy import stats as _scipy_stats
 
@@ -36,28 +36,19 @@ from .errors import (
     MissingGroundTruth,
     NoImpressions,
 )
-from .taxonomy import normalize_keyword
 
 POSITIVE_LABEL = "oba"
 
 
-def _normset(keywords: Iterable[str]) -> set[str]:
-    out = {normalize_keyword(k) for k in keywords}
-    out.discard("")
-    return out
-
-
-def ttk(training_keywords: Iterable[str], landing_keywords: Iterable[str]) -> float:
+def ttk(training_keywords: AbstractSet[str], landing_keywords: AbstractSet[str]) -> float:
     """Fraction of training keywords that reappear across landing pages."""
-    k_t = _normset(training_keywords)
-    if not k_t:
+    if not training_keywords:
         raise EmptyTrainingSet("TTK needs a non-empty training keyword set")
-    k_l = _normset(landing_keywords)
-    return len(k_t & k_l) / len(k_t)
+    return len(training_keywords & landing_keywords) / len(training_keywords)
 
 
 def bailp(
-    training_keywords: Iterable[str],
+    training_keywords: AbstractSet[str],
     landing_records: Iterable[tuple[Iterable[str], int]],
 ) -> float:
     """ntimes-weighted share of impressions with a training-keyword match.
@@ -65,12 +56,11 @@ def bailp(
     landing_records pairs each landing page's keyword set with its ntimes
     count. Raises NoImpressions when the records are empty (zero total).
     """
-    k_t = _normset(training_keywords)
     matched = 0
     total = 0
     for keywords, ntimes in landing_records:
         total += ntimes
-        if k_t & _normset(keywords):
+        if not training_keywords.isdisjoint(keywords):
             matched += ntimes
     if total <= 0:
         raise NoImpressions("BAiLP needs at least one impression")

@@ -14,6 +14,7 @@ leaving survivors untouched (same objects, same ntimes):
 
 Landing pages always compare by the corpus equality rule (host + path,
 query stripped), through the landing_key each AdImpression stores.
+Persona categories are compared in the canonical form `Persona` stores.
 Categories missing from the taxonomy use the exact-match fallback: an
 equal category never counts as dissimilar, a different one counts as
 dissimilar at any positive threshold.
@@ -26,7 +27,7 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .corpus import AdImpression
 from .errors import ConfigurationError, MissingCleanProfile
-from .taxonomy import KeywordTaxonomy, normalize_keyword
+from .taxonomy import KeywordTaxonomy
 
 # filter-set codes, ordered; "sc" and "dg" never run without "r"
 FILTER_SETS = {
@@ -106,7 +107,7 @@ def _category_below(
     """Strictly-below-threshold test with the exact-match fallback."""
     if a in taxonomy and b in taxonomy:
         return taxonomy.lc_similarity(a, b) < threshold
-    return normalize_keyword(a) != normalize_keyword(b) and threshold > 0
+    return a != b and threshold > 0
 
 
 def filter_demo_geo(

@@ -15,6 +15,9 @@ Keywords may carry several senses. The file format marks senses with a
 `#<n>` suffix on the node token (`bass#1`, `bass#2`); the suffix is not
 part of the keyword text. Similarity over multi-sense keywords is the
 maximum over sense pairs.
+
+Keyword texts are stored normalized (`normalize_keyword`), and each public
+query normalizes its own arguments once, so callers may pass any spelling.
 """
 
 from __future__ import annotations
@@ -70,26 +73,25 @@ class KeywordTaxonomy:
         """Largest attainable similarity, ln(2 * D)."""
         return math.log(2 * self.max_depth)
 
+    def _lookup(self, keyword: str) -> tuple[str, list[str] | None]:
+        norm = normalize_keyword(keyword)
+        return norm, self.senses.get(norm)
+
     def __contains__(self, keyword: str) -> bool:
-        return normalize_keyword(keyword) in self.senses
+        return self._lookup(keyword)[1] is not None
 
     def _require(self, keyword: str) -> list[str]:
-        norm = normalize_keyword(keyword)
-        try:
-            return self.senses[norm]
-        except KeyError:
-            raise UnknownKeyword(f"keyword not in taxonomy: {keyword!r}") from None
+        nodes = self._lookup(keyword)[1]
+        if nodes is None:
+            raise UnknownKeyword(f"keyword not in taxonomy: {keyword!r}")
+        return nodes
 
     def pathlen(self, k: str, l: str) -> int:
         """Shortest node count over all sense pairs of k and l."""
-        best: int | None = None
-        for a in self._require(k):
-            for b in self._require(l):
-                n = self._pair_pathlen(a, b)
-                if best is None or n < best:
-                    best = n
-        assert best is not None
-        return best
+        return self._min_pathlen(self._require(k), self._require(l))
+
+    def _min_pathlen(self, nodes_k: list[str], nodes_l: list[str]) -> int:
+        return min(self._pair_pathlen(a, b) for a in nodes_k for b in nodes_l)
 
     def _pair_pathlen(self, a: str, b: str) -> int:
         da, db = self.depth[a], self.depth[b]
@@ -106,12 +108,15 @@ class KeywordTaxonomy:
             da -= 1
         return self.depth[a] + self.depth[b] - 2 * da + 1
 
+    def _score(self, nodes_k: list[str], nodes_l: list[str]) -> float:
+        return -math.log(self._min_pathlen(nodes_k, nodes_l) / (2 * self.max_depth))
+
     def lc_similarity(self, k: str, l: str) -> float:
         """Leacock-Chodorow score, the maximum over sense pairs.
 
         Raises UnknownKeyword when either keyword has no sense node.
         """
-        return -math.log(self.pathlen(k, l) / (2 * self.max_depth))
+        return self._score(self._require(k), self._require(l))
 
     def similar(self, k: str, l: str, threshold: float) -> bool:
         """True iff lc_similarity(k, l) is strictly above the threshold."""
@@ -122,11 +127,13 @@ class KeywordTaxonomy:
 
         When both keywords are in the taxonomy this is `similar`. When
         either is absent it degrades to equality of the normalized texts,
-        independent of the threshold.
+        independent of the threshold. Each argument is normalized once.
         """
-        if k in self and l in self:
-            return self.similar(k, l, threshold)
-        return normalize_keyword(k) == normalize_keyword(l)
+        norm_k, nodes_k = self._lookup(k)
+        norm_l, nodes_l = self._lookup(l)
+        if nodes_k is not None and nodes_l is not None:
+            return self._score(nodes_k, nodes_l) > threshold
+        return norm_k == norm_l
 
     def keywords(self) -> list[str]:
         """All keyword texts, sorted."""

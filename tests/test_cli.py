@@ -158,6 +158,35 @@ class TestAnalyze:
         assert err.startswith("corpus error")
         assert name in err and repr(key) in err
 
+    @pytest.mark.parametrize("keywords", [5, "motor sports", ["motor sports", 5]],
+                             ids=["number", "string", "non-string-item"])
+    def test_tag_keywords_not_a_list_of_strings_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, keywords
+    ):
+        name = "tags.sim-a.jsonl"
+        clone = self._edit_first_record(
+            cli_corpus, tmp_path / "c", name, lambda rec: rec.update(keywords=keywords)
+        )
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and "record 1 " in err and repr("keywords") in err
+
+    @pytest.mark.parametrize("prices, named", [
+        (["a"], "list"),
+        ({"p1": "1.5"}, repr("p1")),
+        ({"p1": None}, repr("p1")),
+    ], ids=["list", "string-price", "null-price"])
+    def test_bad_price_file_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys, prices, named
+    ):
+        cpc = tmp_path / "cpc.json"
+        cpc.write_text(json.dumps(prices), encoding="utf-8")
+        assert main(["analyze", str(cli_corpus), "--cpc", str(cpc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert str(cpc) in err and named in err
+
     @pytest.mark.parametrize("name, key, value", [
         ("sessions.json", "condition", "FR"),
         ("sessions.json", "persona", "nobody"),

@@ -225,6 +225,14 @@ class TestStore:
         assert store.tag_sources() == ["alpha"]
         assert store.load_tags("alpha") == {"http://a.example": {"x", "y"}}
 
+    def test_load_tags_canonicalises_keywords(self, tmp_path):
+        store = ExperimentStore(tmp_path).create()
+        store.tags_path("alpha").write_text(json.dumps({
+            "keywords": [" Swimming__Pools ", "swimming pools", "", "  ", "X"],
+            "source": "alpha", "url": "http://a.example",
+        }) + "\n", encoding="utf-8")
+        assert store.load_tags("alpha") == {"http://a.example": {"swimming pools", "x"}}
+
     def test_impressions_round_trip(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
         imps = [AdImpression(persona_id="p", session_id="s",

@@ -20,6 +20,7 @@ from obameter import (
     analyze,
     filter_attrition,
     load_manifest,
+    normalize_keyword,
     normalize_url,
     simulate,
     validate,
@@ -417,6 +418,39 @@ class TestUrlKeys:
         assert 0 < calls <= bound, (calls, bound)
 
 
+def _respelt_keyword(keyword):
+    """An equivalent keyword that is not canonical: upper case, `_` for
+    each space, padded with spaces."""
+    return f"  {keyword.upper().replace(' ', '_')} "
+
+
+class TestKeywordForm:
+    """Metamorphic: tag files that spell every keyword another way, and
+    carry empty ones, give the same report; load_tags canonicalises them."""
+
+    def test_respelt_tag_keywords_give_the_same_report(self, corpus_dir, tmp_path):
+        outputs = ("report.json", "report.csv", "performance.json")
+        base = _copy_corpus(corpus_dir[0], tmp_path / "base", skip=outputs)
+        analyze(base)
+        store = ExperimentStore(_copy_corpus(base, tmp_path / "c", skip=outputs))
+        respelt = 0
+        for src in store.tag_sources():
+            path = store.tags_path(src)
+            recs = [json.loads(line)
+                    for line in path.read_text(encoding="utf-8").splitlines()]
+            for rec in recs:
+                keywords = [_respelt_keyword(k) for k in rec["keywords"]]
+                assert all(k != normalize_keyword(k) for k in keywords)
+                respelt += len(keywords)
+                rec["keywords"] = keywords + ["", "  "]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in recs),
+                            encoding="utf-8")
+        assert respelt
+        analyze(store.root)
+        for name in ("report.json", "report.csv"):
+            assert store.path(name).read_bytes() == (base / name).read_bytes()
+
+
 class TestAnalyze:
     def test_report_shape(self, corpus_dir):
         root, _ = corpus_dir
@@ -479,6 +513,14 @@ class TestAnalyze:
         cpc.write_text(json.dumps({"nobody": 1.0}), encoding="utf-8")
         report = analyze(root, cpc_path=cpc)
         assert all("error" in entry for entry in report["correlation"])
+
+    @pytest.mark.parametrize("price", [True, float("nan"), float("inf")],
+                             ids=["bool", "nan", "inf"])
+    def test_bad_price_rejected_before_the_corpus_is_read(self, tmp_path, price):
+        cpc = tmp_path / "cpc.json"
+        cpc.write_text(json.dumps({"p": price}), encoding="utf-8")
+        with pytest.raises(InvalidConfig, match="persona 'p'"):
+            analyze(tmp_path / "empty", cpc_path=cpc)
 
     def test_analyze_missing_corpus(self, tmp_path):
         with pytest.raises(IncompleteCorpus):

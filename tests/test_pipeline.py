@@ -190,7 +190,7 @@ class TestDemoGeoStage:
                              control_page="https://c.example/",
                              landing_page="https://ad.example/x", ntimes=1)]
         audience = {"ad.example/x": {"p1", "p2"}}
-        cats = {"p1": "blockchain", "p2": "Blockchain"}
+        cats = {"p1": "blockchain", "p2": "blockchain"}
         kept = filter_demo_geo(imps, "p1", cats, audience, taxonomy, t_prime=3.0)
         assert kept == imps
 

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obameter import KeywordTaxonomy, normalize_keyword
+from obameter import taxonomy as taxonomy_module
 from obameter.errors import TaxonomyError, UnknownKeyword
 
 
@@ -117,6 +119,54 @@ class TestSimilarity:
         # both in tree: the threshold decides, not string equality
         assert taxonomy.similar_or_exact("motor sports", "motorcycles", 2.5)
         assert not taxonomy.similar_or_exact("banking", "dating", 2.5)
+
+
+# spellings that normalize_keyword maps back to the word itself
+_RESPELLINGS = (
+    lambda w: w,
+    str.upper,
+    lambda w: w.replace(" ", "_"),
+    lambda w: f"  {w.title()}\t",
+    lambda w: w.replace(" ", " _\n "),
+)
+
+
+def _similar_or_exact_oracle(tax, k, l, threshold):
+    if k in tax and l in tax:
+        return tax.lc_similarity(k, l) > threshold
+    return normalize_keyword(k) == normalize_keyword(l)
+
+
+class TestSimilarOrExactOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle(self, taxonomy, data):
+        words = st.sampled_from(
+            taxonomy.keywords() + ["blockchain", "web3", "zzz unknown", ""]
+        )
+        spell = st.sampled_from(_RESPELLINGS)
+        word_k = data.draw(words)
+        word_l = data.draw(st.one_of(st.just(word_k), words))
+        k, l = data.draw(spell)(word_k), data.draw(spell)(word_l)
+        scores = [-math.log(n / (2 * taxonomy.max_depth))
+                  for n in range(1, 2 * taxonomy.max_depth + 1)]
+        threshold = data.draw(st.one_of(
+            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+        ))
+        assert (taxonomy.similar_or_exact(k, l, threshold)
+                == _similar_or_exact_oracle(taxonomy, k, l, threshold))
+
+    def test_normalizes_each_argument_once(self, taxonomy, monkeypatch):
+        seen = []
+
+        def counted(text):
+            seen.append(text)
+            return normalize_keyword(text)
+
+        monkeypatch.setattr(taxonomy_module, "normalize_keyword", counted)
+        assert taxonomy.similar_or_exact("Motor_Sports", "motorcycles", 2.5)
+        assert taxonomy.similar_or_exact("ZZZ   Unknown", "zzz unknown", 2.5)
+        assert seen == ["Motor_Sports", "motorcycles", "ZZZ   Unknown", "zzz unknown"]
 
 
 class TestSenses:
