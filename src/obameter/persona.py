@@ -12,12 +12,13 @@ pages:
 
 Training keywords are then pooled across tagging sources with an N-of-M
 consensus: a keyword from one source survives iff at least N of the other
-sources carry some keyword above the similarity threshold. Keywords that
-are not in the taxonomy fall back to exact string equality.
+sources carry some keyword whose `KeywordTaxonomy.score` against it is
+above the similarity threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping
 
@@ -167,9 +168,10 @@ class ConsensusConfig:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ConfigurationError(f"consensus n must be >= 0, got {self.n}")
-        if self.threshold < 0:
+        # an infinite threshold would reject even exact matches (score inf)
+        if not 0 <= self.threshold < math.inf:
             raise ConfigurationError(
-                f"consensus threshold must be >= 0, got {self.threshold}"
+                f"consensus threshold must be finite and >= 0, got {self.threshold}"
             )
 
 
@@ -198,23 +200,20 @@ def consensus_training_keywords(
             f"consensus needs at least {needed} sources, got {len(union)}"
         )
 
-    sources = sorted(union)
-    retained: dict[str, set[str]] = {}
-    for src in sources:
-        keep: set[str] = set()
-        for kw in union[src]:
-            support = 0
-            for other in sources:
-                if other == src:
-                    continue
-                if any(
-                    taxonomy.similar_or_exact(kw, cand, config.threshold)
-                    for cand in union[other]
-                ):
-                    support += 1
-                    if support >= config.n:
-                        break
-            if support >= config.n:
-                keep.add(kw)
-        retained[src] = keep
-    return retained
+    # each keyword's neighbours: the keywords, itself included, similar to it
+    vocab = sorted(set().union(*union.values()))
+    near: dict[str, set[str]] = {kw: set() for kw in vocab}
+    for i, kw in enumerate(vocab):
+        for other in vocab[i:]:
+            if taxonomy.similar_or_exact(kw, other, config.threshold):
+                near[kw].add(other)
+                near[other].add(kw)
+
+    return {
+        src: {
+            kw for kw in kws
+            if sum(not near[kw].isdisjoint(union[other])
+                   for other in union if other != src) >= config.n
+        }
+        for src, kws in sorted(union.items())
+    }

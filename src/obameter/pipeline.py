@@ -14,10 +14,8 @@ leaving survivors untouched (same objects, same ntimes):
 
 Landing pages always compare by the corpus equality rule (host + path,
 query stripped), through the landing_key each AdImpression stores.
-Persona categories are compared in the canonical form `Persona` stores.
-Categories missing from the taxonomy use the exact-match fallback: an
-equal category never counts as dissimilar, a different one counts as
-dissimilar at any positive threshold.
+Persona categories are compared by `KeywordTaxonomy.score`, which also
+decides categories missing from the taxonomy.
 """
 
 from __future__ import annotations
@@ -101,15 +99,6 @@ def build_audience(
     return audience
 
 
-def _category_below(
-    taxonomy: KeywordTaxonomy, a: str, b: str, threshold: float
-) -> bool:
-    """Strictly-below-threshold test with the exact-match fallback."""
-    if a in taxonomy and b in taxonomy:
-        return taxonomy.lc_similarity(a, b) < threshold
-    return a != b and threshold > 0
-
-
 def filter_demo_geo(
     impressions: Iterable[AdImpression],
     persona_id: str,
@@ -122,6 +111,8 @@ def filter_demo_geo(
 
     An impression seen by this persona alone survives. Similarity exactly
     equal to t_prime keeps the impression; only strictly lower removes.
+    A persona in any impression's audience with no category raises
+    ConfigurationError naming the smallest such id.
     """
     try:
         own_cat = persona_categories[persona_id]
@@ -129,23 +120,17 @@ def filter_demo_geo(
         raise ConfigurationError(
             f"no category known for persona {persona_id!r}"
         ) from None
-    out: list[AdImpression] = []
-    for imp in impressions:
-        others = audience.get(imp.landing_key, set()) - {persona_id}
-        distant = False
-        for other in sorted(others):
-            try:
-                other_cat = persona_categories[other]
-            except KeyError:
-                raise ConfigurationError(
-                    f"no category known for persona {other!r}"
-                ) from None
-            if _category_below(taxonomy, own_cat, other_cat, t_prime):
-                distant = True
-                break
-        if not distant:
-            out.append(imp)
-    return out
+    impressions = list(impressions)
+    seen_by = [audience.get(imp.landing_key, ()) for imp in impressions]
+    others = set().union(*seen_by) - {persona_id}
+    unknown = [pid for pid in others if pid not in persona_categories]
+    if unknown:
+        raise ConfigurationError(f"no category known for persona {min(unknown)!r}")
+    distant = {
+        pid for pid in others
+        if taxonomy.score(own_cat, persona_categories[pid]) < t_prime
+    }
+    return [imp for imp, aud in zip(impressions, seen_by) if distant.isdisjoint(aud)]
 
 
 @dataclass

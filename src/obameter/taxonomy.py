@@ -18,6 +18,8 @@ maximum over sense pairs.
 
 Keyword texts are stored normalized (`normalize_keyword`), and each public
 query normalizes its own arguments once, so callers may pass any spelling.
+`score` is the one similarity relation that consensus and the `dg` filter
+use, and the one place that decides keywords outside the tree.
 """
 
 from __future__ import annotations
@@ -122,18 +124,23 @@ class KeywordTaxonomy:
         """True iff lc_similarity(k, l) is strictly above the threshold."""
         return self.lc_similarity(k, l) > threshold
 
-    def similar_or_exact(self, k: str, l: str, threshold: float) -> bool:
-        """Similarity test with the exact-match fallback.
+    def score(self, k: str, l: str) -> float:
+        """Leacock-Chodorow score, with the fallback outside the tree.
 
-        When both keywords are in the taxonomy this is `similar`. When
-        either is absent it degrades to equality of the normalized texts,
-        independent of the threshold. Each argument is normalized once.
+        When either keyword has no sense node, equal normalized texts score
+        math.inf (above every finite threshold) and different texts 0.0
+        (below every positive one). Symmetric; each argument is normalized
+        once.
         """
         norm_k, nodes_k = self._lookup(k)
         norm_l, nodes_l = self._lookup(l)
         if nodes_k is not None and nodes_l is not None:
-            return self._score(nodes_k, nodes_l) > threshold
-        return norm_k == norm_l
+            return self._score(nodes_k, nodes_l)
+        return math.inf if norm_k == norm_l else 0.0
+
+    def similar_or_exact(self, k: str, l: str, threshold: float) -> bool:
+        """True iff score(k, l) is strictly above the threshold."""
+        return self.score(k, l) > threshold
 
     def keywords(self) -> list[str]:
         """All keyword texts, sorted."""

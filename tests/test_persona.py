@@ -1,6 +1,9 @@
 """Training-page selection and multi-source keyword consensus."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obameter import (
     CandidatePage,
@@ -8,9 +11,10 @@ from obameter import (
     Persona,
     WebPage,
     consensus_training_keywords,
+    normalize_keyword,
     select_training_pages,
 )
-from obameter.errors import InsufficientSources, PersonaRejected
+from obameter.errors import ConfigurationError, InsufficientSources, PersonaRejected
 
 from pools_fixture import CONSENSUS_EXPECTED, consensus_case
 
@@ -144,3 +148,79 @@ class TestConsensus:
             persona, tags, ConsensusConfig(2, 2.5), taxonomy
         )
         assert with_noise == without
+
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan, -0.1])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            ConsensusConfig(n=2, threshold=threshold)
+
+
+def _consensus_oracle(persona, tags, config, taxonomy):
+    """The pair loop consensus ran before it compared neighbour sets, with
+    the keyword relation spelt out from lc_similarity and normalize_keyword."""
+
+    def similar(k, l):
+        if k in taxonomy and l in taxonomy:
+            return taxonomy.lc_similarity(k, l) > config.threshold
+        return normalize_keyword(k) == normalize_keyword(l)
+
+    union = {
+        src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
+        for src, table in tags.items()
+    }
+    sources = sorted(union)
+    retained = {}
+    for src in sources:
+        keep = set()
+        for kw in union[src]:
+            support = 0
+            for other in sources:
+                if other == src:
+                    continue
+                if any(similar(kw, cand) for cand in union[other]):
+                    support += 1
+                    if support >= config.n:
+                        break
+            if support >= config.n:
+                keep.add(kw)
+        retained[src] = keep
+    return retained
+
+
+# one demo subtree at path lengths 1 to 5, a far branch, and two keywords
+# outside the taxonomy
+_KEYWORDS = st.sampled_from([
+    "home & garden", "yard & patio", "swimming pools & spas", "inground pools",
+    "pool maintenance", "hot tubs & spas", "pools", "lawn care", "plumbing",
+    "finance", "banking", "online banking", "insurance", "blockchain", "web3",
+])
+_TRAINING = ["http://t-0.example/a", "http://t-1.example/b"]
+
+
+class TestConsensusOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_pair_loop(self, taxonomy, data):
+        persona = Persona(id="p", category="banking", training_pages=[
+            WebPage(url=u, role="training") for u in _TRAINING
+        ])
+        urls = st.sampled_from(_TRAINING + ["http://off.example/"])
+        sources = [f"s{i}" for i in range(data.draw(st.integers(2, 4)))]
+        tags = {
+            src: data.draw(st.dictionaries(
+                urls, st.sets(_KEYWORDS, max_size=4), max_size=3
+            ))
+            for src in sources
+        }
+        scores = [-math.log(k / (2 * taxonomy.max_depth))
+                  for k in range(1, 2 * taxonomy.max_depth + 1)]
+        threshold = data.draw(st.one_of(
+            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+        ))
+        config = ConsensusConfig(n=data.draw(st.integers(0, 3)), threshold=threshold)
+        if len(sources) < max(2, config.n + 1):
+            with pytest.raises(InsufficientSources):
+                consensus_training_keywords(persona, tags, config, taxonomy)
+            return
+        assert (consensus_training_keywords(persona, tags, config, taxonomy)
+                == _consensus_oracle(persona, tags, config, taxonomy))

@@ -13,6 +13,7 @@ from obameter import (
     build_audience,
     filter_demo_geo,
     filter_static_contextual,
+    normalize_keyword,
 )
 from obameter.errors import ConfigurationError, MissingCleanProfile
 from obameter.pipeline import FILTER_SETS
@@ -185,6 +186,23 @@ class TestDemoGeoStage:
             filter_demo_geo(shared, "pools", categories,
                             case.audience, case.taxonomy, t_prime=2.5)
 
+    @pytest.mark.parametrize("audience_ids, known, unknown", [
+        # the known member is distant, so stopping at it would drop silently
+        ({"p", "a", "z"}, {"a": "dating"}, "z"),
+        ({"p", "a", "z"}, {"z": "dating"}, "a"),
+        ({"p", "m", "b", "x"}, {}, "b"),
+    ])
+    def test_unknown_audience_member_raises_whatever_the_id_order(
+        self, taxonomy, audience_ids, known, unknown
+    ):
+        imps = [AdImpression(persona_id="p", session_id="s",
+                             control_page="https://c.example/",
+                             landing_page="https://ad.example/x", ntimes=1)]
+        audience = {"ad.example/x": audience_ids}
+        cats = {"p": "banking", **known}
+        with pytest.raises(ConfigurationError, match=f"'{unknown}'"):
+            filter_demo_geo(imps, "p", cats, audience, taxonomy, t_prime=2.5)
+
     def test_out_of_taxonomy_exact_match_keeps(self, case, taxonomy):
         imps = [AdImpression(persona_id="p1", session_id="s",
                              control_page="https://c.example/",
@@ -274,3 +292,46 @@ class TestMonotoneFilters:
             for t_prime in (low, high)
         ]
         assert _ids(kept[1]) <= _ids(kept[0])
+
+
+def _demo_geo_oracle(impressions, persona_id, categories, audience, taxonomy,
+                     t_prime):
+    """The per-impression loop the dg filter ran before it compared sets."""
+
+    def category_below(a, b):
+        if a in taxonomy and b in taxonomy:
+            return taxonomy.lc_similarity(a, b) < t_prime
+        return a != b and t_prime > 0
+
+    own = categories[persona_id]
+    return [
+        imp for imp in impressions
+        if not any(category_below(own, categories[other])
+                   for other in sorted(audience.get(imp.landing_key, set())
+                                       - {persona_id}))
+    ]
+
+
+class TestDemoGeoOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_impression_loop(self, taxonomy, data):
+        pids = [f"p{i}" for i in range(data.draw(st.integers(1, 4)))]
+        # canonical, as Persona stores them
+        categories = {pid: normalize_keyword(data.draw(_CATEGORIES)) for pid in pids}
+        by_persona = {pid: data.draw(_impressions(pid)) for pid in pids}
+        audience = build_audience(by_persona)
+        in_tree = sorted({c for c in categories.values() if c in taxonomy})
+        boundaries = [0.0, taxonomy.max_score, taxonomy.max_score + 0.1] + [
+            taxonomy.lc_similarity(a, b) for a in in_tree for b in in_tree
+        ]
+        t_prime = data.draw(st.one_of(
+            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(boundaries)
+        ))
+        for pid in pids:
+            kept = filter_demo_geo(by_persona[pid], pid, categories, audience,
+                                   taxonomy, t_prime)
+            expected = _demo_geo_oracle(by_persona[pid], pid, categories,
+                                        audience, taxonomy, t_prime)
+            assert [id(imp) for imp in kept] == [id(imp) for imp in expected]
+

@@ -155,6 +155,20 @@ class TestSimilarOrExactOracle:
         ))
         assert (taxonomy.similar_or_exact(k, l, threshold)
                 == _similar_or_exact_oracle(taxonomy, k, l, threshold))
+        score = taxonomy.score(k, l)
+        assert score == taxonomy.score(l, k)
+        assert taxonomy.similar_or_exact(k, l, threshold) == (score > threshold)
+        if k in taxonomy and l in taxonomy:
+            assert score == taxonomy.lc_similarity(k, l)
+        else:
+            assert score == (math.inf if normalize_keyword(k) == normalize_keyword(l)
+                             else 0.0)
+
+    def test_score_outside_the_tree(self, taxonomy):
+        assert taxonomy.score("blockchain", "  BLOCKCHAIN ") == math.inf
+        assert taxonomy.score("blockchain", "web3") == 0.0
+        assert taxonomy.score("blockchain", "banking") == 0.0
+        assert taxonomy.score("banking", "banking") == taxonomy.max_score
 
     def test_normalizes_each_argument_once(self, taxonomy, monkeypatch):
         seen = []
@@ -167,6 +181,10 @@ class TestSimilarOrExactOracle:
         assert taxonomy.similar_or_exact("Motor_Sports", "motorcycles", 2.5)
         assert taxonomy.similar_or_exact("ZZZ   Unknown", "zzz unknown", 2.5)
         assert seen == ["Motor_Sports", "motorcycles", "ZZZ   Unknown", "zzz unknown"]
+        seen.clear()
+        assert taxonomy.score("Motor_Sports", "motorcycles") > 2.5
+        assert taxonomy.score("ZZZ   Unknown", "web3") == 0.0
+        assert seen == ["Motor_Sports", "motorcycles", "ZZZ   Unknown", "web3"]
 
 
 class TestSenses:
