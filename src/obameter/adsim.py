@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from . import demo
-from .corpus import WebPage, from_dict
+from .corpus import WebPage, _record_fields, from_dict
 from .errors import InvalidConfig
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
@@ -179,57 +179,56 @@ def kind_counts(n_ads: int, mix: dict[str, float]) -> dict[str, int]:
 
 
 class _Browser:
-    """Per-session browser state inside the simulator."""
+    """Per-session browser state inside the simulator.
 
-    __slots__ = ("history", "profiles", "clock")
+    `rng` draws the session's ad slots; a reset hands it on to the fresh
+    browser, so resets do not restart the draws.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("history", "profiles", "clock", "rng")
+
+    def __init__(self, rng: random.Random | None = None) -> None:
         self.history: set[str] = set()  # canonical URLs of visited pages
         # aggregator id -> category -> accumulated weight
         self.profiles: dict[str, dict[str, float]] = {}
         self.clock = 0.0
+        self.rng = rng
 
 
+@dataclass(eq=False)
 class World:
-    """Built ad ecosystem; implements the session AdHarvester protocol."""
+    """Built ad ecosystem; implements the session AdHarvester protocol.
 
-    def __init__(
-        self,
-        config: SimConfig,
-        seed: int,
-        personas: list[Persona],
-        control_pages: list[WebPage],
-        ads: list[AdUnit],
-        page_categories: dict[str, list[str]],
-        page_themes: dict[str, str],
-        trackers: dict[str, list[str]],
-        aggregators: list[str],
-    ):
-        self.config = config
-        self.seed = seed
-        self.personas = personas
-        self.control_pages = control_pages
-        self.ads = ads
-        self.page_categories = page_categories
-        self.page_themes = page_themes
-        self.trackers = trackers
-        self.aggregators = aggregators
+    Its fields are the world.json record, which `to_dict` writes and
+    `from_dict` reads back.
+    """
+
+    config: SimConfig
+    seed: int
+    personas: list[Persona]
+    control_pages: list[WebPage]
+    ads: list[AdUnit]
+    page_categories: dict[str, list[str]]
+    page_themes: dict[str, str]
+    trackers: dict[str, list[str]]
+    aggregators: list[str]
+
+    def __post_init__(self) -> None:
         self.spurious_pool = sorted(
-            {c for cats in page_categories.values() for c in cats}
+            {c for cats in self.page_categories.values() for c in cats}
         )
         self._browsers: dict[str, _Browser] = {}
-        self._serve_rng: dict[str, random.Random] = {}
 
     # -- harvester protocol -------------------------------------------------
 
     def begin(self, config: SessionConfig) -> None:
-        self._browsers[config.session_id] = _Browser()
-        self._serve_rng[config.session_id] = random.Random(
-            derive_seed(self.seed, "serve", config.session_id)
+        self._browsers[config.session_id] = _Browser(
+            random.Random(derive_seed(self.seed, "serve", config.session_id))
         )
 
     def reset(self, config: SessionConfig) -> None:
-        self._browsers[config.session_id] = _Browser()
+        sid = config.session_id
+        self._browsers[sid] = _Browser(self._browsers[sid].rng)
 
     def visit(self, config: SessionConfig, event: VisitEvent) -> list[ServedAd]:
         browser = self._browsers[config.session_id]
@@ -311,7 +310,7 @@ class World:
         pool = self._eligible(config, browser, url)
         if not pool:
             return []
-        rng = self._serve_rng[config.session_id]
+        rng = browser.rng
         slots = min(self.config.ads_per_visit, len(pool))
         weights = [ad.base_weight for ad in pool]
         picked: list[AdUnit] = []
@@ -352,31 +351,22 @@ class World:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "config": asdict(self.config),
-            "aggregators": self.aggregators,
-            "control_pages": [p.url for p in self.control_pages],
             "personas": [persona.to_dict() for persona in self.personas],
+            "control_pages": [p.url for p in self.control_pages],
             "ads": [asdict(ad) for ad in self.ads],
-            "page_categories": self.page_categories,
-            "page_themes": self.page_themes,
-            "trackers": self.trackers,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "World":
-        return cls(
-            config=from_dict(SimConfig, data["config"], "sim"),
-            seed=data["seed"],
-            personas=[Persona.from_dict(rec) for rec in data["personas"]],
-            control_pages=[WebPage(url=u, role="control") for u in data["control_pages"]],
-            ads=[from_dict(AdUnit, ad, "ad") for ad in data["ads"]],
-            page_categories=data["page_categories"],
-            page_themes=data["page_themes"],
-            trackers=data["trackers"],
-            aggregators=data["aggregators"],
-        )
+        rec = _record_fields(cls, data, "world record")
+        return cls(**rec | {
+            "config": from_dict(SimConfig, rec["config"], "sim"),
+            "personas": [Persona.from_dict(p) for p in rec["personas"]],
+            "control_pages": [WebPage(url=u, role="control") for u in rec["control_pages"]],
+            "ads": [from_dict(AdUnit, ad, "ad") for ad in rec["ads"]],
+        })
 
 
 class WorldTagSource:

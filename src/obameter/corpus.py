@@ -26,13 +26,16 @@ Store layout. An experiment directory holds
     performance.json     validation output
 
 Writes go through a single writer (the CLI is single-process); readers
-load snapshots, so a reader never observes a torn line.
+load snapshots, so a reader never observes a torn line. A whole file is
+written to a temporary sibling that then replaces it, so a write that
+fails part-way leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import typing
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
@@ -179,6 +182,43 @@ def check_keys(data, known: Iterable[str], section: str) -> Mapping:
     return data
 
 
+def _record_problem(rec, required: Iterable[str]) -> str | None:
+    """Why `rec` is not an object holding every key in `required`, or None."""
+    if not isinstance(rec, dict):
+        return "is not an object"
+    for key in required:
+        if key not in rec:
+            return f"has no {key!r}"
+    return None
+
+
+def _record_fields(cls, rec, where: str) -> dict:
+    """Field name -> value, for each field of dataclass `cls`, from record `rec`.
+
+    A missing field raises CorpusDataError; keys naming no field are ignored.
+    """
+    names = [f.name for f in fields(cls)]
+    problem = _record_problem(rec, names)
+    if problem:
+        raise CorpusDataError(f"{where} {problem}")
+    return {name: rec[name] for name in names}
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` whole or not at all.
+
+    The text goes to a temporary sibling that `os.replace` then moves over
+    `path`, so a write that fails part-way leaves the old file as it was
+    and the temporary one removed.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 @functools.cache
 def _field_types(cls) -> dict[str, object]:
     hints = typing.get_type_hints(cls)
@@ -254,7 +294,7 @@ class ExperimentStore:
 
     def write_pages(self, pages: Iterable[WebPage]) -> None:
         lines = [_dump_line({"role": p.role, "url": p.url}) for p in pages]
-        self.path("pages.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(self.path("pages.jsonl"), "\n".join(lines) + "\n")
 
     def load_pages(self) -> list[WebPage]:
         return [
@@ -270,7 +310,7 @@ class ExperimentStore:
             _dump_line({"keywords": sorted(kws), "source": source, "url": url})
             for url, kws in table.items()
         ]
-        self.tags_path(source).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(self.tags_path(source), "\n".join(lines) + "\n")
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
         """Canonical URL to keywords as `tag_pages` makes them; each page once."""
@@ -355,11 +395,9 @@ class ExperimentStore:
             if not isinstance(records, list):
                 raise CorpusDataError(f"{name} in {self.root} has no {stem!r} list")
         for i, rec in enumerate(records, 1):
-            if not isinstance(rec, dict):
-                raise self.bad_record(name, i, "is not an object")
-            for key in required:
-                if key not in rec:
-                    raise self.bad_record(name, i, f"has no {key!r}")
+            problem = _record_problem(rec, required)
+            if problem:
+                raise self.bad_record(name, i, problem)
         return records
 
     def bad_record(self, name: str, i: int, what: str) -> CorpusDataError:
@@ -370,9 +408,9 @@ class ExperimentStore:
 
     def write_doc(self, name: str, obj) -> None:
         """Canonical pretty JSON; stable bytes for identical data."""
-        self.path(name).write_text(
+        _write_atomic(
+            self.path(name),
             json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
         )
 
     def load_doc(self, name: str):

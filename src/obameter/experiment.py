@@ -58,11 +58,14 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
+    _record_problem,
+    _write_atomic,
     check_keys,
     from_dict,
     tag_pages,
 )
 from .errors import (
+    CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
     InvalidConfig,
@@ -94,6 +97,13 @@ _SESSION_KEYS = ("visit_budget", "mean_interval")
 
 # the keys of a sessions.json row that analysis reads
 _SESSION_ROW_KEYS = ("session", "persona", "condition", "rep", "clean", "complete")
+
+# the top-level keys of report.json and performance.json that digest reads
+_REPORT_KEYS = (
+    "experiment_id", "personas", "sources", "conditions", "filters", "consensus",
+    "summary",
+)
+_PERFORMANCE_KEYS = ("dropout", "levels", "clean_profile_pure")
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -331,7 +341,7 @@ def _load_corpus(root: str | Path) -> _Corpus:
 
     personas = {
         rec["id"]: Persona.from_dict(rec)
-        for rec in store.load_records("personas.json", Persona.RECORD_KEYS)
+        for rec in store.load_records("personas.json", [f.name for f in fields(Persona)])
     }
 
     bad = store.bad_record
@@ -476,7 +486,7 @@ def analyze(
         "correlation": correlation,
     }
     corpus.store.write_doc("report.json", report)
-    corpus.store.path("report.csv").write_text(_summary_csv(summary), encoding="utf-8")
+    _write_atomic(corpus.store.path("report.csv"), _summary_csv(summary))
     return report
 
 
@@ -749,9 +759,13 @@ def _clean_profile_pure(corpus: _Corpus) -> bool:
 
 
 def digest(root: str | Path) -> str:
-    """Human-readable run summary from the stored report files."""
+    """Human-readable run summary from the stored report files.
+
+    A report document that is not an object or lacks a top-level key this
+    summary reads raises CorpusDataError.
+    """
     store = ExperimentStore(root)
-    report = store.load_doc("report.json")
+    report = _load_checked(store, "report.json", _REPORT_KEYS)
     lines = [
         f"experiment {report['experiment_id']}",
         f"personas {len(report['personas'])}  sources {len(report['sources'])}  "
@@ -798,7 +812,7 @@ def digest(root: str | Path) -> str:
 
     perf_path = store.path("performance.json")
     if perf_path.exists():
-        perf = store.load_doc("performance.json")
+        perf = _load_checked(store, "performance.json", _PERFORMANCE_KEYS)
         lines.append("")
         lines.append(f"validation (dropout {perf['dropout']}):")
         for level in perf["levels"]:
@@ -812,6 +826,14 @@ def digest(root: str | Path) -> str:
             "  clean profile pure: " + ("yes" if perf["clean_profile_pure"] else "NO")
         )
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _load_checked(store: ExperimentStore, name: str, required: Sequence[str]):
+    doc = store.load_doc(name)
+    problem = _record_problem(doc, required)
+    if problem:
+        raise CorpusDataError(f"{name} in {store.root} {problem}")
+    return doc
 
 
 def fmt(value: float | None, places: int = 3) -> str:

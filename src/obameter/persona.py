@@ -19,10 +19,10 @@ above the similarity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Mapping
 
-from .corpus import WebPage
+from .corpus import WebPage, _record_fields
 from .errors import ConfigurationError, InsufficientSources, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -31,8 +31,8 @@ from .taxonomy import KeywordTaxonomy, normalize_keyword
 class Persona:
     """A trained browsing identity and its training-page selection attrition.
 
-    `to_dict`/`from_dict` are the one record codec, shared by personas.json
-    and world.json.
+    Its fields are the record of personas.json and of world.json, which
+    `to_dict` writes and `from_dict` reads back.
     """
 
     id: str
@@ -40,11 +40,6 @@ class Persona:
     sensitive: bool = False
     training_pages: list[WebPage] = field(default_factory=list)
     attrition: dict[str, int] = field(default_factory=dict)
-
-    # the keys of the record to_dict writes and from_dict reads
-    RECORD_KEYS: ClassVar[tuple[str, ...]] = (
-        "id", "category", "sensitive", "training_pages", "attrition",
-    )
 
     def __post_init__(self) -> None:
         self.category = normalize_keyword(self.category)
@@ -54,25 +49,18 @@ class Persona:
         return [p.url for p in self.training_pages]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "category": self.category,
-            "sensitive": self.sensitive,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "training_pages": self.visited_urls,
-            "attrition": self.attrition,
         }
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":
-        return cls(
-            id=rec["id"],
-            category=rec["category"],
-            sensitive=rec["sensitive"],
-            training_pages=[
+        rec = _record_fields(cls, rec, "persona record")
+        return cls(**rec | {
+            "training_pages": [
                 WebPage(url=u, role="training") for u in rec["training_pages"]
             ],
-            attrition=rec["attrition"],
-        )
+        })
 
 
 @dataclass

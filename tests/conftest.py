@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,26 @@ def fail_on_visit(monkeypatch):
             return visit(world, config, event)
 
         monkeypatch.setattr(World, "visit", failing)
+
+    return arm
+
+
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """torn_writes(name) makes Path.write_text, on any file whose name
+    contains `name`, write half of the text and then raise OSError, as a
+    full disk would; monkeypatch.undo() restores it."""
+
+    def arm(name: str) -> None:
+        write_text = Path.write_text
+
+        def torn(path, text, *args, **kwargs):
+            if name not in path.name:
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(f"no space left on device writing {path.name}")
+
+        monkeypatch.setattr(Path, "write_text", torn)
 
     return arm
 

@@ -1,7 +1,7 @@
 """World building, serving rules, and ground-truth soundness."""
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,7 @@ from obameter import (
 )
 from obameter.adsim import _Browser
 from obameter.corpus import from_dict
-from obameter.errors import InvalidConfig
+from obameter.errors import CorpusDataError, InvalidConfig
 
 
 @pytest.fixture
@@ -331,11 +331,35 @@ class TestDeterminismAndRoundTrip:
 
     def test_world_round_trip_replays_identically(self, make_world):
         world = make_world(seed=12)
-        clone = World.from_dict(world.to_dict())
-        r1 = _session(world, "banking", seed=7)
-        r2 = _session(clone, "banking", seed=7)
-        assert [(i.landing_page, i.ntimes) for i in r1.impressions] \
-            == [(i.landing_page, i.ntimes) for i in r2.impressions]
+        clone = World.from_dict(json.loads(json.dumps(world.to_dict())))
+        assert clone.to_dict() == world.to_dict()
+        # a clean profile resets the browser after every visit, which must
+        # keep the session's serving draws going where they were
+        for clean in (False, True):
+            r1 = _session(world, "banking", seed=7, clean_profile=clean)
+            r2 = _session(clone, "banking", seed=7, clean_profile=clean)
+            assert r1.impressions
+            assert [(i.landing_page, i.ntimes, i.ground_truth) for i in r1.impressions] \
+                == [(i.landing_page, i.ntimes, i.ground_truth) for i in r2.impressions]
+
+    def test_records_ignore_unknown_keys(self, world):
+        record = world.to_dict() | {"note": "kept by another tool"}
+        record["personas"] = [p.to_dict() | {"note": 1} for p in world.personas]
+        assert World.from_dict(record).to_dict() == world.to_dict()
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(World)])
+    def test_world_record_without_a_key_is_a_data_error(self, world, key):
+        record = world.to_dict()
+        del record[key]
+        with pytest.raises(CorpusDataError, match=f"world record has no '{key}'"):
+            World.from_dict(record)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(Persona)])
+    def test_persona_record_without_a_key_is_a_data_error(self, world, key):
+        record = world.to_dict()
+        del record["personas"][-1][key]
+        with pytest.raises(CorpusDataError, match=f"persona record has no '{key}'"):
+            World.from_dict(record)
 
 
 class TestTagSources:

@@ -22,6 +22,16 @@ def cli_corpus(tmp_path_factory):
     return root
 
 
+def _edit_doc(src, dest, name, edit):
+    """Copy the corpus at `src` to `dest` with `edit` applied to document `name`."""
+    shutil.copytree(src, dest)
+    path = dest / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return dest
+
+
 class TestSimulate:
     def test_writes_corpus_and_prints_summary(self, cli_corpus, capsys):
         out = capsys.readouterr().out
@@ -283,8 +293,43 @@ class TestValidate:
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
         assert "corpus error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda world: world.pop("trackers"), "trackers"),
+        (lambda world: world["personas"][0].pop("attrition"), "attrition"),
+    ], ids=["world", "persona"])
+    def test_world_record_without_a_key_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, edit, key
+    ):
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json", edit)
+        capsys.readouterr()
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and repr(key) in err
+
 
 class TestReport:
+    @pytest.fixture(scope="class")
+    def scored_corpus(self, cli_corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("scored") / "corpus"
+        shutil.copytree(cli_corpus, root)
+        assert main(["analyze", str(root)]) == 0
+        assert main(["validate", str(root), "--spurious-levels", "0.0"]) == 0
+        return root
+
+    @pytest.mark.parametrize("name, key", [
+        ("report.json", "summary"),
+        ("performance.json", "levels"),
+    ])
+    def test_document_without_a_key_is_a_data_error(
+        self, scored_corpus, tmp_path, capsys, name, key
+    ):
+        clone = _edit_doc(scored_corpus, tmp_path / "c", name, lambda doc: doc.pop(key))
+        capsys.readouterr()
+        assert main(["report", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and repr(key) in err
+
     def test_digest_after_analyze_and_validate(self, cli_corpus, capsys):
         assert main(["analyze", str(cli_corpus)]) == 0
         assert main(["validate", str(cli_corpus),

@@ -275,3 +275,13 @@ class TestStore:
         store = ExperimentStore(tmp_path).create()
         store.write_doc("meta.json", {"b": 1, "a": [1, 2]})
         assert store.load_doc("meta.json") == {"a": [1, 2], "b": 1}
+
+    def test_failed_write_keeps_the_old_document(self, tmp_path, torn_writes):
+        store = ExperimentStore(tmp_path).create()
+        store.write_doc("report.json", {"old": True})
+        before = store.path("report.json").read_bytes()
+        torn_writes("report.json")
+        with pytest.raises(OSError, match="no space"):
+            store.write_doc("report.json", {"new": list(range(100))})
+        assert store.path("report.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

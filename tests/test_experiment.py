@@ -522,6 +522,19 @@ class TestAnalyze:
         with pytest.raises(InvalidConfig, match="persona 'p'"):
             analyze(tmp_path / "empty", cpc_path=cpc)
 
+    def test_failed_csv_write_keeps_the_old_report_csv(
+        self, corpus_dir, tmp_path, torn_writes
+    ):
+        root = _copy_corpus(corpus_dir[0], tmp_path / "c")
+        analyze(root)
+        before = (root / "report.csv").read_bytes()
+        names = sorted(p.name for p in root.iterdir())
+        torn_writes("report.csv")
+        with pytest.raises(OSError, match="no space"):
+            analyze(root, filters=FilterConfig(filters="r"))
+        assert (root / "report.csv").read_bytes() == before
+        assert sorted(p.name for p in root.iterdir()) == names
+
     def test_analyze_missing_corpus(self, tmp_path):
         with pytest.raises(IncompleteCorpus):
             analyze(tmp_path / "empty")
