@@ -19,9 +19,10 @@ the aggregators present on the page, or with `share_profiles` the sum over
 all of them), so each oba unit costs one lookup against the activation
 threshold; the eligible units keep inventory order, which the weighted
 draw picks from by position. Aggregator profiles build up from tracked
-page visits; a browser whose state is reset after every visit (the clean
-profile) can therefore never receive oba or retargeting ads, which is why
-the activation threshold must be positive.
+page visits. `World.begin` returns the session's browser, and
+`World.visit` serves and observes one page with it; a clean-profile
+browser observes nothing, so it stays empty and can never receive oba or
+retargeting ads, which is why the activation threshold must be positive.
 
 The world generates every URL in canonical form, so serving parses none:
 trackers, categories, themes and the browser history all hold canonical
@@ -179,15 +180,15 @@ def kind_counts(n_ads: int, mix: dict[str, float]) -> dict[str, int]:
 
 
 class _Browser:
-    """Per-session browser state inside the simulator.
+    """One session's serving state: its config, what it has observed, and
+    the rng that draws its ad slots."""
 
-    `rng` draws the session's ad slots; a reset hands it on to the fresh
-    browser, so resets do not restart the draws.
-    """
+    __slots__ = ("config", "history", "profiles", "clock", "rng")
 
-    __slots__ = ("history", "profiles", "clock", "rng")
-
-    def __init__(self, rng: random.Random | None = None) -> None:
+    def __init__(
+        self, config: SessionConfig | None = None, rng: random.Random | None = None
+    ) -> None:
+        self.config = config
         self.history: set[str] = set()  # canonical URLs of visited pages
         # aggregator id -> category -> accumulated weight
         self.profiles: dict[str, dict[str, float]] = {}
@@ -200,7 +201,8 @@ class World:
     """Built ad ecosystem; implements the session AdHarvester protocol.
 
     Its fields are the world.json record, which `to_dict` writes and
-    `from_dict` reads back.
+    `from_dict` reads back, and it holds nothing else: a session's
+    serving state is the browser `begin` returns.
     """
 
     config: SimConfig
@@ -213,31 +215,21 @@ class World:
     trackers: dict[str, list[str]]
     aggregators: list[str]
 
-    def __post_init__(self) -> None:
-        self.spurious_pool = sorted(
-            {c for cats in self.page_categories.values() for c in cats}
-        )
-        self._browsers: dict[str, _Browser] = {}
-
     # -- harvester protocol -------------------------------------------------
 
-    def begin(self, config: SessionConfig) -> None:
-        self._browsers[config.session_id] = _Browser(
-            random.Random(derive_seed(self.seed, "serve", config.session_id))
+    def begin(self, config: SessionConfig) -> _Browser:
+        return _Browser(
+            config, random.Random(derive_seed(self.seed, "serve", config.session_id))
         )
 
-    def reset(self, config: SessionConfig) -> None:
-        sid = config.session_id
-        self._browsers[sid] = _Browser(self._browsers[sid].rng)
-
-    def visit(self, config: SessionConfig, event: VisitEvent) -> list[ServedAd]:
-        browser = self._browsers[config.session_id]
+    def visit(self, browser: _Browser, event: VisitEvent) -> list[ServedAd]:
         url = event.page.url
         served: list[ServedAd] = []
         if event.kind == "control":
-            chosen = self._serve(config, browser, url)
+            chosen = self._serve(browser, url)
             served = [ServedAd(landing_url=ad.landing_url, label=ad.kind) for ad in chosen]
-        self._observe(browser, url, event.t)
+        if not browser.config.clean_profile:
+            self._observe(browser, url, event.t)
         return served
 
     # -- serving ------------------------------------------------------------
@@ -278,7 +270,8 @@ class World:
                     weights[cat] = w
         return weights
 
-    def _eligible(self, config: SessionConfig, browser: _Browser, url: str) -> list[AdUnit]:
+    def _eligible(self, browser: _Browser, url: str) -> list[AdUnit]:
+        config = browser.config
         suppressed = self.config.honor_dnt and config.dnt
         theme = self.page_themes.get(url)
         present = self.trackers.get(url, ())
@@ -306,8 +299,8 @@ class World:
                     out.append(ad)
         return out
 
-    def _serve(self, config: SessionConfig, browser: _Browser, url: str) -> list[AdUnit]:
-        pool = self._eligible(config, browser, url)
+    def _serve(self, browser: _Browser, url: str) -> list[AdUnit]:
+        pool = self._eligible(browser, url)
         if not pool:
             return []
         rng = browser.rng
@@ -384,6 +377,10 @@ class WorldTagSource:
         self.world = world
         self.noise = noise
         self._salt = derive_seed(world.seed, "tags", name)
+        # every category of any page, the keywords spurious injection draws
+        self.spurious_pool = sorted(
+            {c for cats in world.page_categories.values() for c in cats}
+        )
 
     def keywords_for(self, page: WebPage) -> set[str]:
         true = self.world.page_categories.get(page.url, ())
@@ -392,7 +389,7 @@ class WorldTagSource:
             if hash_uniform(self._salt, "drop", page.url, k) >= self.noise.dropout
         }
         if self.noise.spurious > 0.0:
-            for k in self.world.spurious_pool:
+            for k in self.spurious_pool:
                 if hash_uniform(self._salt, "spur", page.url, k) < self.noise.spurious:
                     kept.add(k)
         return kept

@@ -211,12 +211,17 @@ def _write_atomic(path: Path, text: str) -> None:
     `path`, so a write that fails part-way leaves the old file as it was
     and the temporary one removed.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = _temporary(path)
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _temporary(path: Path) -> Path:
+    """The hidden sibling `_write_atomic` writes before it replaces `path`."""
+    return path.with_name(f".{path.name}.tmp")
 
 
 @functools.cache
@@ -266,8 +271,11 @@ class ExperimentStore:
         return self
 
     def clear(self) -> None:
-        """Delete every file the layout names; leave anything else alone."""
-        for p in [*map(self.path, self.FILES), *self.root.glob("tags.*.jsonl")]:
+        """Delete every file the layout names, and the temporary sibling a
+        killed write leaves of any of them; leave anything else alone."""
+        layout = [*map(self.path, self.FILES), *self.root.glob("tags.*.jsonl")]
+        stale = [*map(_temporary, layout), *self.root.glob(".tags.*.jsonl.tmp")]
+        for p in layout + stale:
             p.unlink(missing_ok=True)
 
     # path helpers

@@ -58,7 +58,6 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    _record_problem,
     _write_atomic,
     check_keys,
     from_dict,
@@ -97,13 +96,6 @@ _SESSION_KEYS = ("visit_budget", "mean_interval")
 
 # the keys of a sessions.json row that analysis reads
 _SESSION_ROW_KEYS = ("session", "persona", "condition", "rep", "clean", "complete")
-
-# the top-level keys of report.json and performance.json that digest reads
-_REPORT_KEYS = (
-    "experiment_id", "personas", "sources", "conditions", "filters", "consensus",
-    "summary",
-)
-_PERFORMANCE_KEYS = ("dropout", "levels", "clean_profile_pure")
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -761,11 +753,30 @@ def _clean_profile_pure(corpus: _Corpus) -> bool:
 def digest(root: str | Path) -> str:
     """Human-readable run summary from the stored report files.
 
-    A report document that is not an object or lacks a top-level key this
-    summary reads raises CorpusDataError.
+    A report document that lacks a key this summary reads, at any depth,
+    or holds a value it cannot print raises CorpusDataError naming the
+    file.
     """
     store = ExperimentStore(root)
-    report = _load_checked(store, "report.json", _REPORT_KEYS)
+    lines = _read_doc(store, "report.json", _report_lines)
+    if store.path("performance.json").exists():
+        lines += ["", *_read_doc(store, "performance.json", _performance_lines)]
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def _read_doc(store: ExperimentStore, name: str, render) -> list[str]:
+    """`render(doc)` for stored document `name`, whose shape is checked by
+    reading it: any key or value `render` cannot use is a corpus error."""
+    doc = store.load_doc(name)
+    try:
+        return render(doc)
+    except KeyError as exc:
+        raise CorpusDataError(f"{name} in {store.root} has no {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CorpusDataError(f"{name} in {store.root} is malformed: {exc}") from None
+
+
+def _report_lines(report: dict) -> list[str]:
     lines = [
         f"experiment {report['experiment_id']}",
         f"personas {len(report['personas'])}  sources {len(report['sources'])}  "
@@ -809,31 +820,22 @@ def digest(root: str | Path) -> str:
             lines.append(
                 f"price correlation [{corr['condition']}]: {corr.get('error')}"
             )
+    return lines
 
-    perf_path = store.path("performance.json")
-    if perf_path.exists():
-        perf = _load_checked(store, "performance.json", _PERFORMANCE_KEYS)
-        lines.append("")
-        lines.append(f"validation (dropout {perf['dropout']}):")
-        for level in perf["levels"]:
-            agg = level["aggregate"]
-            lines.append(
-                f"  spurious {level['spurious']:<5}  "
-                f"recall {fmt(agg['recall'])}  accuracy {fmt(agg['accuracy'])}  "
-                f"fpr {fmt(agg['fpr'])}"
-            )
+
+def _performance_lines(perf: dict) -> list[str]:
+    lines = [f"validation (dropout {perf['dropout']}):"]
+    for level in perf["levels"]:
+        agg = level["aggregate"]
         lines.append(
-            "  clean profile pure: " + ("yes" if perf["clean_profile_pure"] else "NO")
+            f"  spurious {level['spurious']:<5}  "
+            f"recall {fmt(agg['recall'])}  accuracy {fmt(agg['accuracy'])}  "
+            f"fpr {fmt(agg['fpr'])}"
         )
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def _load_checked(store: ExperimentStore, name: str, required: Sequence[str]):
-    doc = store.load_doc(name)
-    problem = _record_problem(doc, required)
-    if problem:
-        raise CorpusDataError(f"{name} in {store.root} {problem}")
-    return doc
+    lines.append(
+        "  clean profile pure: " + ("yes" if perf["clean_profile_pure"] else "NO")
+    )
+    return lines
 
 
 def fmt(value: float | None, places: int = 3) -> str:

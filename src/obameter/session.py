@@ -3,8 +3,10 @@
 A session draws `visit_budget` pages uniformly from the persona's pool
 (training plus control pages) with i.i.d. exponential inter-visit gaps,
 then walks the schedule against an ad harvester. Ads are only harvested
-on control-page visits. Clean-profile sessions reset the harvester state
-after every visit, so nothing accumulates across pages.
+on control-page visits. The harvester owns each session's state:
+`begin` returns it and every `visit` of the session gets it back. A
+clean-profile session keeps no state, so nothing accumulates across
+pages.
 
 Repeated sightings of the same ad merge: impressions aggregate by
 (persona, session, control page, landing page) with ntimes summed, and
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from .corpus import AdImpression, UrlMemo, WebPage, url_keys
 from .errors import ConfigurationError, CorpusDataError, EmptyPool
@@ -72,23 +74,20 @@ class ServedAd:
 class AdHarvester(Protocol):
     """Ad-serving backend driven by run_session.
 
-    begin() opens per-session browser state, visit() observes one page and
-    returns the ads displayed there (empty on training pages), reset()
-    wipes the session's browser state (used by clean profiles).
+    begin() returns the session's browser state, and visit() gets that
+    state with each page, observes the page unless `config.clean_profile`
+    is set, and returns the ads displayed there (empty on training pages).
     """
 
-    def begin(self, config: SessionConfig) -> None: ...
+    def begin(self, config: SessionConfig) -> Any: ...
 
-    def visit(self, config: SessionConfig, event: VisitEvent) -> list[ServedAd]: ...
-
-    def reset(self, config: SessionConfig) -> None: ...
+    def visit(self, state: Any, event: VisitEvent) -> list[ServedAd]: ...
 
 
 @dataclass
 class SessionResult:
     """A finished session."""
 
-    session_id: str
     visits: list[VisitEvent]
     impressions: list[AdImpression]
     visit_mix: dict[str, int] = field(default_factory=dict)
@@ -136,9 +135,9 @@ def run_session(
     mix = {"training": 0, "control": 0}
     raw = 0
 
-    harvester.begin(config)
+    state = harvester.begin(config)
     for event in events:
-        served = harvester.visit(config, event)
+        served = harvester.visit(state, event)
         mix[event.kind] = mix.get(event.kind, 0) + 1
         if event.kind == "control":
             for ad in served:
@@ -162,11 +161,8 @@ def run_session(
                             f"{hit.ground_truth!r} vs {ad.label!r}"
                         )
                     hit.ntimes += 1
-        if config.clean_profile:
-            harvester.reset(config)
 
     return SessionResult(
-        session_id=config.session_id,
         visits=events,
         impressions=list(merged.values()),
         visit_mix=mix,

@@ -41,10 +41,10 @@ def fail_on_visit(monkeypatch):
         calls = itertools.count(1)
         visit = World.visit
 
-        def failing(world, config, event):
+        def failing(world, browser, event):
             if next(calls) == n:
                 raise HarvesterFailure(f"harvester failed on visit {n}")
-            return visit(world, config, event)
+            return visit(world, browser, event)
 
         monkeypatch.setattr(World, "visit", failing)
 

@@ -18,6 +18,7 @@ from obameter import (
     kind_counts,
     landing_key,
     run_session,
+    schedule_visits,
 )
 from obameter.adsim import _Browser
 from obameter.corpus import from_dict
@@ -166,6 +167,18 @@ class TestServingRules:
         assert "retargeting" not in kinds
         assert kinds  # it does see the untargeted inventory
 
+    def test_clean_browser_stays_empty_while_served(self, world):
+        persona = world.personas[0]
+        config = SessionConfig(persona_id=persona.id, visit_budget=150, seed=3,
+                               clean_profile=True)
+        browser = world.begin(config)
+        events = schedule_visits(persona.training_pages + world.control_pages, config)
+        served = [ad for event in events for ad in world.visit(browser, event)]
+        assert served
+        assert browser.history == set()
+        assert browser.profiles == {}
+        assert browser.clock == 0.0
+
     def test_oba_targets_the_profiled_category(self, world):
         result = _session(world, "banking")
         oba = [imp for imp in result.impressions if imp.ground_truth == "oba"]
@@ -291,12 +304,12 @@ def _serving_cases(draw, world):
     browser = _Browser()
     browser.profiles = profiles
     browser.history = history
-    config = SessionConfig(
+    browser.config = SessionConfig(
         persona_id="p",
         geo=draw(st.sampled_from(["ES", "US", "FR"])),
         dnt=draw(st.booleans()),
     )
-    return variant, config, browser, url
+    return variant, browser.config, browser, url
 
 
 class TestEligibilityEquivalence:
@@ -304,7 +317,7 @@ class TestEligibilityEquivalence:
     @given(data=st.data())
     def test_eligible_matches_per_ad_rule_in_inventory_order(self, base_world, data):
         world, config, browser, url = data.draw(_serving_cases(base_world))
-        got = world._eligible(config, browser, url)
+        got = world._eligible(browser, url)
         want = _reference_eligible(world, config, browser, url)
         assert [ad.ad_id for ad in got] == [ad.ad_id for ad in want]
 
@@ -333,14 +346,20 @@ class TestDeterminismAndRoundTrip:
         world = make_world(seed=12)
         clone = World.from_dict(json.loads(json.dumps(world.to_dict())))
         assert clone.to_dict() == world.to_dict()
-        # a clean profile resets the browser after every visit, which must
-        # keep the session's serving draws going where they were
+        # a clean profile's browser observes nothing, and its serving draws
+        # still run on from visit to visit
         for clean in (False, True):
             r1 = _session(world, "banking", seed=7, clean_profile=clean)
             r2 = _session(clone, "banking", seed=7, clean_profile=clean)
             assert r1.impressions
             assert [(i.landing_page, i.ntimes, i.ground_truth) for i in r1.impressions] \
                 == [(i.landing_page, i.ntimes, i.ground_truth) for i in r2.impressions]
+
+    def test_world_holds_only_its_record_after_sessions(self, world):
+        for pid in ("banking", "motor-sports"):
+            _session(world, pid)
+        _session(world, "banking", clean_profile=True)
+        assert set(vars(world)) == {f.name for f in fields(World)}
 
     def test_records_ignore_unknown_keys(self, world):
         record = world.to_dict() | {"note": "kept by another tool"}
@@ -376,7 +395,8 @@ class TestTagSources:
     def test_spurious_one_floods_with_pool(self, world):
         src = world.tag_sources(TagNoise(spurious=1.0))[0]
         page = world.control_pages[0]
-        assert set(world.spurious_pool) <= src.keywords_for(page)
+        every_category = {c for cats in world.page_categories.values() for c in cats}
+        assert every_category <= src.keywords_for(page)
 
     def test_spurious_sets_nest_as_rate_grows(self, world):
         pages = world.all_pages()[:40]

@@ -316,19 +316,49 @@ class TestReport:
         assert main(["validate", str(root), "--spurious-levels", "0.0"]) == 0
         return root
 
-    @pytest.mark.parametrize("name, key", [
-        ("report.json", "summary"),
-        ("performance.json", "levels"),
+    @pytest.mark.parametrize("name, edit, key", [
+        pytest.param("report.json", lambda doc: doc.pop("summary"), "summary",
+                     id="report.json-summary"),
+        pytest.param("performance.json", lambda doc: doc.pop("levels"), "levels",
+                     id="performance.json-levels"),
+        pytest.param("report.json", lambda doc: doc["filters"].pop("enabled"),
+                     "enabled", id="report.json-filters-enabled"),
+        pytest.param("report.json", lambda doc: doc["summary"][0].pop("bailp_mean"),
+                     "bailp_mean", id="report.json-summary-bailp_mean"),
+        pytest.param("performance.json",
+                     lambda doc: doc["levels"][0]["aggregate"].pop("recall"),
+                     "recall", id="performance.json-aggregate-recall"),
     ])
     def test_document_without_a_key_is_a_data_error(
-        self, scored_corpus, tmp_path, capsys, name, key
+        self, scored_corpus, tmp_path, capsys, name, edit, key
     ):
-        clone = _edit_doc(scored_corpus, tmp_path / "c", name, lambda doc: doc.pop(key))
+        clone = _edit_doc(scored_corpus, tmp_path / "c", name, edit)
         capsys.readouterr()
         assert main(["report", str(clone)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
         assert name in err and repr(key) in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("report.json", "[1, 2]"),
+        ("performance.json", "[1, 2]"),
+        ("performance.json", json.dumps({
+            "dropout": 0.0, "clean_profile_pure": True, "levels": [{
+                "spurious": 0.0,
+                "aggregate": {"recall": "high", "accuracy": 1.0, "fpr": 0.0},
+            }],
+        })),
+    ], ids=["report-list", "performance-list", "performance-string-recall"])
+    def test_document_of_the_wrong_shape_is_a_data_error(
+        self, scored_corpus, tmp_path, capsys, name, text
+    ):
+        clone = tmp_path / "c"
+        shutil.copytree(scored_corpus, clone)
+        (clone / name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and name in err
 
     def test_digest_after_analyze_and_validate(self, cli_corpus, capsys):
         assert main(["analyze", str(cli_corpus)]) == 0

@@ -276,6 +276,17 @@ class TestStore:
         store.write_doc("meta.json", {"b": 1, "a": [1, 2]})
         assert store.load_doc("meta.json") == {"a": [1, 2], "b": 1}
 
+    def test_clear_removes_layout_files_and_their_temporary_siblings(self, tmp_path):
+        store = ExperimentStore(tmp_path).create()
+        layout = ["report.json", "visits.jsonl", "tags.sim-a.jsonl"]
+        stale = [".report.json.tmp", ".performance.json.tmp",
+                 ".tags.sim-a.jsonl.tmp", ".tags.sim-b.jsonl.tmp"]
+        kept = ["notes.txt", ".notes.tmp", ".report.json.bak", "tags.txt"]
+        for name in layout + stale + kept:
+            (tmp_path / name).write_text("x", encoding="utf-8")
+        store.clear()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept)
+
     def test_failed_write_keeps_the_old_document(self, tmp_path, torn_writes):
         store = ExperimentStore(tmp_path).create()
         store.write_doc("report.json", {"old": True})

@@ -220,10 +220,14 @@ class TestSimulate:
         analyze(tmp_path)
         validate(tmp_path, spurious_levels=[0.0])
         (tmp_path / "notes.txt").write_text("mine", encoding="utf-8")
+        # what a process killed between writing and replacing leaves
+        stale = (".report.json.tmp", ".sessions.json.tmp", ".tags.sim-a.jsonl.tmp")
+        for name in stale:
+            (tmp_path / name).write_text("torn", encoding="utf-8")
 
         rerun = {**small, "sim": {"sources": ["x", "y"]}, "consensus": {"n": 1}}
         simulate(ExperimentManifest.from_dict(rerun), tmp_path)
-        for name in ("report.json", "report.csv", "performance.json"):
+        for name in ("report.json", "report.csv", "performance.json", *stale):
             assert not (tmp_path / name).exists()
         assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "mine"
         assert analyze(tmp_path)["sources"] == ["x", "y"]

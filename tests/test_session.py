@@ -16,26 +16,30 @@ from obameter.errors import CorpusDataError, EmptyPool, HarvesterFailure
 
 
 class ScriptedHarvester:
-    """Serves from a callback; can be told to blow up mid-session."""
+    """Serves from a callback; can be told to blow up mid-session.
+
+    begin() returns a fresh state object per session, and each visit()
+    records the state it was handed.
+    """
 
     def __init__(self, serve=None, fail_at=None):
         self.serve = serve or (lambda config, event: [])
         self.fail_at = fail_at
         self.begun = []
-        self.resets = 0
+        self.handed = []
         self.seen = 0
 
     def begin(self, config):
-        self.begun.append(config.session_id)
+        state = {"config": config}
+        self.begun.append(state)
+        return state
 
-    def visit(self, config, event):
+    def visit(self, state, event):
         self.seen += 1
+        self.handed.append(state)
         if self.fail_at is not None and self.seen == self.fail_at:
             raise HarvesterFailure("backend went away")
-        return self.serve(config, event)
-
-    def reset(self, config):
-        self.resets += 1
+        return self.serve(state["config"], event)
 
 
 def _persona(n_pages=3):
@@ -126,18 +130,19 @@ class TestRunSession:
         with pytest.raises(CorpusDataError, match="conflicting ground truth"):
             run_session(_persona(), [CONTROLS[0]], config, harvester)
 
-    def test_clean_profile_resets_after_every_visit(self):
+    @pytest.mark.parametrize("clean", [False, True])
+    def test_every_visit_gets_the_state_begin_returned(self, clean):
         harvester = ScriptedHarvester()
-        config = SessionConfig(persona_id="p", visit_budget=120, seed=4,
-                               clean_profile=True)
-        run_session(_persona(), CONTROLS, config, harvester)
-        assert harvester.resets == 120
-
-    def test_no_resets_for_normal_profile(self):
-        harvester = ScriptedHarvester()
-        config = SessionConfig(persona_id="p", visit_budget=120, seed=4)
-        run_session(_persona(), CONTROLS, config, harvester)
-        assert harvester.resets == 0
+        for seed in (4, 5):
+            config = SessionConfig(persona_id="p", session_id=f"s{seed}",
+                                   visit_budget=120, seed=seed, clean_profile=clean)
+            run_session(_persona(), CONTROLS, config, harvester)
+        first, second = harvester.begun
+        assert first["config"].session_id == "s4"
+        assert second["config"].session_id == "s5"
+        assert all(state is first for state in harvester.handed[:120])
+        assert all(state is second for state in harvester.handed[120:])
+        assert len(harvester.handed) == 240
 
     def test_failure_propagates(self):
         harvester = ScriptedHarvester(
