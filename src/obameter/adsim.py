@@ -115,11 +115,12 @@ class SimConfig:
     sources: list[str] = field(default_factory=lambda: list(DEFAULT_SOURCES))
 
     def __post_init__(self) -> None:
-        if self.n_ads < 1:
+        # each range check is a negated comparison, so NaN fails it too
+        if not self.n_ads >= 1:
             raise InvalidConfig(f"n_ads must be >= 1, got {self.n_ads}")
-        if self.ads_per_visit < 1:
+        if not self.ads_per_visit >= 1:
             raise InvalidConfig(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
-        if self.activation_threshold <= 0:
+        if not self.activation_threshold > 0:
             # at 0 an empty profile already activates every oba unit
             raise InvalidConfig(
                 f"activation_threshold must be > 0, got {self.activation_threshold}"
@@ -127,7 +128,7 @@ class SimConfig:
         unknown = set(self.mix) - set(AD_KINDS)
         if unknown:
             raise InvalidConfig(f"unknown ad kinds in mix: {sorted(unknown)}")
-        if any(v < 0 for v in self.mix.values()):
+        if not all(v >= 0 for v in self.mix.values()):
             raise InvalidConfig("mix proportions must be >= 0")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise InvalidConfig(
@@ -138,17 +139,18 @@ class SimConfig:
                 "tracker bounds must satisfy 1 <= min <= max <= total, got "
                 f"{self.trackers_min}/{self.trackers_max}/{self.trackers_total}"
             )
-        if self.training_pages_per_persona < 10:
+        if not self.training_pages_per_persona >= 10:
             raise InvalidConfig("training_pages_per_persona must be >= 10")
-        if self.n_control_pages < 1:
+        if not self.n_control_pages >= 1:
             raise InvalidConfig("n_control_pages must be >= 1")
         if not self.geo_labels:
             raise InvalidConfig("geo_labels must be non-empty")
         if len(self.sources) < 2:
             raise InvalidConfig("need at least 2 tag sources")
-        if self.profile_decay_halflife is not None and self.profile_decay_halflife <= 0:
-            raise InvalidConfig("profile_decay_halflife must be positive")
-        missing = [k for k in AD_KINDS if self.kind_weights.get(k, 0) <= 0]
+        half = self.profile_decay_halflife
+        if half is not None and not half > 0:
+            raise InvalidConfig(f"profile_decay_halflife must be positive, got {half}")
+        missing = [k for k in AD_KINDS if not self.kind_weights.get(k, 0) > 0]
         if missing:
             raise InvalidConfig(f"kind_weights must be positive for {missing}")
 
@@ -356,9 +358,10 @@ class World:
         rec = _record_fields(cls, data, "world record")
         return cls(**rec | {
             "config": from_dict(SimConfig, rec["config"], "sim"),
-            "personas": [Persona.from_dict(p) for p in rec["personas"]],
+            "personas": [Persona.from_dict(_record_fields(Persona, p, "persona record"))
+                         for p in rec["personas"]],
             "control_pages": [WebPage(url=u, role="control") for u in rec["control_pages"]],
-            "ads": [from_dict(AdUnit, ad, "ad") for ad in rec["ads"]],
+            "ads": [AdUnit(**_record_fields(AdUnit, ad, "ad record")) for ad in rec["ads"]],
         })
 
 

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, CorpusDataError, InvalidConfig, Obameter
 from .experiment import (
     DEFAULT_SPURIOUS_LEVELS,
     ExperimentManifest,
+    _load_prices,
     analyze,
     digest,
     filter_attrition,
@@ -115,6 +116,7 @@ def _stored_manifest(args: argparse.Namespace) -> ExperimentManifest:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _load_prices(args.cpc)  # a bad price file is reported before any corpus file
     stored = _stored_manifest(args)
     report = analyze(
         args.dir,

@@ -40,7 +40,7 @@ import re
 import typing
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import CorpusDataError, IncompleteCorpus, InvalidConfig
@@ -51,12 +51,14 @@ _SOURCE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 PAGE_ROLES = ("training", "control", "landing")
 
-# the keys of one impressions.jsonl record, as append_impressions writes them
-_IMPRESSION_KEYS = ("control", "ground_truth", "landing", "ntimes", "persona", "session")
+# what a record build raises on a missing key or a value of the wrong type or form
+_BUILD_ERRORS = (KeyError, CorpusDataError, TypeError, ValueError, AttributeError)
 
 
 def _split(url: str) -> tuple[str, str]:
     """`(canonical URL, landing key)` of `url`, from one parse."""
+    if not isinstance(url, str):
+        raise CorpusDataError(f"unusable URL {url!r}: not a string")
     raw = url.strip()
     try:
         parts = urlsplit(raw if "://" in raw else "http://" + raw)
@@ -140,8 +142,8 @@ class AdImpression:
         self.control_page, self.control_key = url_keys(self.control_page, memo)
         self.landing_page, self.landing_key = url_keys(self.landing_page, memo)
         self.key = (self.persona_id, self.session_id, self.control_key, self.landing_key)
-        if self.ntimes < 1:
-            raise CorpusDataError(f"ntimes must be >= 1, got {self.ntimes}")
+        if type(self.ntimes) is not int or self.ntimes < 1:  # bool is not a count
+            raise CorpusDataError(f"ntimes must be an integer >= 1, got {self.ntimes!r}")
 
 
 class TaggingSource(Protocol):
@@ -182,26 +184,22 @@ def check_keys(data, known: Iterable[str], section: str) -> Mapping:
     return data
 
 
-def _record_problem(rec, required: Iterable[str]) -> str | None:
-    """Why `rec` is not an object holding every key in `required`, or None."""
+def _unusable(exc: Exception, rec) -> str:
+    """Why stored record `rec` is unusable, from the error its build raised."""
     if not isinstance(rec, dict):
         return "is not an object"
-    for key in required:
-        if key not in rec:
-            return f"has no {key!r}"
-    return None
+    if isinstance(exc, KeyError):
+        return f"has no {exc.args[0]!r}"
+    return str(exc) if isinstance(exc, CorpusDataError) else f"is malformed: {exc}"
 
 
 def _record_fields(cls, rec, where: str) -> dict:
-    """Field name -> value, for each field of dataclass `cls`, from record `rec`.
-
-    A missing field raises CorpusDataError; keys naming no field are ignored.
-    """
-    names = [f.name for f in fields(cls)]
-    problem = _record_problem(rec, names)
-    if problem:
-        raise CorpusDataError(f"{where} {problem}")
-    return {name: rec[name] for name in names}
+    """Field name -> value for each field of dataclass `cls`, from record `rec`
+    (other keys are ignored); a record lacking one raises CorpusDataError naming `where`."""
+    try:
+        return {f.name: rec[f.name] for f in fields(cls)}
+    except _BUILD_ERRORS as exc:
+        raise CorpusDataError(f"{where} {_unusable(exc, rec)}") from exc
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -305,10 +303,9 @@ class ExperimentStore:
         _write_atomic(self.path("pages.jsonl"), "\n".join(lines) + "\n")
 
     def load_pages(self) -> list[WebPage]:
-        return [
-            WebPage(url=rec["url"], role=rec["role"])
-            for rec in self.load_records("pages.jsonl", ("url", "role"))
-        ]
+        return self.load_records(
+            "pages.jsonl", lambda rec: WebPage(url=rec["url"], role=rec["role"])
+        )
 
     # tags
 
@@ -322,19 +319,18 @@ class ExperimentStore:
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
         """Canonical URL to keywords as `tag_pages` makes them; each page once."""
-        name = f"tags.{source}.jsonl"
         table: dict[str, set[str]] = {}
-        for i, rec in enumerate(self.load_records(name, ("url", "keywords")), 1):
+
+        def add(rec: dict) -> None:
             url = self.url_keys(rec["url"])[0]
             if url in table:
-                raise self.bad_record(name, i, f"names page {url!r} again")
+                raise CorpusDataError(f"names page {url!r} again")
             keywords = rec["keywords"]
             if not (isinstance(keywords, list)
                     and all(isinstance(k, str) for k in keywords)):
-                raise self.bad_record(
-                    name, i, "has 'keywords' that is not a list of strings"
-                )
+                raise CorpusDataError("has 'keywords' that is not a list of strings")
             table[url] = _keyword_set(keywords)
+        self.load_records(f"tags.{source}.jsonl", add)
         return table
 
     def tag_sources(self) -> list[str]:
@@ -356,8 +352,9 @@ class ExperimentStore:
                     "url": ev.page.url,
                 }) + "\n")
 
-    def load_visits(self) -> list[dict]:
-        return self.load_records("visits.jsonl", ("session", "url"))
+    def load_visits(self, build: Callable[[dict], object] = dict.copy) -> list:
+        """`build(record)` per visit, in log order; by default a copy of each."""
+        return self.load_records("visits.jsonl", build)
 
     def append_impressions(self, impressions: Iterable[AdImpression]) -> None:
         with self.path("impressions.jsonl").open("a", encoding="utf-8") as fh:
@@ -372,27 +369,24 @@ class ExperimentStore:
                 }) + "\n")
 
     def load_impressions(self) -> list[AdImpression]:
-        return [
-            AdImpression(
-                persona_id=rec["persona"],
-                session_id=rec["session"],
-                control_page=rec["control"],
-                landing_page=rec["landing"],
-                ntimes=rec["ntimes"],
-                ground_truth=rec["ground_truth"],
-                memo=self._memo,
-            )
-            for rec in self.load_records("impressions.jsonl", _IMPRESSION_KEYS)
-        ]
+        return self.load_records("impressions.jsonl", lambda rec: AdImpression(
+            persona_id=rec["persona"],
+            session_id=rec["session"],
+            control_page=rec["control"],
+            landing_page=rec["landing"],
+            ntimes=rec["ntimes"],
+            ground_truth=rec["ground_truth"],
+            memo=self._memo,
+        ))
 
     # record lists
 
-    def load_records(self, name: str, required: Iterable[str]) -> list[dict]:
-        """The records of `name`, each holding every key in `required`.
+    def load_records(self, name: str, build: Callable[[dict], object]) -> list:
+        """`build(record)` for each record of `name`, in order.
 
         A JSONL file holds one record per line; a JSON document holds them
-        in the list under its stem ("sessions" in sessions.json). A record
-        that is not an object or lacks a key raises CorpusDataError.
+        in the list under its stem ("sessions" in sessions.json). Anything
+        `build` cannot use raises CorpusDataError naming file and record.
         """
         if name.endswith(".jsonl"):
             records = list(self._iter_jsonl(self._require(name)))
@@ -402,11 +396,13 @@ class ExperimentStore:
             records = doc.get(stem) if isinstance(doc, dict) else None
             if not isinstance(records, list):
                 raise CorpusDataError(f"{name} in {self.root} has no {stem!r} list")
-        for i, rec in enumerate(records, 1):
-            problem = _record_problem(rec, required)
-            if problem:
-                raise self.bad_record(name, i, problem)
-        return records
+        built = []
+        try:
+            for i, rec in enumerate(records, 1):
+                built.append(build(rec))
+        except _BUILD_ERRORS as exc:
+            raise self.bad_record(name, i, _unusable(exc, rec)) from exc
+        return built
 
     def bad_record(self, name: str, i: int, what: str) -> CorpusDataError:
         """The error for record `i` (from 1) of file `name`."""

@@ -58,6 +58,8 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
+    _BUILD_ERRORS,
+    _unusable,
     _write_atomic,
     check_keys,
     from_dict,
@@ -135,22 +137,23 @@ class ExperimentManifest:
     taxonomy: str = "demo"
 
     def __post_init__(self) -> None:
+        # each range check is a negated comparison, so NaN fails it too
         if not self.experiment_id:
             raise InvalidConfig("experiment_id must be non-empty")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.repetitions < 1:
+        if not self.repetitions >= 1:
             raise InvalidConfig(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.conditions:
             raise InvalidConfig("need at least one condition")
         ids = [c.cond_id for c in self.conditions]
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"duplicate condition ids: {ids}")
-        if self.visit_budget < 1:
+        if not self.visit_budget >= 1:
             raise InvalidConfig(f"visit_budget must be >= 1, got {self.visit_budget}")
-        if self.mean_interval <= 0:
-            raise InvalidConfig("mean_interval must be positive")
-        if not self.personas and self.n_personas < 1:
+        if not 0 < self.mean_interval < math.inf:
+            raise InvalidConfig("mean_interval must be positive and finite")
+        if not self.personas and not self.n_personas >= 1:
             raise InvalidConfig("n_personas must be >= 1")
         for spec in self.personas:
             if spec.id == CLEAN_ID:
@@ -323,41 +326,45 @@ class _Corpus:
 def _load_corpus(root: str | Path) -> _Corpus:
     """Read and cross-check the corpus; group its sessions by condition.
 
-    A sessions.json row naming a condition the manifest lacks or a
-    persona (not the clean one) personas.json lacks, and an impression
-    naming a session no row has, raise CorpusDataError.
+    Besides what each record's build cannot use, a record naming a condition,
+    persona (not the clean one) or session that the manifest, personas.json
+    or sessions.json lacks raises CorpusDataError.
     """
     store = ExperimentStore(root)
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
     taxonomy = resolve_taxonomy(manifest.taxonomy)
 
-    personas = {
-        rec["id"]: Persona.from_dict(rec)
-        for rec in store.load_records("personas.json", [f.name for f in fields(Persona)])
-    }
+    personas: dict[str, Persona] = {}
 
-    bad = store.bad_record
-    rows = store.load_records("sessions.json", _SESSION_ROW_KEYS)
-    imps_by_session: dict[str, list[AdImpression]] = {row["session"]: [] for row in rows}
-    for i, imp in enumerate(store.load_impressions(), 1):
-        if imp.session_id not in imps_by_session:
-            raise bad("impressions.jsonl", i,
-                      f"names session {imp.session_id!r}, not in sessions.json")
-        imps_by_session[imp.session_id].append(imp)
+    def add_persona(rec: dict) -> None:
+        persona = Persona.from_dict(rec)
+        personas[persona.id] = persona
+    store.load_records("personas.json", add_persona)
 
     groups = {c.cond_id: _ConditionGroup(c.cond_id) for c in manifest.conditions}
-    for i, row in enumerate(rows, 1):
-        group = groups.get(row["condition"])
-        if group is None:
-            raise bad("sessions.json", i,
-                      f"names condition {row['condition']!r}, not in the manifest")
+    imps_by_session: dict[str, list[AdImpression]] = {}
+
+    def session_row(rec: dict) -> dict:
+        row = {key: rec[key] for key in _SESSION_ROW_KEYS}
+        if row["condition"] not in groups:
+            raise CorpusDataError(f"names condition {row['condition']!r}, not in the manifest")
         if not row["clean"] and row["persona"] not in personas:
-            raise bad("sessions.json", i,
-                      f"names persona {row['persona']!r}, not in personas.json")
+            raise CorpusDataError(f"names persona {row['persona']!r}, not in personas.json")
+        imps_by_session[row["session"]] = []
+        return row
+    rows = store.load_records("sessions.json", session_row)
+    for i, imp in enumerate(store.load_impressions(), 1):
+        if imp.session_id not in imps_by_session:
+            raise store.bad_record("impressions.jsonl", i,
+                                   f"names session {imp.session_id!r}, not in sessions.json")
+        imps_by_session[imp.session_id].append(imp)
+
+    for row in rows:
         # simulate writes only complete sessions, but a corpus from another
         # harvester may mark aborted ones; they are dropped here, once
         if not row["complete"]:
             continue
+        group = groups[row["condition"]]
         imps = imps_by_session[row["session"]]
         if row["clean"]:
             group.clean = (group.clean or []) + imps
@@ -366,10 +373,9 @@ def _load_corpus(root: str | Path) -> _Corpus:
             group.pooled.setdefault(row["persona"], []).extend(imps)
 
     visited_by_session: dict[str, set[str]] = {}
-    for rec in store.load_visits():
-        visited_by_session.setdefault(rec["session"], set()).add(
-            store.url_keys(rec["url"])[1]
-        )
+    store.load_visits(lambda rec: visited_by_session.setdefault(rec["session"], set()).add(
+        store.url_keys(rec["url"])[1]
+    ))
 
     return _Corpus(
         store=store,
@@ -680,7 +686,7 @@ def validate(
     # dropout None takes the manifest's rate, checked when the manifest loads
     noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)
-    world = World.from_dict(corpus.store.load_doc("world.json"))
+    world = _read_doc(corpus.store, "world.json", World.from_dict)
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
         noises = [replace(noise, dropout=dropout) for noise in noises]
@@ -764,16 +770,14 @@ def digest(root: str | Path) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _read_doc(store: ExperimentStore, name: str, render) -> list[str]:
-    """`render(doc)` for stored document `name`, whose shape is checked by
-    reading it: any key or value `render` cannot use is a corpus error."""
+def _read_doc(store: ExperimentStore, name: str, build):
+    """`build(doc)` for stored document `name`, whose shape is checked by
+    reading it: any key or value `build` cannot use is a corpus error."""
     doc = store.load_doc(name)
     try:
-        return render(doc)
-    except KeyError as exc:
-        raise CorpusDataError(f"{name} in {store.root} has no {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise CorpusDataError(f"{name} in {store.root} is malformed: {exc}") from None
+        return build(doc)
+    except _BUILD_ERRORS as exc:
+        raise CorpusDataError(f"{name} in {store.root}: {_unusable(exc, doc)}") from exc
 
 
 def _report_lines(report: dict) -> list[str]:

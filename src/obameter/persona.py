@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
-from .corpus import WebPage, _record_fields
+from .corpus import WebPage
 from .errors import ConfigurationError, InsufficientSources, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -55,8 +55,7 @@ class Persona:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":
-        rec = _record_fields(cls, rec, "persona record")
-        return cls(**rec | {
+        return cls(**{f.name: rec[f.name] for f in fields(cls)} | {
             "training_pages": [
                 WebPage(url=u, role="training") for u in rec["training_pages"]
             ],
@@ -154,7 +153,7 @@ class ConsensusConfig:
     threshold: float = 2.5
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if not self.n >= 0:
             raise ConfigurationError(f"consensus n must be >= 0, got {self.n}")
         # an infinite threshold would reject even exact matches (score inf)
         if not 0 <= self.threshold < math.inf:

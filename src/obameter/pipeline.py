@@ -48,7 +48,7 @@ class FilterConfig:
                 f"unknown filter set {self.filters!r}, expected one of "
                 f"{sorted(FILTER_SETS)}"
             )
-        if self.t_prime < 0:
+        if not self.t_prime >= 0:
             raise ConfigurationError(f"t_prime must be >= 0, got {self.t_prime}")
 
     @property

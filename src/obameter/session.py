@@ -19,6 +19,7 @@ session is returned.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
@@ -44,13 +45,13 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not self.session_id:
             self.session_id = self.persona_id
-        if self.visit_budget < 1:
+        if not self.visit_budget >= 1:
             raise ConfigurationError(
                 f"visit_budget must be >= 1, got {self.visit_budget}"
             )
-        if self.mean_interval <= 0:
+        if not 0 < self.mean_interval < math.inf:
             raise ConfigurationError(
-                f"mean_interval must be positive, got {self.mean_interval}"
+                f"mean_interval must be positive and finite, got {self.mean_interval}"
             )
 
 

@@ -20,7 +20,7 @@ from obameter import (
     run_session,
     schedule_visits,
 )
-from obameter.adsim import _Browser
+from obameter.adsim import DEFAULT_KIND_WEIGHTS, AdUnit, _Browser
 from obameter.corpus import from_dict
 from obameter.errors import CorpusDataError, InvalidConfig
 
@@ -64,7 +64,7 @@ class TestKindCounts:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_activation_threshold_must_be_positive(self, threshold):
         # at 0 an empty (clean) profile would activate every oba unit
         with pytest.raises(InvalidConfig, match="activation_threshold"):
@@ -74,6 +74,26 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(mix={"oba": 0.5, "contextual": 0.5, "static": 0.5,
                            "retargeting": 0.0, "geo_demo": 0.0})
+
+    @pytest.mark.parametrize("share", [float("nan"), -0.1])
+    def test_mix_share_must_be_a_number_at_least_zero(self, share):
+        with pytest.raises(InvalidConfig, match="mix proportions"):
+            SimConfig(mix={"oba": 0.5, "contextual": 0.5, "static": share})
+
+    @pytest.mark.parametrize("halflife", [0.0, -1.0, float("nan")])
+    def test_profile_decay_halflife_must_be_positive(self, halflife):
+        with pytest.raises(InvalidConfig, match="profile_decay_halflife"):
+            SimConfig(profile_decay_halflife=halflife)
+
+    @pytest.mark.parametrize("weight", [0.0, float("nan")])
+    def test_kind_weights_must_be_positive(self, weight):
+        with pytest.raises(InvalidConfig, match="kind_weights"):
+            SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "static": weight})
+
+    @pytest.mark.parametrize("field_name", ["n_ads", "ads_per_visit", "n_control_pages"])
+    def test_counts_reject_nan(self, field_name):
+        with pytest.raises(InvalidConfig, match=field_name):
+            SimConfig(**{field_name: float("nan")})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -364,6 +384,7 @@ class TestDeterminismAndRoundTrip:
     def test_records_ignore_unknown_keys(self, world):
         record = world.to_dict() | {"note": "kept by another tool"}
         record["personas"] = [p.to_dict() | {"note": 1} for p in world.personas]
+        record["ads"] = [asdict(ad) | {"note": [1]} for ad in world.ads]
         assert World.from_dict(record).to_dict() == world.to_dict()
 
     @pytest.mark.parametrize("key", [f.name for f in fields(World)])
@@ -371,6 +392,19 @@ class TestDeterminismAndRoundTrip:
         record = world.to_dict()
         del record[key]
         with pytest.raises(CorpusDataError, match=f"world record has no '{key}'"):
+            World.from_dict(record)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(AdUnit)])
+    def test_ad_record_without_a_key_is_a_data_error(self, world, key):
+        record = world.to_dict()
+        del record["ads"][-1][key]
+        with pytest.raises(CorpusDataError, match=f"ad record has no '{key}'"):
+            World.from_dict(record)
+
+    def test_ad_record_not_an_object_is_a_data_error(self, world):
+        record = world.to_dict()
+        record["ads"][0] = ["oba"]
+        with pytest.raises(CorpusDataError, match="ad record is not an object"):
             World.from_dict(record)
 
     @pytest.mark.parametrize("key", [f.name for f in fields(Persona)])

@@ -65,6 +65,16 @@ class TestSimulate:
         assert "--personas" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0"])
+    def test_mean_interval_not_positive_and_finite_is_a_config_error(
+        self, tmp_path, capsys, interval
+    ):
+        code = main(["simulate", "--out", str(tmp_path / "x"),
+                     "--personas", "2", "--mean-interval", interval])
+        assert code == 2
+        assert "mean_interval" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_harvester_failure_is_a_tool_error(self, tmp_path, capsys, fail_on_visit):
         fail_on_visit(10)
         code = main(["simulate", "--out", str(tmp_path / "x"),
@@ -88,6 +98,12 @@ class TestAnalyze:
         report = json.loads((cli_corpus / "report.json").read_text(encoding="utf-8"))
         assert report["filters"] == {"enabled": "r", "t_prime": 2.0}
         assert {c["filters"] for c in report["cells"]} == {"r"}
+
+    def test_nan_tprime_is_a_config_error(self, cli_corpus, capsys):
+        before = (cli_corpus / "report.json").read_bytes()
+        assert main(["analyze", str(cli_corpus), "--tprime", "nan"]) == 2
+        assert "t_prime" in capsys.readouterr().err
+        assert (cli_corpus / "report.json").read_bytes() == before
 
     def test_unknown_filter_set_rejected_by_parser(self, cli_corpus):
         with pytest.raises(SystemExit):
@@ -168,6 +184,26 @@ class TestAnalyze:
         assert err.startswith("corpus error")
         assert name in err and repr(key) in err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("impressions.jsonl", "ntimes", "3"),
+        ("impressions.jsonl", "landing", 7),
+        ("visits.jsonl", "url", None),
+        ("tags.sim-a.jsonl", "url", 3),
+        ("personas.json", "training_pages", 5),
+        ("sessions.json", "condition", ["ES"]),
+    ], ids=["string-ntimes", "number-landing", "null-visit-url", "number-tag-url",
+            "number-training-pages", "list-condition"])
+    def test_record_value_of_the_wrong_type_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, name, key, value
+    ):
+        clone = self._edit_first_record(
+            cli_corpus, tmp_path / "c", name, lambda rec: rec.update({key: value})
+        )
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error")
+        assert name in err and "record 1 " in err
+
     @pytest.mark.parametrize("keywords", [5, "motor sports", ["motor sports", 5]],
                              ids=["number", "string", "non-string-item"])
     def test_tag_keywords_not_a_list_of_strings_is_a_data_error(
@@ -192,10 +228,14 @@ class TestAnalyze:
     ):
         cpc = tmp_path / "cpc.json"
         cpc.write_text(json.dumps(prices), encoding="utf-8")
-        assert main(["analyze", str(cli_corpus), "--cpc", str(cpc)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error")
-        assert str(cpc) in err and named in err
+        # the price file is checked before any corpus file is read
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for corpus in (cli_corpus, empty):
+            assert main(["analyze", str(corpus), "--cpc", str(cpc)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error")
+            assert str(cpc) in err and named in err
 
     @pytest.mark.parametrize("name, key, value", [
         ("sessions.json", "condition", "FR"),
@@ -296,7 +336,8 @@ class TestValidate:
     @pytest.mark.parametrize("edit, key", [
         (lambda world: world.pop("trackers"), "trackers"),
         (lambda world: world["personas"][0].pop("attrition"), "attrition"),
-    ], ids=["world", "persona"])
+        (lambda world: world["ads"][0].pop("kind"), "kind"),
+    ], ids=["world", "persona", "ad"])
     def test_world_record_without_a_key_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, edit, key
     ):
@@ -305,6 +346,12 @@ class TestValidate:
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and repr(key) in err
+        assert "world.json" in err and f"record has no {key!r}" in err
+
+    def test_world_ad_with_an_unknown_key_is_read(self, cli_corpus, tmp_path):
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
+                          lambda world: world["ads"][0].update(note="kept"))
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 0
 
 
 class TestReport:

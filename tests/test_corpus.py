@@ -109,6 +109,11 @@ class TestUrlNormalization:
         with pytest.raises(CorpusDataError, match=re.escape(url)):
             normalize_url(url)
 
+    @pytest.mark.parametrize("url", [None, 7, 3.5, True])
+    def test_non_string_url_is_a_corpus_error(self, url):
+        with pytest.raises(CorpusDataError, match=f"unusable URL {url!r}"):
+            normalize_url(url)
+
     def test_landing_key_ignores_query_and_scheme(self):
         a = landing_key("https://shop.example/item?utm=1")
         b = landing_key("http://shop.example/item?ref=2")
@@ -203,6 +208,13 @@ class TestPagesAndTags:
                          control_page="c.example", landing_page="l.example",
                          ntimes=0)
 
+    @pytest.mark.parametrize("ntimes", ["3", 2.0, True, None])
+    def test_impression_ntimes_an_integer(self, ntimes):
+        with pytest.raises(CorpusDataError, match="ntimes must be an integer"):
+            AdImpression(persona_id="p", session_id="s",
+                         control_page="c.example", landing_page="l.example",
+                         ntimes=ntimes)
+
     def test_tag_pages_covers_every_page(self):
         pages = [WebPage(url=f"http://p{i}.example") for i in (2, 0, 1)]
         tags = tag_pages(pages, FakeSource({pages[0].url: ["pools"]}))
@@ -261,6 +273,34 @@ class TestStore:
         with pytest.raises(CorpusDataError,
                            match=r"pages\.jsonl in .*: record 1 has no 'role'"):
             store.load_pages()
+
+    @pytest.mark.parametrize("line, problem", [
+        ('["http://a.example", "training"]', "is not an object"),
+        ('{"url": 5, "role": "training"}', "unusable URL 5"),
+        ('{"url": "http://a.example", "role": "hub"}', "unknown page role"),
+    ], ids=["list", "number-url", "unknown-role"])
+    def test_unusable_page_record_is_a_data_error(self, tmp_path, line, problem):
+        store = ExperimentStore(tmp_path).create()
+        store.path("pages.jsonl").write_text(
+            '{"role": "training", "url": "http://b.example"}\n' + line + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusDataError,
+                           match=rf"pages\.jsonl in .*: record 2 {problem}"):
+            store.load_pages()
+
+    def test_visits_are_read_as_stored_or_built(self, tmp_path):
+        store = ExperimentStore(tmp_path).create()
+        store.path("visits.jsonl").write_text(
+            '{"session": "s", "url": "HTTP://A.example/"}\n', encoding="utf-8"
+        )
+        assert store.load_visits() == [{"session": "s", "url": "HTTP://A.example/"}]
+        assert store.load_visits(lambda rec: store.url_keys(rec["url"])) == [
+            ("http://a.example", "a.example")
+        ]
+        store.path("visits.jsonl").write_text('"s"\n', encoding="utf-8")
+        with pytest.raises(CorpusDataError, match="record 1 is not an object"):
+            store.load_visits()
 
     def test_corrupt_jsonl_names_the_line(self, tmp_path):
         store = ExperimentStore(tmp_path).create()

@@ -28,6 +28,7 @@ from obameter import (
 from obameter import corpus
 from obameter.cli import main
 from obameter.errors import (
+    ConfigurationError,
     HarvesterFailure,
     IncompleteCorpus,
     InvalidConfig,
@@ -125,6 +126,24 @@ class TestManifest:
             ExperimentManifest.from_dict({"seed": seed})
         with pytest.raises(InvalidConfig, match="seed"):
             dataclasses.replace(ExperimentManifest(), seed=seed)
+
+    @pytest.mark.parametrize("section", [
+        {"session": {"mean_interval": float("nan")}},
+        {"session": {"mean_interval": float("inf")}},
+        {"session": {"visit_budget": float("nan")}},
+        {"repetitions": float("nan")},
+        {"n_personas": float("nan")},
+        {"filters": {"t_prime": float("nan")}},
+        {"consensus": {"n": float("nan")}},
+        {"sim": {"activation_threshold": float("nan")}},
+        {"sim": {"mix": {"oba": float("nan"), "static": 1.0}}},
+    ], ids=["mean_interval-nan", "mean_interval-inf", "visit_budget", "repetitions",
+            "n_personas", "t_prime", "consensus-n", "activation_threshold", "mix"])
+    def test_non_finite_number_rejected(self, section):
+        # json.loads reads NaN and Infinity, so a manifest file can hold them
+        doc = json.loads(json.dumps(section))
+        with pytest.raises(ConfigurationError):
+            ExperimentManifest.from_dict(doc)
 
     def test_largest_seed_accepted(self):
         assert ExperimentManifest.from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1

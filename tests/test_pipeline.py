@@ -122,6 +122,10 @@ class TestFilterConfig:
         with pytest.raises(ConfigurationError):
             FilterConfig(t_prime=-0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigurationError, match="t_prime"):
+            FilterConfig(t_prime=math.nan)
+
     def test_stage_order_is_fixed(self):
         assert FILTER_SETS["rscdg"] == ("r", "sc", "dg")
         assert FilterConfig(filters="rsc").stages == ("r", "sc")

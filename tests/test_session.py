@@ -92,6 +92,12 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             SessionConfig(persona_id="p", visit_budget=0)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_mean_interval_positive_and_finite(self, interval):
+        from obameter.errors import ConfigurationError
+        with pytest.raises(ConfigurationError, match="mean_interval"):
+            SessionConfig(persona_id="p", mean_interval=interval)
+
 
 class TestRunSession:
     def test_impressions_only_from_control_visits(self):
