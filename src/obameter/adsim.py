@@ -44,8 +44,8 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from . import demo
-from .corpus import WebPage, _record_fields, from_dict
-from .errors import InvalidConfig
+from .corpus import WebPage, _built, _record_fields, from_dict
+from .errors import CorpusDataError, InvalidConfig
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
 from .session import ServedAd, SessionConfig, VisitEvent
@@ -157,7 +157,7 @@ class SimConfig:
 
 @dataclass
 class AdUnit:
-    """One inventory entry; `kind` is the ground-truth label."""
+    """One inventory entry; `kind` is the ground-truth label, one of AD_KINDS."""
 
     ad_id: str
     kind: str
@@ -166,6 +166,12 @@ class AdUnit:
     target_category: str | None = None  # oba
     theme: str | None = None            # contextual
     geo: str | None = None              # geo_demo
+
+    def __post_init__(self) -> None:
+        if self.kind not in AD_KINDS:
+            raise CorpusDataError(
+                f"kind must be one of {', '.join(AD_KINDS)}, got {self.kind!r}"
+            )
 
 
 def kind_counts(n_ads: int, mix: dict[str, float]) -> dict[str, int]:
@@ -355,13 +361,15 @@ class World:
 
     @classmethod
     def from_dict(cls, data: dict) -> "World":
-        rec = _record_fields(cls, data, "world record")
+        rec = _built(lambda d: _record_fields(cls, d), data, "world record")
         return cls(**rec | {
             "config": from_dict(SimConfig, rec["config"], "sim"),
-            "personas": [Persona.from_dict(_record_fields(Persona, p, "persona record"))
-                         for p in rec["personas"]],
+            "personas": [_built(Persona.from_dict, p, "persona record", f"personas[{i}]")
+                         for i, p in enumerate(rec["personas"])],
             "control_pages": [WebPage(url=u, role="control") for u in rec["control_pages"]],
-            "ads": [AdUnit(**_record_fields(AdUnit, ad, "ad record")) for ad in rec["ads"]],
+            "ads": [_built(lambda ad: AdUnit(**_record_fields(AdUnit, ad)), ad,
+                           "ad record", f"ads[{i}]")
+                    for i, ad in enumerate(rec["ads"])],
         })
 
 

@@ -6,11 +6,12 @@ idempotent; a URL that does not parse, as given or in canonical form,
 raises CorpusDataError. `landing_key` is coarser, host + path only, and
 every filter and audience map compares pages by it. One parse gives both.
 
-URLs are parsed once, where they enter memory: an AdImpression stores
-its canonical URLs and keys when it is built, and one `url_keys` memo per
-store (shared by its impression, visit and tag readers) or per session
-parses each distinct URL string once. Tag tables are keyed by canonical
-URL too; a tag file that names one page twice is an error.
+URLs are parsed where they enter memory: an AdImpression stores its
+canonical URLs and keys when it is built, and a WebPage its canonical URL.
+Every parse goes through one bounded module cache, so each distinct URL
+string is parsed once, whichever reader, session or page it enters by;
+evicting an entry only costs a re-parse. Tag tables are keyed by
+canonical URL too; a tag file that names one page twice is an error.
 
 Store layout. An experiment directory holds
 
@@ -38,7 +39,7 @@ import json
 import os
 import re
 import typing
-from dataclasses import InitVar, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
@@ -56,9 +57,15 @@ _BUILD_ERRORS = (KeyError, CorpusDataError, TypeError, ValueError, AttributeErro
 
 
 def _split(url: str) -> tuple[str, str]:
-    """`(canonical URL, landing key)` of `url`, from one parse."""
-    if not isinstance(url, str):
+    """`(canonical URL, landing key)` of `url`, parsed once per distinct string."""
+    if not isinstance(url, str):  # ahead of the cache, which cannot hash a list
         raise CorpusDataError(f"unusable URL {url!r}: not a string")
+    return _parse(url)
+
+
+# far above the distinct URLs of one command (about 1,000 on a large corpus)
+@functools.lru_cache(maxsize=1 << 14)
+def _parse(url: str) -> tuple[str, str]:
     raw = url.strip()
     try:
         parts = urlsplit(raw if "://" in raw else "http://" + raw)
@@ -89,18 +96,6 @@ def landing_key(url: str) -> str:
     return _split(url)[1]
 
 
-# raw URL -> (canonical URL, landing key), filled by url_keys
-UrlMemo = dict[str, tuple[str, str]]
-
-
-def url_keys(url: str, memo: UrlMemo) -> tuple[str, str]:
-    """`(normalize_url(url), landing_key(url))`, computed once per url in memo."""
-    hit = memo.get(url)
-    if hit is None:
-        hit = memo[url] = _split(url)
-    return hit
-
-
 @dataclass(frozen=True)
 class WebPage:
     """A page in the corpus; url is stored normalized."""
@@ -122,8 +117,7 @@ class AdImpression:
     impression came from the simulator. Both URLs are stored normalized,
     with their landing keys in control_key and landing_key and the
     aggregation and prediction identity in key; all three are set once,
-    when the impression is built. `memo` is a `url_keys` memo shared by
-    the impressions of one read or session.
+    when the impression is built. The two ids must be strings.
     """
 
     persona_id: str
@@ -132,15 +126,16 @@ class AdImpression:
     landing_page: str
     ntimes: int = 1
     ground_truth: str | None = None
-    memo: InitVar[UrlMemo | None] = None
     control_key: str = field(init=False, compare=False, repr=False)
     landing_key: str = field(init=False, compare=False, repr=False)
     key: tuple[str, str, str, str] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, memo: UrlMemo | None) -> None:
-        memo = {} if memo is None else memo
-        self.control_page, self.control_key = url_keys(self.control_page, memo)
-        self.landing_page, self.landing_key = url_keys(self.landing_page, memo)
+    def __post_init__(self) -> None:
+        for name in ("persona_id", "session_id"):
+            if not isinstance(getattr(self, name), str):
+                raise CorpusDataError(f"{name} must be a string, got {getattr(self, name)!r}")
+        self.control_page, self.control_key = _split(self.control_page)
+        self.landing_page, self.landing_key = _split(self.landing_page)
         self.key = (self.persona_id, self.session_id, self.control_key, self.landing_key)
         if type(self.ntimes) is not int or self.ntimes < 1:  # bool is not a count
             raise CorpusDataError(f"ntimes must be an integer >= 1, got {self.ntimes!r}")
@@ -193,13 +188,20 @@ def _unusable(exc: Exception, rec) -> str:
     return str(exc) if isinstance(exc, CorpusDataError) else f"is malformed: {exc}"
 
 
-def _record_fields(cls, rec, where: str) -> dict:
-    """Field name -> value for each field of dataclass `cls`, from record `rec`
-    (other keys are ignored); a record lacking one raises CorpusDataError naming `where`."""
+def _record_fields(cls, rec) -> dict:
+    """Field name -> value for each field of dataclass `cls`, from record `rec`;
+    other keys are ignored."""
+    return {f.name: rec[f.name] for f in fields(cls)}
+
+
+def _built(build: Callable, rec, what: str, where: str = ""):
+    """`build(rec)` for a record inside a stored document; anything the build
+    cannot use raises CorpusDataError naming `what`, then `where` it lies."""
     try:
-        return {f.name: rec[f.name] for f in fields(cls)}
+        return build(rec)
     except _BUILD_ERRORS as exc:
-        raise CorpusDataError(f"{where} {_unusable(exc, rec)}") from exc
+        at = f" ({where})" if where else ""
+        raise CorpusDataError(f"{what} {_unusable(exc, rec)}{at}") from exc
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -262,7 +264,6 @@ class ExperimentStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._memo: UrlMemo = {}
 
     def create(self) -> "ExperimentStore":
         self.root.mkdir(parents=True, exist_ok=True)
@@ -285,10 +286,6 @@ class ExperimentStore:
         if not _SOURCE_NAME.match(source):
             raise CorpusDataError(f"unusable source name: {source!r}")
         return self.root / f"tags.{source}.jsonl"
-
-    def url_keys(self, url: str) -> tuple[str, str]:
-        """`(normalize_url(url), landing_key(url))`, parsed once per store."""
-        return url_keys(url, self._memo)
 
     def _require(self, name: str) -> Path:
         p = self.root / name
@@ -322,7 +319,7 @@ class ExperimentStore:
         table: dict[str, set[str]] = {}
 
         def add(rec: dict) -> None:
-            url = self.url_keys(rec["url"])[0]
+            url = normalize_url(rec["url"])
             if url in table:
                 raise CorpusDataError(f"names page {url!r} again")
             keywords = rec["keywords"]
@@ -376,7 +373,6 @@ class ExperimentStore:
             landing_page=rec["landing"],
             ntimes=rec["ntimes"],
             ground_truth=rec["ground_truth"],
-            memo=self._memo,
         ))
 
     # record lists

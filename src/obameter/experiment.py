@@ -63,6 +63,7 @@ from .corpus import (
     _write_atomic,
     check_keys,
     from_dict,
+    landing_key,
     tag_pages,
 )
 from .errors import (
@@ -374,7 +375,7 @@ def _load_corpus(root: str | Path) -> _Corpus:
 
     visited_by_session: dict[str, set[str]] = {}
     store.load_visits(lambda rec: visited_by_session.setdefault(rec["session"], set()).add(
-        store.url_keys(rec["url"])[1]
+        landing_key(rec["url"])
     ))
 
     return _Corpus(

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 
-from .corpus import AdImpression, UrlMemo, WebPage, url_keys
+from .corpus import AdImpression, WebPage, landing_key
 from .errors import ConfigurationError, CorpusDataError, EmptyPool
 from .persona import Persona
 
@@ -132,7 +132,6 @@ def run_session(
     events = schedule_visits(pool, config)
 
     merged: dict[tuple[str, str], AdImpression] = {}
-    memo: UrlMemo = {}
     mix = {"training": 0, "control": 0}
     raw = 0
 
@@ -143,7 +142,7 @@ def run_session(
         if event.kind == "control":
             for ad in served:
                 raw += 1
-                key = (event.page.url, url_keys(ad.landing_url, memo)[1])
+                key = (event.page.url, landing_key(ad.landing_url))
                 hit = merged.get(key)
                 if hit is None:
                     merged[key] = AdImpression(
@@ -153,7 +152,6 @@ def run_session(
                         landing_page=ad.landing_url,
                         ntimes=1,
                         ground_truth=ad.label,
-                        memo=memo,
                     )
                 else:
                     if hit.ground_truth != ad.label:

@@ -1,6 +1,7 @@
 """World building, serving rules, and ground-truth soundness."""
 
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -398,7 +399,9 @@ class TestDeterminismAndRoundTrip:
     def test_ad_record_without_a_key_is_a_data_error(self, world, key):
         record = world.to_dict()
         del record["ads"][-1][key]
-        with pytest.raises(CorpusDataError, match=f"ad record has no '{key}'"):
+        last = len(record["ads"]) - 1
+        with pytest.raises(CorpusDataError,
+                           match=rf"^ad record has no '{key}' \(ads\[{last}\]\)$"):
             World.from_dict(record)
 
     def test_ad_record_not_an_object_is_a_data_error(self, world):
@@ -411,8 +414,20 @@ class TestDeterminismAndRoundTrip:
     def test_persona_record_without_a_key_is_a_data_error(self, world, key):
         record = world.to_dict()
         del record["personas"][-1][key]
-        with pytest.raises(CorpusDataError, match=f"persona record has no '{key}'"):
+        last = len(record["personas"]) - 1
+        with pytest.raises(CorpusDataError,
+                           match=rf"^persona record has no '{key}' \(personas\[{last}\]\)$"):
             World.from_dict(record)
+
+    @pytest.mark.parametrize("kind", [5, "banner", "OBA", None])
+    def test_ad_of_an_unknown_kind_is_a_data_error(self, world, kind):
+        record = world.to_dict()
+        record["ads"][2]["kind"] = kind
+        got = re.escape(f"got {kind!r} (ads[2])")
+        with pytest.raises(CorpusDataError, match=rf"^ad record kind must be one of .*, {got}$"):
+            World.from_dict(record)
+        with pytest.raises(CorpusDataError):
+            AdUnit(ad_id="a", kind=kind, landing_url="http://x.example")
 
 
 class TestTagSources:

@@ -191,8 +191,10 @@ class TestAnalyze:
         ("tags.sim-a.jsonl", "url", 3),
         ("personas.json", "training_pages", 5),
         ("sessions.json", "condition", ["ES"]),
+        ("impressions.jsonl", "session", ["x"]),
+        ("impressions.jsonl", "persona", ["x"]),
     ], ids=["string-ntimes", "number-landing", "null-visit-url", "number-tag-url",
-            "number-training-pages", "list-condition"])
+            "number-training-pages", "list-condition", "list-session", "list-persona"])
     def test_record_value_of_the_wrong_type_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key, value
     ):
@@ -333,20 +335,29 @@ class TestValidate:
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
         assert "corpus error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, key", [
-        (lambda world: world.pop("trackers"), "trackers"),
-        (lambda world: world["personas"][0].pop("attrition"), "attrition"),
-        (lambda world: world["ads"][0].pop("kind"), "kind"),
+    @pytest.mark.parametrize("edit, key, where", [
+        (lambda world: world.pop("trackers"), "trackers", ""),
+        (lambda world: world["personas"][1].pop("attrition"), "attrition", " (personas[1])"),
+        (lambda world: world["ads"][3].pop("kind"), "kind", " (ads[3])"),
     ], ids=["world", "persona", "ad"])
     def test_world_record_without_a_key_is_a_data_error(
-        self, cli_corpus, tmp_path, capsys, edit, key
+        self, cli_corpus, tmp_path, capsys, edit, key, where
     ):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json", edit)
         capsys.readouterr()
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and repr(key) in err
-        assert "world.json" in err and f"record has no {key!r}" in err
+        assert "world.json" in err and f"record has no {key!r}{where}" in err
+
+    def test_world_ad_of_an_unknown_kind_is_a_data_error(self, cli_corpus, tmp_path, capsys):
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
+                          lambda world: world["ads"][0].update(kind=5))
+        capsys.readouterr()
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and "world.json" in err
+        assert "ad record kind must be one of" in err and "got 5 (ads[0])" in err
 
     def test_world_ad_with_an_unknown_key_is_read(self, cli_corpus, tmp_path):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",

@@ -378,8 +378,8 @@ def _non_canonical(url):
 
 
 class TestUrlKeys:
-    """Readers canonicalise every URL they load, tag tables included, and a
-    store parses each distinct one once."""
+    """Readers canonicalise every URL they load, tag tables included, and one
+    analyze parses each distinct one once."""
 
     @pytest.fixture(scope="class")
     def analysed(self, corpus_dir, tmp_path_factory):
@@ -412,7 +412,7 @@ class TestUrlKeys:
         for name in ("report.json", "report.csv", "performance.json"):
             assert store.path(name).read_bytes() == (analysed / name).read_bytes()
 
-    def test_analyze_keys_each_distinct_url_once(self, analysed, monkeypatch):
+    def test_analyze_keys_each_distinct_url_once(self, analysed):
         def distinct(name, *fields):
             lines = (analysed / name).read_text(encoding="utf-8").splitlines()
             return {json.loads(line)[f] for line in lines for f in fields}
@@ -422,23 +422,13 @@ class TestUrlKeys:
                 | distinct("visits.jsonl", "url"))
         for src in store.tag_sources():
             read |= distinct(f"tags.{src}.jsonl", "url")
-        # personas.json training pages are parsed as pages, outside the memo
-        training = sum(len(rec["training_pages"])
-                       for rec in store.load_doc("personas.json")["personas"])
-        bound = len(read) + training
+        read |= {url for rec in store.load_doc("personas.json")["personas"]
+                 for url in rec["training_pages"]}
 
-        calls = 0
-        original = corpus._split
-
-        def counted(url):
-            nonlocal calls
-            calls += 1
-            return original(url)
-
-        # normalize_url, landing_key and url_keys all parse through _split
-        monkeypatch.setattr(corpus, "_split", counted)
+        # every reader, page and impression parses through the one cache
+        corpus._parse.cache_clear()
         analyze(analysed)
-        assert 0 < calls <= bound, (calls, bound)
+        assert corpus._parse.cache_info().misses == len(read)
 
 
 def _respelt_keyword(keyword):
