@@ -58,8 +58,7 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    _BUILD_ERRORS,
-    _unusable,
+    _built,
     _write_atomic,
     check_keys,
     from_dict,
@@ -97,8 +96,11 @@ _STAGE_TO_FILTERS = {stages[-1]: name for name, stages in FILTER_SETS.items()}
 # manifest fields stored under "session" in manifest.json
 _SESSION_KEYS = ("visit_budget", "mean_interval")
 
-# the keys of a sessions.json row that analysis reads
-_SESSION_ROW_KEYS = ("session", "persona", "condition", "rep", "clean", "complete")
+# the keys of a sessions.json row that analysis reads, with each one's type
+_SESSION_ROW_TYPES = {
+    "session": str, "persona": str, "condition": str,
+    "rep": int, "clean": bool, "complete": bool,
+}
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -329,7 +331,8 @@ def _load_corpus(root: str | Path) -> _Corpus:
 
     Besides what each record's build cannot use, a record naming a condition,
     persona (not the clean one) or session that the manifest, personas.json
-    or sessions.json lacks raises CorpusDataError.
+    or sessions.json lacks, or a persona or session that an earlier record
+    of its file already named, raises CorpusDataError.
     """
     store = ExperimentStore(root)
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
@@ -339,6 +342,8 @@ def _load_corpus(root: str | Path) -> _Corpus:
 
     def add_persona(rec: dict) -> None:
         persona = Persona.from_dict(rec)
+        if persona.id in personas:
+            raise CorpusDataError(f"names persona {persona.id!r} again")
         personas[persona.id] = persona
     store.load_records("personas.json", add_persona)
 
@@ -346,7 +351,15 @@ def _load_corpus(root: str | Path) -> _Corpus:
     imps_by_session: dict[str, list[AdImpression]] = {}
 
     def session_row(rec: dict) -> dict:
-        row = {key: rec[key] for key in _SESSION_ROW_KEYS}
+        row = {key: rec[key] for key in _SESSION_ROW_TYPES}
+        for key, kind in _SESSION_ROW_TYPES.items():
+            # type(), not isinstance: a bool is no rep
+            if type(row[key]) is not kind:
+                raise CorpusDataError(
+                    f"{key} must be of type {kind.__name__}, got {row[key]!r}"
+                )
+        if row["session"] in imps_by_session:
+            raise CorpusDataError(f"names session {row['session']!r} again")
         if row["condition"] not in groups:
             raise CorpusDataError(f"names condition {row['condition']!r}, not in the manifest")
         if not row["clean"] and row["persona"] not in personas:
@@ -687,7 +700,8 @@ def validate(
     # dropout None takes the manifest's rate, checked when the manifest loads
     noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)
-    world = _read_doc(corpus.store, "world.json", World.from_dict)
+    world = _built(World.from_dict, corpus.store.load_doc("world.json"),
+                   f"world.json in {corpus.store.root}:")
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
         noises = [replace(noise, dropout=dropout) for noise in noises]
@@ -765,20 +779,12 @@ def digest(root: str | Path) -> str:
     file.
     """
     store = ExperimentStore(root)
-    lines = _read_doc(store, "report.json", _report_lines)
+    lines = _built(_report_lines, store.load_doc("report.json"),
+                   f"report.json in {store.root}:")
     if store.path("performance.json").exists():
-        lines += ["", *_read_doc(store, "performance.json", _performance_lines)]
+        lines += ["", *_built(_performance_lines, store.load_doc("performance.json"),
+                              f"performance.json in {store.root}:")]
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _read_doc(store: ExperimentStore, name: str, build):
-    """`build(doc)` for stored document `name`, whose shape is checked by
-    reading it: any key or value `build` cannot use is a corpus error."""
-    doc = store.load_doc(name)
-    try:
-        return build(doc)
-    except _BUILD_ERRORS as exc:
-        raise CorpusDataError(f"{name} in {store.root}: {_unusable(exc, doc)}") from exc
 
 
 def _report_lines(report: dict) -> list[str]:

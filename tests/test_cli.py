@@ -99,6 +99,33 @@ class TestAnalyze:
         assert report["filters"] == {"enabled": "r", "t_prime": 2.0}
         assert {c["filters"] for c in report["cells"]} == {"r"}
 
+    def test_consensus_threshold_above_every_score_keeps_no_keyword(self, cli_corpus):
+        # every tag keyword is in the taxonomy, where no pair scores
+        # above ln 38 = 3.638
+        assert main(["analyze", str(cli_corpus), "--consensus-t", "3.7"]) == 0
+        report = json.loads((cli_corpus / "report.json").read_text(encoding="utf-8"))
+        assert report["cells"]
+        for cell in report["cells"]:
+            assert cell["ttk"] is None and cell["note"] == "empty training keyword set"
+
+    def test_tprime_zero_removes_nothing_in_dg(self, tmp_path):
+        # no two persona categories score below 0; among three personas dg
+        # removes some impressions at the stored t' (2.5), so this can fail
+        root = tmp_path / "three"
+        assert main(["simulate", "--out", str(root), "--personas", "3",
+                     "--repetitions", "1", "--budget", "25", "--seed", "9"]) == 0
+
+        def removed_by_dg():
+            rows = json.loads((root / "report.json").read_text(encoding="utf-8"))["attrition"]
+            assert rows
+            return [row["attrition"]["after_static_contextual"]
+                    - row["attrition"]["after_demo_geo"] for row in rows]
+
+        assert main(["analyze", str(root)]) == 0
+        assert any(removed_by_dg())
+        assert main(["analyze", str(root), "--tprime", "0"]) == 0
+        assert not any(removed_by_dg())
+
     def test_nan_tprime_is_a_config_error(self, cli_corpus, capsys):
         before = (cli_corpus / "report.json").read_bytes()
         assert main(["analyze", str(cli_corpus), "--tprime", "nan"]) == 2
@@ -193,8 +220,12 @@ class TestAnalyze:
         ("sessions.json", "condition", ["ES"]),
         ("impressions.jsonl", "session", ["x"]),
         ("impressions.jsonl", "persona", ["x"]),
+        ("sessions.json", "clean", "false"),
+        ("sessions.json", "complete", "false"),
+        ("sessions.json", "rep", "0"),
     ], ids=["string-ntimes", "number-landing", "null-visit-url", "number-tag-url",
-            "number-training-pages", "list-condition", "list-session", "list-persona"])
+            "number-training-pages", "list-condition", "list-session", "list-persona",
+            "string-clean", "string-complete", "string-rep"])
     def test_record_value_of_the_wrong_type_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key, value
     ):
@@ -254,6 +285,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
         assert name in err and "record 1 " in err and repr(value) in err
+
+    @pytest.mark.parametrize("name, key", [
+        ("sessions.json", "session"),
+        ("personas.json", "id"),
+    ])
+    def test_record_naming_an_id_again_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, name, key
+    ):
+        stem = name.split(".")[0]
+        records = json.loads((cli_corpus / name).read_text(encoding="utf-8"))[stem]
+        clone = _edit_doc(cli_corpus, tmp_path / "c", name,
+                          lambda doc: doc[stem].append(records[0]))
+        assert main(["analyze", str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and name in err
+        assert f"record {len(records) + 1} " in err
+        assert f"{records[0][key]!r} again" in err
 
 
 class TestOverrides:
@@ -349,6 +397,8 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and repr(key) in err
         assert "world.json" in err and f"record has no {key!r}{where}" in err
+        # analyze reads no world.json
+        assert main(["analyze", str(clone)]) == 0
 
     def test_world_ad_of_an_unknown_kind_is_a_data_error(self, cli_corpus, tmp_path, capsys):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
@@ -362,6 +412,12 @@ class TestValidate:
     def test_world_ad_with_an_unknown_key_is_read(self, cli_corpus, tmp_path):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
                           lambda world: world["ads"][0].update(note="kept"))
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 0
+
+    def test_tag_file_is_not_read(self, cli_corpus, tmp_path):
+        # validate re-tags every page from world.json
+        clone = TestAnalyze._without_key(cli_corpus, tmp_path / "c",
+                                         "tags.sim-a.jsonl", "keywords")
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 0
 
 
