@@ -17,13 +17,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
-from .corpus import ExperimentStore
 from .errors import ConfigurationError, CorpusDataError, InvalidConfig, ObameterError
 from .experiment import (
     DEFAULT_SPURIOUS_LEVELS,
     ExperimentManifest,
-    _load_prices,
     analyze,
     digest,
     filter_attrition,
@@ -83,11 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override(stored, **flags):
-    """`stored` with each flag that was given (not None) replacing its field."""
-    return dataclasses.replace(
-        stored, **{name: value for name, value in flags.items() if value is not None}
-    )
+def _given(**flags) -> dict:
+    """The flags that were given (not None), by the field each one sets."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -97,47 +94,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "--personas sets the default roster size, but the manifest "
             "lists its personas explicitly"
         )
-    manifest = _override(
-        manifest,
+    manifest = dataclasses.replace(manifest, **_given(
         seed=args.seed,
         visit_budget=args.budget,
         mean_interval=args.mean_interval,
         repetitions=args.repetitions,
         n_personas=args.personas,
-    )
+    ))
     summary = simulate(manifest, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-def _stored_manifest(args: argparse.Namespace) -> ExperimentManifest:
-    store = ExperimentStore(args.dir)
-    return ExperimentManifest.from_dict(store.load_doc("manifest.json"))
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _load_prices(args.cpc)  # a bad price file is reported before any corpus file
-    stored = _stored_manifest(args)
     report = analyze(
         args.dir,
-        consensus=_override(
-            stored.consensus, n=args.consensus_n, threshold=args.consensus_t
-        ),
-        filters=_override(stored.filters, filters=args.filters, t_prime=args.tprime),
+        consensus=_given(n=args.consensus_n, threshold=args.consensus_t),
+        filters=_given(filters=args.filters, t_prime=args.tprime),
         cpc_path=args.cpc,
     )
-    store = ExperimentStore(args.dir)
+    root = Path(args.dir)
     print(f"scored {len(report['cells'])} cells "
           f"({len(report['personas'])} personas, {len(report['sources'])} sources)")
-    print(f"wrote {store.path('report.json')} and {store.path('report.csv')}")
+    print(f"wrote {root / 'report.json'} and {root / 'report.csv'}")
     return 0
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    filters = _override(
-        _stored_manifest(args).filters, filters=args.filters, t_prime=args.tprime
+    rows = filter_attrition(
+        args.dir, filters=_given(filters=args.filters, t_prime=args.tprime)
     )
-    rows = filter_attrition(args.dir, filters=filters)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

@@ -38,6 +38,7 @@ import functools
 import json
 import os
 import re
+import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -230,19 +231,44 @@ def _field_types(cls) -> dict[str, object]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+def _is_a(value, kind) -> bool:
+    """Whether decoded JSON `value` is of type hint `kind`; a bool is no
+    number, and an int is a float."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:  # the hints spell unions X | None
+        return any(_is_a(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_is_a(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items()
+        )
+    if is_dataclass(kind):
+        return isinstance(value, Mapping)  # from_dict builds and checks it
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def from_dict(cls, data, section: str):
     """Inverse of `dataclasses.asdict` for config dataclasses.
 
     Fields typed as a dataclass or `list[dataclass]` are built from their
-    type hints, under the field name as section; other values pass as
-    they are. A key that names no field raises InvalidConfig.
+    type hints, under the field name as section; every other value must
+    be of its field's type already, and is kept as it is. A key that names
+    no field or a value of the wrong type raises InvalidConfig.
     """
-    types = _field_types(cls)
+    hints = _field_types(cls)
     kwargs = {}
-    for name, value in check_keys(data, types, section).items():
-        kind, args = types[name], typing.get_args(types[name])
+    for name, value in check_keys(data, hints, section).items():
+        kind, args = hints[name], typing.get_args(hints[name])
         if is_dataclass(kind):
             value = from_dict(kind, value, name)
+        elif not _is_a(value, kind):
+            shown = kind if typing.get_origin(kind) else kind.__name__
+            raise InvalidConfig(
+                f"bad {section} section: {name} must be of type {shown}, got {value!r}"
+            )
         elif typing.get_origin(kind) is list and is_dataclass(args[0]):
             value = [from_dict(args[0], v, name) for v in value]
         kwargs[name] = value

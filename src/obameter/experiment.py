@@ -215,8 +215,13 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     """Build the world, run every session, write the corpus directory.
 
     Nothing is written until every session has run, so a failing session
-    leaves an earlier corpus in out_dir untouched.
+    leaves an earlier corpus in out_dir untouched. An out_dir that is a
+    file, or lies under one, raises InvalidConfig before any work.
     """
+    out = Path(out_dir).absolute()
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise InvalidConfig(f"cannot write to {out_dir}: {blocker} is not a directory")
     taxonomy = resolve_taxonomy(manifest.taxonomy)
     specs = manifest.persona_specs()
     world = build_world(manifest.sim, specs, taxonomy, seed=manifest.seed)
@@ -326,8 +331,12 @@ class _Corpus:
     visited_by_session: dict[str, set[str]]  # session -> visited landing keys
 
 
-def _load_corpus(root: str | Path) -> _Corpus:
+def _load_corpus(root: str | Path, **given) -> _Corpus:
     """Read and cross-check the corpus; group its sessions by condition.
+
+    Each manifest section `given` by name is set (not re-checked against
+    `sim.sources`) before any other file is read: a config object whole, a
+    mapping field by field, checked as stored; None keeps the stored one.
 
     Besides what each record's build cannot use, a record naming a condition,
     persona (not the clean one) or session that the manifest, personas.json
@@ -336,6 +345,11 @@ def _load_corpus(root: str | Path) -> _Corpus:
     """
     store = ExperimentStore(root)
     manifest = ExperimentManifest.from_dict(store.load_doc("manifest.json"))
+    for section, value in given.items():
+        stored = getattr(manifest, section)
+        if isinstance(value, Mapping):
+            value = from_dict(type(stored), {**asdict(stored), **value}, section)
+        setattr(manifest, section, stored if value is None else value)
     taxonomy = resolve_taxonomy(manifest.taxonomy)
 
     personas: dict[str, Persona] = {}
@@ -453,18 +467,19 @@ def _attrition_row(cond_id: str, row: dict, result: PipelineResult) -> dict:
 
 def analyze(
     root: str | Path,
-    consensus: ConsensusConfig | None = None,
-    filters: FilterConfig | None = None,
+    consensus: ConsensusConfig | Mapping | None = None,
+    filters: FilterConfig | Mapping | None = None,
     cpc_path: str | Path | None = None,
 ) -> dict:
     """Score the corpus; write report.json and report.csv, return the report.
 
-    A price file at cpc_path is checked before the corpus is read.
+    `consensus` and `filters` replace the stored sections, a mapping such
+    as {"t_prime": 3.0} only the fields it names. A price file at cpc_path
+    is checked before the corpus is read.
     """
     prices = _load_prices(cpc_path)
-    corpus = _load_corpus(root)
-    consensus = consensus if consensus is not None else corpus.manifest.consensus
-    filters = filters if filters is not None else corpus.manifest.filters
+    corpus = _load_corpus(root, consensus=consensus, filters=filters)
+    consensus, filters = corpus.manifest.consensus, corpus.manifest.filters
 
     tags = {src: corpus.store.load_tags(src) for src in corpus.store.tag_sources()}
 
@@ -671,11 +686,13 @@ def _correlate_prices(
     return out
 
 
-def filter_attrition(root: str | Path, filters: FilterConfig | None = None) -> list[dict]:
-    """Per-session stage attrition for the chosen filter set, no scoring."""
-    corpus = _load_corpus(root)
-    filters = filters if filters is not None else corpus.manifest.filters
-    return [_attrition_row(*entry) for entry in _filtered_sessions(corpus, filters)]
+def filter_attrition(
+    root: str | Path, filters: FilterConfig | Mapping | None = None
+) -> list[dict]:
+    """Per-session stage attrition, no scoring; `filters` as in `analyze`."""
+    corpus = _load_corpus(root, filters=filters)
+    rows = _filtered_sessions(corpus, corpus.manifest.filters)
+    return [_attrition_row(*entry) for entry in rows]
 
 
 # ---------------------------------------------------------------------------

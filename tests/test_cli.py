@@ -1,12 +1,14 @@
 """Command line behaviour: exit codes, overrides, output files."""
 
+import collections
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
-from obameter import ExperimentManifest
+from obameter import ExperimentManifest, experiment
 from obameter.cli import main
 
 
@@ -30,6 +32,20 @@ def _edit_doc(src, dest, name, edit):
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     return dest
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Counts the Path.read_text calls made from now on, by file name."""
+    reads = collections.Counter()
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    return reads
 
 
 class TestSimulate:
@@ -74,6 +90,49 @@ class TestSimulate:
         assert code == 2
         assert "mean_interval" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("doc, section, key", [
+        ({"repetitions": 1.5}, "manifest", "repetitions"),
+        ({"repetitions": True}, "manifest", "repetitions"),
+        ({"seed": 1.5}, "manifest", "seed"),
+        ({"n_personas": 2.0}, "manifest", "n_personas"),
+        ({"session": {"visit_budget": 20.5}}, "manifest", "visit_budget"),
+        ({"sim": {"n_ads": 50.5}}, "sim", "n_ads"),
+        ({"sim": {"honor_dnt": "no"}}, "sim", "honor_dnt"),
+        ({"sim": {"sources": ["a", "b", 3]}}, "sim", "sources"),
+        ({"conditions": [{"geo": "ES", "dnt": "false"}]}, "conditions", "dnt"),
+        ({"personas": [{"id": "one", "category": "banking", "sensitive": "false"}]},
+         "personas", "sensitive"),
+    ], ids=["float-repetitions", "bool-repetitions", "float-seed", "float-n_personas",
+            "float-visit_budget", "float-n_ads", "string-honor_dnt", "number-source",
+            "string-dnt", "string-sensitive"])
+    def test_value_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, capsys, doc, section, key
+    ):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: bad {section} section: {key} ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_at_or_under_a_file_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept", encoding="utf-8")
+        built = []
+        monkeypatch.setattr(experiment, "build_world", lambda *args, **kw: built.append(1))
+        code = main(["simulate", "--out", str(blocker / under),
+                     "--personas", "2", "--repetitions", "1", "--budget", "25"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"{blocker} is not a directory" in err
+        assert built == []  # checked before the world is built
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text(encoding="utf-8") == "kept"
 
     def test_harvester_failure_is_a_tool_error(self, tmp_path, capsys, fail_on_visit):
         fail_on_visit(10)
@@ -127,10 +186,36 @@ class TestAnalyze:
         assert not any(removed_by_dg())
 
     def test_nan_tprime_is_a_config_error(self, cli_corpus, capsys):
+        assert main(["analyze", str(cli_corpus)]) == 0
         before = (cli_corpus / "report.json").read_bytes()
         assert main(["analyze", str(cli_corpus), "--tprime", "nan"]) == 2
         assert "t_prime" in capsys.readouterr().err
         assert (cli_corpus / "report.json").read_bytes() == before
+
+    def test_nan_tprime_is_a_config_error_before_the_corpus_records(
+        self, cli_corpus, tmp_path, capsys
+    ):
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        (clone / "impressions.jsonl").write_text("{not json\n", encoding="utf-8")
+        assert main(["analyze", str(clone), "--tprime", "nan"]) == 2
+        assert "t_prime" in capsys.readouterr().err
+        # the stored manifest is read first, so a missing one is still a corpus error
+        (tmp_path / "empty").mkdir()
+        assert main(["analyze", str(tmp_path / "empty"), "--consensus-t", "nan"]) == 3
+        assert capsys.readouterr().err.startswith("corpus error")
+
+    def test_stored_value_of_the_wrong_type_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys
+    ):
+        clone = _edit_doc(cli_corpus, tmp_path / "m", "manifest.json",
+                          lambda doc: doc["sim"].update(n_ads=50.5))
+        assert main(["analyze", str(clone)]) == 2
+        assert "bad sim section: n_ads " in capsys.readouterr().err
+        clone = _edit_doc(cli_corpus, tmp_path / "w", "world.json",
+                          lambda world: world["config"].update(honor_dnt="no"))
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 2
+        assert "bad sim section: honor_dnt " in capsys.readouterr().err
 
     def test_unknown_filter_set_rejected_by_parser(self, cli_corpus):
         with pytest.raises(SystemExit):
@@ -340,6 +425,19 @@ class TestOverrides:
         report = self._report(stored_corpus)
         assert report["consensus"] == {"n": 1, "threshold": 1.5}
         assert report["filters"] == {"enabled": "rsc", "t_prime": 2.0}
+
+    def test_manifest_and_price_file_are_read_once(
+        self, stored_corpus, tmp_path, capsys, file_reads
+    ):
+        cpc = tmp_path / "cpc.json"
+        cpc.write_text(json.dumps({"p": 1.0}), encoding="utf-8")
+        assert main(["analyze", str(stored_corpus), "--tprime", "3.0",
+                     "--cpc", str(cpc)]) == 0
+        assert file_reads["manifest.json"] == 1 and file_reads["cpc.json"] == 1
+        assert self._report(stored_corpus)["filters"] == {"enabled": "rsc", "t_prime": 3.0}
+        file_reads.clear()
+        assert main(["filter", str(stored_corpus), "--tprime", "3.0"]) == 0
+        assert file_reads["manifest.json"] == 1
 
     def test_tprime_alone_keeps_the_stored_filter_set(self, stored_corpus, capsys):
         assert main(["analyze", str(stored_corpus), "--tprime", "3.0"]) == 0

@@ -145,6 +145,13 @@ class TestManifest:
         with pytest.raises(ConfigurationError):
             ExperimentManifest.from_dict(doc)
 
+    def test_values_are_checked_not_converted(self):
+        # an int is a float, and null is a float | None
+        doc = {"session": {"mean_interval": 90}, "sim": {"profile_decay_halflife": None}}
+        written = ExperimentManifest.from_dict(doc).to_dict()
+        assert type(written["session"]["mean_interval"]) is int
+        assert written["sim"]["profile_decay_halflife"] is None
+
     def test_largest_seed_accepted(self):
         assert ExperimentManifest.from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
@@ -551,6 +558,45 @@ class TestAnalyze:
     def test_analyze_missing_corpus(self, tmp_path):
         with pytest.raises(IncompleteCorpus):
             analyze(tmp_path / "empty")
+
+
+class TestGivenSections:
+    """A config object replaces its stored section whole; a mapping replaces
+    only the fields it names."""
+
+    @pytest.fixture
+    def stored_rsc(self, corpus_dir, tmp_path):
+        store = ExperimentStore(_copy_corpus(corpus_dir[0], tmp_path / "c"))
+        doc = store.load_doc("manifest.json")
+        doc["filters"] = {"enabled": "rsc", "t_prime": 2.0}
+        doc["consensus"] = {"n": 1, "threshold": 2.0}
+        store.write_doc("manifest.json", doc)
+        return store.root
+
+    def test_mapping_keeps_the_stored_fields_it_does_not_name(self, stored_rsc):
+        report = analyze(stored_rsc, filters={"t_prime": 3.0})
+        assert report["filters"] == {"enabled": "rsc", "t_prime": 3.0}
+        assert report["consensus"] == {"n": 1, "threshold": 2.0}
+        report = analyze(stored_rsc, consensus={"threshold": 1.5})
+        assert report["consensus"] == {"n": 1, "threshold": 1.5}
+        assert report["filters"] == {"enabled": "rsc", "t_prime": 2.0}
+        rows = filter_attrition(stored_rsc, filters={"filters": "r"})
+        assert {stage for row in rows for stage in row["attrition"]} == {
+            "input", "after_retargeting",
+        }
+
+    def test_config_object_replaces_the_whole_section(self, stored_rsc):
+        report = analyze(stored_rsc, filters=FilterConfig(t_prime=3.0))
+        assert report["filters"] == {"enabled": "rscdg", "t_prime": 3.0}
+
+    @pytest.mark.parametrize("given, error", [
+        ({"filters": {"bogus": 1}}, InvalidConfig),
+        ({"consensus": {"n": 1.5}}, InvalidConfig),
+        ({"consensus": {"threshold": float("nan")}}, ConfigurationError),
+    ], ids=["unknown-key", "float-n", "nan-threshold"])
+    def test_bad_mapping_is_a_config_error(self, stored_rsc, given, error):
+        with pytest.raises(error):
+            analyze(stored_rsc, **given)
 
 
 class TestTagReads:
