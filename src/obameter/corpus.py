@@ -250,6 +250,18 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def check_type(cls, name: str, value, section: str, key: str | None = None) -> None:
+    """Raise InvalidConfig unless decoded JSON `value` is of the type hint
+    of field `name` of `cls`. The message names `key`, the field as the
+    file spells it (`name` unless given), in `section`."""
+    kind = _field_types(cls)[name]
+    if not _is_a(value, kind):
+        shown = kind if typing.get_origin(kind) else kind.__name__
+        raise InvalidConfig(
+            f"bad {section} section: {key or name} must be of type {shown}, got {value!r}"
+        )
+
+
 def from_dict(cls, data, section: str):
     """Inverse of `dataclasses.asdict` for config dataclasses.
 
@@ -264,13 +276,10 @@ def from_dict(cls, data, section: str):
         kind, args = hints[name], typing.get_args(hints[name])
         if is_dataclass(kind):
             value = from_dict(kind, value, name)
-        elif not _is_a(value, kind):
-            shown = kind if typing.get_origin(kind) else kind.__name__
-            raise InvalidConfig(
-                f"bad {section} section: {name} must be of type {shown}, got {value!r}"
-            )
-        elif typing.get_origin(kind) is list and is_dataclass(args[0]):
-            value = [from_dict(args[0], v, name) for v in value]
+        else:
+            check_type(cls, name, value, section)
+            if typing.get_origin(kind) is list and is_dataclass(args[0]):
+                value = [from_dict(args[0], v, name) for v in value]
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -61,6 +61,7 @@ from .corpus import (
     _built,
     _write_atomic,
     check_keys,
+    check_type,
     from_dict,
     landing_key,
     tag_pages,
@@ -173,14 +174,23 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentManifest":
-        """Inverse of to_dict; unknown keys in any section raise InvalidConfig."""
+        """Inverse of to_dict; unknown keys in any section raise InvalidConfig.
+
+        The session keys move to the top level and `enabled` becomes the
+        field `filters`, so their types are checked first, under the
+        section and key the document spells.
+        """
         top = {f.name for f in fields(cls)} - set(_SESSION_KEYS) | {"session"}
         doc = dict(check_keys(data, top, "manifest"))
-        doc.update(check_keys(doc.pop("session", {}), _SESSION_KEYS, "session"))
+        session = check_keys(doc.pop("session", {}), _SESSION_KEYS, "session")
+        for name, value in session.items():
+            check_type(cls, name, value, "session")
+        doc.update(session)
         filters = dict(
             check_keys(doc.get("filters", {}), ("enabled", "t_prime"), "filter")
         )
         if "enabled" in filters:
+            check_type(FilterConfig, "filters", filters["enabled"], "filters", "enabled")
             filters["filters"] = filters.pop("enabled")
         doc["filters"] = filters
         return from_dict(cls, doc, "manifest")

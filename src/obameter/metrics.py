@@ -15,18 +15,20 @@ pages, so a frequently repeated ad counts as often as it was shown.
 Correlation against ad prices removes CPC outliers outside
 [Q1 - 1.5 IQR, Q3 + 1.5 IQR] first. Quartiles use the median-exclusive
 convention: with an odd count the median belongs to neither half. The
-Pearson p-value uses the t approximation, the Spearman p-value the
-large-sample normal approximation; both are reported, never gated on.
+Pearson p-value is the two-sided Student-t tail with n - 2 degrees of
+freedom, computed in the standard library from the regularised
+incomplete beta function I_x(df/2, 1/2) at x = df / (df + t^2); the
+Spearman p-value is the large-sample normal approximation. Both are
+reported, never gated on.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import asdict, dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
-
-from scipy import stats as _scipy_stats
 
 from .corpus import AdImpression
 from .errors import (
@@ -201,8 +203,8 @@ def value_correlation(bailp_by_key: Mapping, cpc_by_key: Mapping) -> Correlation
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise DegenerateSeries("constant series has no defined correlation")
 
-    pearson = float(_scipy_stats.pearsonr(xs, ys).statistic)
-    spearman = float(_scipy_stats.spearmanr(xs, ys).statistic)
+    pearson = _pearson(xs, ys)
+    spearman = _pearson(_average_ranks(xs), _average_ranks(ys))
     n = len(used)
     pearson_p = _pearson_p_t_approx(pearson, n)
     spearman_p = _spearman_p_normal_approx(spearman, n)
@@ -213,6 +215,33 @@ def value_correlation(bailp_by_key: Mapping, cpc_by_key: Mapping) -> Correlation
     )
 
 
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson's r of two non-constant series, mean-centred in a second
+    pass and clamped to [-1, 1] against rounding."""
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks of `values`; tied values share their mean rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and values[order[end]] == values[order[start]]:
+            end += 1
+        for i in order[start:end]:
+            ranks[i] = (start + end + 1) / 2
+        start = end
+    return ranks
+
+
 def _pearson_p_t_approx(r: float, n: int) -> float:
     """Two-sided p via the t distribution with n - 2 degrees of freedom."""
     if n <= 2:
@@ -221,7 +250,66 @@ def _pearson_p_t_approx(r: float, n: int) -> float:
     if denom <= 0.0:
         return 0.0
     t = abs(r) * math.sqrt((n - 2) / denom)
-    return float(2.0 * _scipy_stats.t.sf(t, df=n - 2))
+    return _t_two_sided_p(t, n - 2)
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= t) for Student's t with df degrees of freedom, t >= 0.
+
+    That is I_x(df/2, 1/2) with x = df / (df + t^2). The complement
+    t^2 / (df + t^2) is computed as such, not as 1 - x, which would lose
+    every digit of a small t^2 against df.
+    """
+    t2 = t * t
+    return _regularized_beta(df / 2, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1], given y = 1 - x."""
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    # the fraction converges fast below this point; above it, use
+    # I_x(a, b) = 1 - I_y(b, a)
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+_FRACTION_EPS = sys.float_info.epsilon
+_FRACTION_TINY = 1e-300
+_FRACTION_MAX_TERMS = 10_000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) by the modified Lentz method
+    (Numerical Recipes `betacf`)."""
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) >= _FRACTION_TINY else _FRACTION_TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, _FRACTION_MAX_TERMS + 1):
+        # the even term d_2m, then the odd term d_2m+1
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / nonzero(1.0 + coef * d)
+            c = nonzero(1.0 + coef / c)
+            h *= d * c
+        if abs(d * c - 1.0) < _FRACTION_EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}"
+    )
 
 
 def _spearman_p_normal_approx(rho: float, n: int) -> float:

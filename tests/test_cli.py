@@ -3,13 +3,37 @@
 import collections
 import dataclasses
 import json
+import math
+import os
 import shutil
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from scipy import stats as scipy_stats
 
+import obameter
 from obameter import ExperimentManifest, experiment
 from obameter.cli import main
+
+
+def test_import_loads_no_third_party_package():
+    # a fresh interpreter that imports the package from where this process
+    # found it: `src` in a checkout, site-packages when installed
+    code = (
+        "import sys; before = set(sys.modules); import obameter, obameter.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(obameter.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "obameter.cli" in out
+    assert [m for m in out if m.split(".")[0] in ("scipy", "numpy")] == []
+    third_party = {m.split(".")[0] for m in out} - set(sys.stdlib_module_names)
+    assert third_party == {"obameter"}
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +120,8 @@ class TestSimulate:
         ({"repetitions": True}, "manifest", "repetitions"),
         ({"seed": 1.5}, "manifest", "seed"),
         ({"n_personas": 2.0}, "manifest", "n_personas"),
-        ({"session": {"visit_budget": 20.5}}, "manifest", "visit_budget"),
+        ({"session": {"visit_budget": 20.5}}, "session", "visit_budget"),
+        ({"filters": {"enabled": 5}}, "filters", "enabled"),
         ({"sim": {"n_ads": 50.5}}, "sim", "n_ads"),
         ({"sim": {"honor_dnt": "no"}}, "sim", "honor_dnt"),
         ({"sim": {"sources": ["a", "b", 3]}}, "sim", "sources"),
@@ -104,7 +129,7 @@ class TestSimulate:
         ({"personas": [{"id": "one", "category": "banking", "sensitive": "false"}]},
          "personas", "sensitive"),
     ], ids=["float-repetitions", "bool-repetitions", "float-seed", "float-n_personas",
-            "float-visit_budget", "float-n_ads", "string-honor_dnt", "number-source",
+            "float-visit_budget", "number-enabled", "float-n_ads", "string-honor_dnt", "number-source",
             "string-dnt", "string-sensitive"])
     def test_value_of_the_wrong_type_is_a_config_error(
         self, tmp_path, capsys, doc, section, key
@@ -335,6 +360,43 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
         assert name in err and "record 1 " in err and repr("keywords") in err
+
+    def test_price_correlation_matches_scipy(self, tmp_path):
+        root = tmp_path / "six"
+        assert main(["simulate", "--out", str(root), "--personas", "6",
+                     "--repetitions", "1", "--budget", "25", "--seed", "9"]) == 0
+        personas = json.loads((root / "personas.json").read_text(encoding="utf-8"))
+        pids = sorted(p["id"] for p in personas["personas"])
+        # the last persona's price lies far outside the Tukey fences
+        prices = {pid: 1.0 + 0.5 * i for i, pid in enumerate(pids[:-1])}
+        prices[pids[-1]] = 100.0
+        cpc = tmp_path / "cpc.json"
+        cpc.write_text(json.dumps(prices), encoding="utf-8")
+        assert main(["analyze", str(root), "--cpc", str(cpc)]) == 0
+
+        report = json.loads((root / "report.json").read_text(encoding="utf-8"))
+        assert [e["condition"] for e in report["correlation"]] == report["conditions"]
+        for entry in report["correlation"]:
+            by_pid = collections.defaultdict(list)
+            for cell in report["cells"]:
+                if (cell["filters"], cell["condition"]) == (
+                    entry["filters"], entry["condition"]
+                ) and cell["bailp"] is not None:
+                    by_pid[cell["persona"]].append(cell["bailp"])
+            assert sorted(by_pid) == pids
+            used = pids[:-1]
+            xs = [statistics.fmean(by_pid[pid]) for pid in used]
+            ys = [prices[pid] for pid in used]
+            assert len(set(xs)) < len(xs)  # tied BAiLP values
+            pearson = scipy_stats.pearsonr(xs, ys)
+            spearman = scipy_stats.spearmanr(xs, ys)
+            z = abs(spearman.statistic) * math.sqrt(len(used) - 1)
+            got = entry["correlation"]
+            assert got["removed_keys"] == pids[-1:] and got["n_used"] == len(used)
+            assert got["pearson"] == pytest.approx(float(pearson.statistic), abs=1e-12)
+            assert got["spearman"] == pytest.approx(float(spearman.statistic), abs=1e-12)
+            assert got["pearson_p"] == pytest.approx(float(pearson.pvalue), abs=1e-10)
+            assert got["spearman_p"] == pytest.approx(math.erfc(z / math.sqrt(2)), abs=1e-10)
 
     @pytest.mark.parametrize("prices, named", [
         (["a"], "list"),

@@ -24,6 +24,7 @@ from obameter.errors import (
     MissingGroundTruth,
     NoImpressions,
 )
+from obameter.metrics import _t_two_sided_p
 
 
 class TestTtk:
@@ -178,6 +179,49 @@ class TestValueCorrelation:
         report = value_correlation(xs, ys)
         z = abs(report.spearman) * math.sqrt(report.n_used - 1)
         assert report.spearman_p == pytest.approx(math.erfc(z / math.sqrt(2)))
+
+
+    def test_spearman_of_tied_values_matches_scipy(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            keys = [f"k{i:02d}" for i in range(rng.randint(4, 30))]
+            xs = {k: rng.choice([0.25, 0.5, 0.75, 1.0]) for k in keys}
+            ys = {k: rng.choice([1.0, 1.5, 2.0]) + xs[k] for k in keys}
+            report = value_correlation(xs, ys)
+            used = [k for k in sorted(keys) if k not in set(report.removed_keys)]
+            ref = scipy_stats.spearmanr([xs[k] for k in used], [ys[k] for k in used])
+            assert report.spearman == pytest.approx(float(ref.statistic), abs=1e-12)
+
+    def test_pearson_of_offset_series_matches_scipy(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            keys = [f"k{i:02d}" for i in range(rng.randint(3, 30))]
+            xs = {k: 1e9 + rng.random() for k in keys}
+            ys = {k: xs[k] + rng.gauss(0, 0.5) for k in keys}
+            report = value_correlation(xs, ys)
+            used = [k for k in sorted(keys) if k not in set(report.removed_keys)]
+            ref = scipy_stats.pearsonr([xs[k] for k in used], [ys[k] for k in used])
+            assert report.pearson == pytest.approx(float(ref.statistic), abs=1e-12)
+
+
+class TestStudentTail:
+    DFS = [*range(1, 301), 500, 1_000, 5_000, 100_000]
+
+    @pytest.mark.parametrize("t", [0, 1e-3, 0.1, 0.5, 1, 2, 3, 5, 10, 30, 100, 1e4])
+    def test_two_sided_p_matches_scipy(self, t):
+        for df in self.DFS:
+            ref = 2 * scipy_stats.t.sf(t, df)
+            assert _t_two_sided_p(t, df) == pytest.approx(float(ref), abs=1e-10), df
+
+    def test_closed_forms_at_a_tiny_t(self):
+        # scipy rounds these to 1.0 (2 * t.sf(1e-9, 1) == 1.0), but
+        # 1 - p is 6.4e-10 for df = 1
+        t = 1e-9
+        assert _t_two_sided_p(t, 1) == pytest.approx(
+            1 - 2 / math.pi * math.atan(t), abs=1e-15
+        )
+        assert _t_two_sided_p(t, 2) == pytest.approx(1 - t / math.sqrt(2 + t * t), abs=1e-15)
+        assert _t_two_sided_p(t, 1) < 1.0
 
 
 class TestComparisonStats:
