@@ -41,17 +41,15 @@ import math
 import random
 import re
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from typing import Literal, Sequence
 
 from . import demo
-from .corpus import WebPage, _built, _record_fields, from_dict
+from .corpus import AD_KINDS, WebPage, _built, _record_fields, from_dict
 from .errors import CorpusDataError, InvalidConfig
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
 from .session import ServedAd, SessionConfig, VisitEvent
 from .taxonomy import KeywordTaxonomy, normalize_keyword
-
-AD_KINDS = ("oba", "contextual", "static", "retargeting", "geo_demo")
 
 DEFAULT_MIX = {
     "oba": 0.4,
@@ -160,7 +158,7 @@ class AdUnit:
     """One inventory entry; `kind` is the ground-truth label, one of AD_KINDS."""
 
     ad_id: str
-    kind: str
+    kind: Literal[AD_KINDS]
     landing_url: str
     base_weight: float = 1.0
     target_category: str | None = None  # oba

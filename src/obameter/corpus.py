@@ -38,6 +38,7 @@ import functools
 import json
 import os
 import re
+import reprlib
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -52,6 +53,8 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 _SOURCE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 PAGE_ROLES = ("training", "control", "landing")
+
+AD_KINDS = ("oba", "contextual", "static", "retargeting", "geo_demo")
 
 # what a record build raises on a missing key or a value of the wrong type or form
 _BUILD_ERRORS = (KeyError, CorpusDataError, TypeError, ValueError, AttributeError)
@@ -118,7 +121,8 @@ class AdImpression:
     impression came from the simulator. Both URLs are stored normalized,
     with their landing keys in control_key and landing_key and the
     aggregation and prediction identity in key; all three are set once,
-    when the impression is built. The two ids must be strings.
+    when the impression is built. The two ids must be strings, and
+    ground_truth None or one of AD_KINDS.
     """
 
     persona_id: str
@@ -140,6 +144,9 @@ class AdImpression:
         self.key = (self.persona_id, self.session_id, self.control_key, self.landing_key)
         if type(self.ntimes) is not int or self.ntimes < 1:  # bool is not a count
             raise CorpusDataError(f"ntimes must be an integer >= 1, got {self.ntimes!r}")
+        if self.ground_truth is not None and self.ground_truth not in AD_KINDS:
+            raise CorpusDataError(f"ground_truth must be null or one of "
+                                  f"{', '.join(AD_KINDS)}, got {self.ground_truth!r}")
 
 
 class TaggingSource(Protocol):
@@ -190,9 +197,12 @@ def _unusable(exc: Exception, rec) -> str:
 
 
 def _record_fields(cls, rec) -> dict:
-    """Field name -> value for each field of dataclass `cls`, from record `rec`;
-    other keys are ignored."""
-    return {f.name: rec[f.name] for f in fields(cls)}
+    """Field name -> value for each field of dataclass `cls`, from record `rec`,
+    each value of its field's type hint; other keys are ignored."""
+    for name, (hint, is_a) in _field_types(cls).items():
+        if not is_a(rec[name]):
+            raise CorpusDataError(_not_a(name, hint, rec[name]))
+    return {name: rec[name] for name in _field_types(cls)}
 
 
 def _built(build: Callable, rec, what: str, where: str = ""):
@@ -226,40 +236,47 @@ def _temporary(path: Path) -> Path:
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, object]:
+def _field_types(cls) -> dict[str, tuple[object, Callable]]:
+    """Field name -> (type hint, `_is_a` test of it) for each field of `cls`."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return {f.name: (hints[f.name], _is_a(hints[f.name])) for f in fields(cls)}
 
 
-def _is_a(value, kind) -> bool:
-    """Whether decoded JSON `value` is of type hint `kind`; a bool is no
-    number, and an int is a float."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is types.UnionType:  # the hints spell unions X | None
-        return any(_is_a(value, arg) for arg in args)
+@functools.cache
+def _is_a(hint) -> Callable[[object], bool]:
+    """Test of decoded JSON against hint `hint`: a bool is no number, an int is a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        head, tail = _is_a(args[0]), _is_a(typing.Union[args[1:]])
+        return lambda v: head(v) or tail(v)
     if origin is list:
-        return isinstance(value, list) and all(_is_a(v, args[0]) for v in value)
+        item = _is_a(args[0])
+        return lambda v: isinstance(v, list) and all(map(item, v))
     if origin is dict:
-        return isinstance(value, dict) and all(
-            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items()
-        )
-    if is_dataclass(kind):
-        return isinstance(value, Mapping)  # from_dict builds and checks it
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+        key, val = map(_is_a, args)
+        return lambda v: isinstance(v, dict) and all(map(key, v)) and all(map(val, v.values()))
+    if origin is typing.Literal:
+        return lambda v: v in args
+    if is_dataclass(hint):  # left to the build that makes it
+        return lambda v: True
+    kinds = (int, float) if hint is float else hint
+    return lambda v: isinstance(v, kinds) and (hint is bool or not isinstance(v, bool))
+
+
+def _not_a(name: str, hint, value) -> str:
+    args = typing.get_args(hint)
+    wanted = (f"one of {', '.join(args)}" if typing.get_origin(hint) is typing.Literal
+              else f"of type {hint if args else hint.__name__}")
+    return f"{name} must be {wanted}, got {reprlib.repr(value)}"
 
 
 def check_type(cls, name: str, value, section: str, key: str | None = None) -> None:
     """Raise InvalidConfig unless decoded JSON `value` is of the type hint
     of field `name` of `cls`. The message names `key`, the field as the
     file spells it (`name` unless given), in `section`."""
-    kind = _field_types(cls)[name]
-    if not _is_a(value, kind):
-        shown = kind if typing.get_origin(kind) else kind.__name__
-        raise InvalidConfig(
-            f"bad {section} section: {key or name} must be of type {shown}, got {value!r}"
-        )
+    kind, is_a = _field_types(cls)[name]
+    if not is_a(value):
+        raise InvalidConfig(f"bad {section} section: {_not_a(key or name, kind, value)}")
 
 
 def from_dict(cls, data, section: str):
@@ -273,13 +290,12 @@ def from_dict(cls, data, section: str):
     hints = _field_types(cls)
     kwargs = {}
     for name, value in check_keys(data, hints, section).items():
-        kind, args = hints[name], typing.get_args(hints[name])
+        kind, args = hints[name][0], typing.get_args(hints[name][0])
+        check_type(cls, name, value, section)
         if is_dataclass(kind):
             value = from_dict(kind, value, name)
-        else:
-            check_type(cls, name, value, section)
-            if typing.get_origin(kind) is list and is_dataclass(args[0]):
-                value = [from_dict(args[0], v, name) for v in value]
+        elif typing.get_origin(kind) is list and is_dataclass(args[0]):
+            value = [from_dict(args[0], v, name) for v in value]
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -352,16 +368,15 @@ class ExperimentStore:
     def load_tags(self, source: str) -> dict[str, set[str]]:
         """Canonical URL to keywords as `tag_pages` makes them; each page once."""
         table: dict[str, set[str]] = {}
+        is_keyword_list = _is_a(list[str])
 
         def add(rec: dict) -> None:
             url = normalize_url(rec["url"])
             if url in table:
                 raise CorpusDataError(f"names page {url!r} again")
-            keywords = rec["keywords"]
-            if not (isinstance(keywords, list)
-                    and all(isinstance(k, str) for k in keywords)):
+            if not is_keyword_list(rec["keywords"]):
                 raise CorpusDataError("has 'keywords' that is not a list of strings")
-            table[url] = _keyword_set(keywords)
+            table[url] = _keyword_set(rec["keywords"])
         self.load_records(f"tags.{source}.jsonl", add)
         return table
 

@@ -59,6 +59,7 @@ from .corpus import (
     AdImpression,
     ExperimentStore,
     _built,
+    _record_fields,
     _write_atomic,
     check_keys,
     check_type,
@@ -96,12 +97,6 @@ _STAGE_TO_FILTERS = {stages[-1]: name for name, stages in FILTER_SETS.items()}
 
 # manifest fields stored under "session" in manifest.json
 _SESSION_KEYS = ("visit_budget", "mean_interval")
-
-# the keys of a sessions.json row that analysis reads, with each one's type
-_SESSION_ROW_TYPES = {
-    "session": str, "persona": str, "condition": str,
-    "rep": int, "clean": bool, "complete": bool,
-}
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -318,12 +313,24 @@ def _run_one(
 # shared corpus loading
 
 
+@dataclass(frozen=True)
+class _SessionRow:
+    """The fields of a sessions.json row that analysis reads."""
+
+    session: str
+    persona: str
+    condition: str
+    rep: int
+    clean: bool
+    complete: bool
+
+
 @dataclass
 class _ConditionGroup:
     """One manifest condition's complete sessions, grouped once at load."""
 
     cond_id: str
-    sessions: list[dict] = field(default_factory=list)  # persona-session rows
+    sessions: list[_SessionRow] = field(default_factory=list)  # persona-session rows
     clean: list[AdImpression] | None = None  # None: no clean session
     pooled: dict[str, list[AdImpression]] = field(default_factory=dict)  # over reps
 
@@ -374,21 +381,15 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
     groups = {c.cond_id: _ConditionGroup(c.cond_id) for c in manifest.conditions}
     imps_by_session: dict[str, list[AdImpression]] = {}
 
-    def session_row(rec: dict) -> dict:
-        row = {key: rec[key] for key in _SESSION_ROW_TYPES}
-        for key, kind in _SESSION_ROW_TYPES.items():
-            # type(), not isinstance: a bool is no rep
-            if type(row[key]) is not kind:
-                raise CorpusDataError(
-                    f"{key} must be of type {kind.__name__}, got {row[key]!r}"
-                )
-        if row["session"] in imps_by_session:
-            raise CorpusDataError(f"names session {row['session']!r} again")
-        if row["condition"] not in groups:
-            raise CorpusDataError(f"names condition {row['condition']!r}, not in the manifest")
-        if not row["clean"] and row["persona"] not in personas:
-            raise CorpusDataError(f"names persona {row['persona']!r}, not in personas.json")
-        imps_by_session[row["session"]] = []
+    def session_row(rec: dict) -> _SessionRow:
+        row = _SessionRow(**_record_fields(_SessionRow, rec))
+        if row.session in imps_by_session:
+            raise CorpusDataError(f"names session {row.session!r} again")
+        if row.condition not in groups:
+            raise CorpusDataError(f"names condition {row.condition!r}, not in the manifest")
+        if not row.clean and row.persona not in personas:
+            raise CorpusDataError(f"names persona {row.persona!r}, not in personas.json")
+        imps_by_session[row.session] = []
         return row
     rows = store.load_records("sessions.json", session_row)
     for i, imp in enumerate(store.load_impressions(), 1):
@@ -400,20 +401,23 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
     for row in rows:
         # simulate writes only complete sessions, but a corpus from another
         # harvester may mark aborted ones; they are dropped here, once
-        if not row["complete"]:
+        if not row.complete:
             continue
-        group = groups[row["condition"]]
-        imps = imps_by_session[row["session"]]
-        if row["clean"]:
+        group = groups[row.condition]
+        imps = imps_by_session[row.session]
+        if row.clean:
             group.clean = (group.clean or []) + imps
         else:
             group.sessions.append(row)
-            group.pooled.setdefault(row["persona"], []).extend(imps)
+            group.pooled.setdefault(row.persona, []).extend(imps)
 
     visited_by_session: dict[str, set[str]] = {}
-    store.load_visits(lambda rec: visited_by_session.setdefault(rec["session"], set()).add(
-        landing_key(rec["url"])
-    ))
+
+    def add_visit(rec: dict) -> None:
+        if rec["session"] not in imps_by_session:
+            raise CorpusDataError(f"names session {rec['session']!r}, not in sessions.json")
+        visited_by_session.setdefault(rec["session"], set()).add(landing_key(rec["url"]))
+    store.load_visits(add_visit)
 
     return _Corpus(
         store=store,
@@ -442,7 +446,7 @@ def _consensus_keywords(
 
 def _filtered_sessions(
     corpus: _Corpus, filters: FilterConfig
-) -> Iterator[tuple[str, dict, PipelineResult]]:
+) -> Iterator[tuple[str, _SessionRow, PipelineResult]]:
     """(condition id, session row, pipeline result) per persona session.
 
     Sessions marked incomplete never get here: _load_corpus drops them.
@@ -454,21 +458,21 @@ def _filtered_sessions(
     for group in corpus.groups:
         audience = build_audience(group.pooled)
         for row in group.sessions:
-            sid = row["session"]
+            sid = row.session
             yield group.cond_id, row, apply_filters(
                 impressions=corpus.imps_by_session[sid],
                 config=filters,
                 visited_keys=corpus.visited_by_session.get(sid, set()),
                 clean_impressions=group.clean,
-                persona_id=row["persona"],
+                persona_id=row.persona,
                 persona_categories=categories,
                 audience=audience,
                 taxonomy=corpus.taxonomy,
             )
 
 
-def _attrition_row(cond_id: str, row: dict, result: PipelineResult) -> dict:
-    return {"session": row["session"], "condition": cond_id, "attrition": result.attrition}
+def _attrition_row(cond_id: str, row: _SessionRow, result: PipelineResult) -> dict:
+    return {"session": row.session, "condition": cond_id, "attrition": result.attrition}
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +534,13 @@ def analyze(
 def _score_cell(
     url_tags: Mapping[str, set[str]],
     keywords: Mapping[str, Mapping[str, set[str]]],
-    row: dict,
+    row: _SessionRow,
     cond_id: str,
     filter_set: str,
     src: str,
     survivors: list[AdImpression],
 ) -> dict:
-    k_t = keywords[row["persona"]].get(src, set())
+    k_t = keywords[row.persona].get(src, set())
     k_l: set[str] = set()
     records: list[tuple[set[str], int]] = []
     for imp in survivors:
@@ -556,11 +560,11 @@ def _score_cell(
         bailp_value = None
         note = "no surviving impressions"
     return {
-        "persona": row["persona"],
+        "persona": row.persona,
         "source": src,
         "filters": filter_set,
         "condition": cond_id,
-        "rep": row["rep"],
+        "rep": row.rep,
         "ttk": ttk_value,
         "bailp": bailp_value,
         "n_impressions": len(survivors),
@@ -739,7 +743,7 @@ def validate(
     # survivors never depend on tags, so filter once
     survivors: dict[tuple[str, str], list[AdImpression]] = {}
     for cond_id, row, result in _filtered_sessions(corpus, filter_config):
-        survivors.setdefault((cond_id, row["persona"]), []).extend(
+        survivors.setdefault((cond_id, row.persona), []).extend(
             result.by_stage["dg"]
         )
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
-from .corpus import WebPage
+from .corpus import WebPage, _record_fields
 from .errors import ConfigurationError, InsufficientSources, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -55,7 +55,7 @@ class Persona:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":
-        return cls(**{f.name: rec[f.name] for f in fields(cls)} | {
+        return cls(**_record_fields(cls, rec) | {
             "training_pages": [
                 WebPage(url=u, role="training") for u in rec["training_pages"]
             ],

@@ -333,9 +333,12 @@ class TestAnalyze:
         ("sessions.json", "clean", "false"),
         ("sessions.json", "complete", "false"),
         ("sessions.json", "rep", "0"),
+        ("impressions.jsonl", "ground_truth", "OBA"),
+        ("impressions.jsonl", "ground_truth", 5),
     ], ids=["string-ntimes", "number-landing", "null-visit-url", "number-tag-url",
             "number-training-pages", "list-condition", "list-session", "list-persona",
-            "string-clean", "string-complete", "string-rep"])
+            "string-clean", "string-complete", "string-rep", "unknown-ground-truth",
+            "number-ground-truth"])
     def test_record_value_of_the_wrong_type_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key, value
     ):
@@ -421,7 +424,9 @@ class TestAnalyze:
         ("sessions.json", "condition", "FR"),
         ("sessions.json", "persona", "nobody"),
         ("impressions.jsonl", "session", "ghost|ES|r0"),
-    ], ids=["unknown-condition", "unknown-persona", "unknown-session"])
+        ("visits.jsonl", "session", "ghost|ES|r0"),
+    ], ids=["unknown-condition", "unknown-persona", "unknown-session",
+            "unknown-visit-session"])
     def test_record_naming_an_unknown_id_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key, value
     ):
@@ -568,6 +573,60 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and "world.json" in err
         assert "ad record kind must be one of" in err and "got 5 (ads[0])" in err
+
+    # where each record whose fields are checked against their type hints lies
+    # in its file, and how an error message names it
+    RECORDS = {
+        "personas": ("personas.json", ["personas", 0], "record 1 ", ""),
+        "sessions": ("sessions.json", ["sessions", 0], "record 1 ", ""),
+        "world": ("world.json", [], "world record ", ""),
+        "world-persona": ("world.json", ["personas", 1], "persona record ", " (personas[1])"),
+        "world-ad": ("world.json", ["ads", 2], "ad record ", " (ads[2])"),
+    }
+
+    @pytest.mark.parametrize("record, key, value", [
+        ("personas", "id", 5),
+        ("personas", "category", ["banking"]),
+        ("personas", "sensitive", "false"),
+        ("personas", "attrition", "x"),
+        ("sessions", "session", ["x"]),
+        ("sessions", "persona", 5),
+        ("sessions", "condition", None),
+        ("sessions", "rep", True),
+        ("sessions", "clean", 0),
+        ("sessions", "complete", None),
+        ("world", "seed", "1"),
+        ("world", "page_categories", "x"),
+        ("world", "page_themes", {"http://x.example": 1}),
+        ("world", "trackers", [1]),
+        ("world", "aggregators", "x"),
+        ("world-persona", "id", None),
+        ("world-persona", "category", 5),
+        ("world-persona", "sensitive", "no"),
+        ("world-persona", "attrition", {"step1": "3"}),
+        ("world-ad", "ad_id", 5),
+        ("world-ad", "kind", ["oba"]),
+        ("world-ad", "landing_url", 5),
+        ("world-ad", "base_weight", "1"),
+        ("world-ad", "target_category", 5),
+        ("world-ad", "theme", ["x"]),
+        ("world-ad", "geo", False),
+    ], ids=lambda v: str(v) if isinstance(v, str) else type(v).__name__)
+    def test_record_value_of_another_type_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, record, key, value
+    ):
+        name, path, named, where = self.RECORDS[record]
+
+        def edit(doc):
+            for step in path:
+                doc = doc[step]
+            doc[key] = value
+        clone = _edit_doc(cli_corpus, tmp_path / "c", name, edit)
+        capsys.readouterr()
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error") and name in err
+        assert f"{named}{key} must be " in err and f"got {value!r}{where}" in err
 
     def test_world_ad_with_an_unknown_key_is_read(self, cli_corpus, tmp_path):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
