@@ -45,7 +45,7 @@ from typing import Literal, Sequence
 
 from . import demo
 from .corpus import AD_KINDS, WebPage, _built, _record_fields, from_dict
-from .errors import CorpusDataError, InvalidConfig
+from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
 from .session import ServedAd, SessionConfig, VisitEvent
@@ -86,7 +86,7 @@ class TagNoise:
         for name in ("dropout", "spurious"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise InvalidConfig(f"{name} rate must be in [0, 1], got {v}")
+                raise ConfigurationError(f"{name} rate must be in [0, 1], got {v}")
 
 
 @dataclass
@@ -115,42 +115,42 @@ class SimConfig:
     def __post_init__(self) -> None:
         # each range check is a negated comparison, so NaN fails it too
         if not self.n_ads >= 1:
-            raise InvalidConfig(f"n_ads must be >= 1, got {self.n_ads}")
+            raise ConfigurationError(f"n_ads must be >= 1, got {self.n_ads}")
         if not self.ads_per_visit >= 1:
-            raise InvalidConfig(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
+            raise ConfigurationError(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
         if not self.activation_threshold > 0:
             # at 0 an empty profile already activates every oba unit
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"activation_threshold must be > 0, got {self.activation_threshold}"
             )
         unknown = set(self.mix) - set(AD_KINDS)
         if unknown:
-            raise InvalidConfig(f"unknown ad kinds in mix: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown ad kinds in mix: {sorted(unknown)}")
         if not all(v >= 0 for v in self.mix.values()):
-            raise InvalidConfig("mix proportions must be >= 0")
+            raise ConfigurationError("mix proportions must be >= 0")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"mix proportions must sum to 1, got {sum(self.mix.values())}"
             )
         if not (1 <= self.trackers_min <= self.trackers_max <= self.trackers_total):
-            raise InvalidConfig(
+            raise ConfigurationError(
                 "tracker bounds must satisfy 1 <= min <= max <= total, got "
                 f"{self.trackers_min}/{self.trackers_max}/{self.trackers_total}"
             )
         if not self.training_pages_per_persona >= 10:
-            raise InvalidConfig("training_pages_per_persona must be >= 10")
+            raise ConfigurationError("training_pages_per_persona must be >= 10")
         if not self.n_control_pages >= 1:
-            raise InvalidConfig("n_control_pages must be >= 1")
+            raise ConfigurationError("n_control_pages must be >= 1")
         if not self.geo_labels:
-            raise InvalidConfig("geo_labels must be non-empty")
+            raise ConfigurationError("geo_labels must be non-empty")
         if len(self.sources) < 2:
-            raise InvalidConfig("need at least 2 tag sources")
+            raise ConfigurationError("need at least 2 tag sources")
         half = self.profile_decay_halflife
         if half is not None and not half > 0:
-            raise InvalidConfig(f"profile_decay_halflife must be positive, got {half}")
+            raise ConfigurationError(f"profile_decay_halflife must be positive, got {half}")
         missing = [k for k in AD_KINDS if not self.kind_weights.get(k, 0) > 0]
         if missing:
-            raise InvalidConfig(f"kind_weights must be positive for {missing}")
+            raise ConfigurationError(f"kind_weights must be positive for {missing}")
 
 
 @dataclass
@@ -416,7 +416,7 @@ class PersonaSpec:
 def default_persona_specs(count: int = 10) -> list[PersonaSpec]:
     cats = demo.DEFAULT_PERSONA_CATEGORIES
     if count > len(cats):
-        raise InvalidConfig(
+        raise ConfigurationError(
             f"only {len(cats)} default persona categories exist, asked for {count}"
         )
     return [PersonaSpec(id=_slug(c), category=c) for c in cats[:count]]
@@ -436,28 +436,28 @@ def build_world(
     and the ad inventory follows the configured kind mix exactly.
     """
     if not specs:
-        raise InvalidConfig("need at least one persona spec")
+        raise ConfigurationError("need at least one persona spec")
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
-        raise InvalidConfig("persona ids must be unique")
+        raise ConfigurationError("persona ids must be unique")
     # training URLs are built from the slug, so it must be non-empty and
     # unique too
     slugs: dict[str, str] = {}
     for spec in specs:
         slug = _slug(spec.id)
         if not slug:
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"persona id {spec.id!r} has no letter or digit to build "
                 "its URL slug from"
             )
         first = slugs.setdefault(slug, spec.id)
         if first != spec.id:
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"persona ids {first!r} and {spec.id!r} share the URL slug "
                 f"{slug!r}"
             )
         if spec.category not in taxonomy:
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"persona {spec.id!r}: category {spec.category!r} not in taxonomy"
             )
 
@@ -640,7 +640,7 @@ def _build_inventory(
     targets.extend(p.url for p in control_pages)
     rng.shuffle(targets)
     if counts["retargeting"] > len(targets):
-        raise InvalidConfig(
+        raise ConfigurationError(
             f"{counts['retargeting']} retargeting units need as many distinct "
             f"publisher pages, only {len(targets)} exist"
         )
@@ -662,5 +662,5 @@ def _build_inventory(
 
     all_landings = [ad.landing_url for ad in ads]
     if len(set(all_landings)) != len(all_landings):
-        raise InvalidConfig("internal: duplicate ad landing pages")
+        raise ConfigurationError("internal: duplicate ad landing pages")
     return ads

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, CorpusDataError, InvalidConfig, ObameterError
+from .errors import ConfigurationError, CorpusDataError, ObameterError
 from .experiment import (
     DEFAULT_SPURIOUS_LEVELS,
     ExperimentManifest,
@@ -90,7 +90,7 @@ def _given(**flags) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else ExperimentManifest()
     if args.personas is not None and manifest.personas:
-        raise InvalidConfig(
+        raise ConfigurationError(
             "--personas sets the default roster size, but the manifest "
             "lists its personas explicitly"
         )

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
-from .errors import CorpusDataError, IncompleteCorpus, InvalidConfig
+from .errors import ConfigurationError, CorpusDataError
 from .taxonomy import normalize_keyword
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
@@ -180,10 +180,10 @@ def _dump_line(obj) -> str:
 def check_keys(data, known: Iterable[str], section: str) -> Mapping:
     """`data` itself, if it is a mapping whose keys all lie in `known`."""
     if not isinstance(data, Mapping):
-        raise InvalidConfig(f"{section} must be an object, got {type(data).__name__}")
+        raise ConfigurationError(f"{section} must be an object, got {type(data).__name__}")
     unknown = set(data) - set(known)
     if unknown:
-        raise InvalidConfig(f"unknown {section} keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
     return data
 
 
@@ -264,19 +264,38 @@ def _is_a(hint) -> Callable[[object], bool]:
 
 
 def _not_a(name: str, hint, value) -> str:
+    """Why `value` of field `name` fails `hint`, naming the innermost bad entry."""
     args = typing.get_args(hint)
     wanted = (f"one of {', '.join(args)}" if typing.get_origin(hint) is typing.Literal
               else f"of type {hint if args else hint.__name__}")
-    return f"{name} must be {wanted}, got {reprlib.repr(value)}"
+    at, part = _bad_part(name, hint, value)
+    entry = f" ({at} is {reprlib.repr(part)})" if at != name else ""
+    return f"{name} must be {wanted}{entry}, got {reprlib.repr(value)}"
+
+
+def _bad_part(at: str, hint, value) -> tuple[str, object]:
+    """`(path, part)` of the innermost entry of `value`, at path `at`, that
+    fails `hint`; `value` itself when it is no list or dict the hint wants."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list and isinstance(value, list):
+        entries = ((f"[{i}]", args[0], v) for i, v in enumerate(value))
+    elif origin is dict and isinstance(value, dict):  # decoded JSON keys are strings
+        entries = ((f"[{k!r}]", args[1], v) for k, v in value.items())
+    else:
+        return at, value
+    for step, inner, v in entries:
+        if not _is_a(inner)(v):
+            return _bad_part(at + step, inner, v)
+    return at, value
 
 
 def check_type(cls, name: str, value, section: str, key: str | None = None) -> None:
-    """Raise InvalidConfig unless decoded JSON `value` is of the type hint
+    """Raise ConfigurationError unless decoded JSON `value` is of the type hint
     of field `name` of `cls`. The message names `key`, the field as the
     file spells it (`name` unless given), in `section`."""
     kind, is_a = _field_types(cls)[name]
     if not is_a(value):
-        raise InvalidConfig(f"bad {section} section: {_not_a(key or name, kind, value)}")
+        raise ConfigurationError(f"bad {section} section: {_not_a(key or name, kind, value)}")
 
 
 def from_dict(cls, data, section: str):
@@ -285,7 +304,7 @@ def from_dict(cls, data, section: str):
     Fields typed as a dataclass or `list[dataclass]` are built from their
     type hints, under the field name as section; every other value must
     be of its field's type already, and is kept as it is. A key that names
-    no field or a value of the wrong type raises InvalidConfig.
+    no field or a value of the wrong type raises ConfigurationError.
     """
     hints = _field_types(cls)
     kwargs = {}
@@ -300,7 +319,7 @@ def from_dict(cls, data, section: str):
     try:
         return cls(**kwargs)
     except TypeError as exc:
-        raise InvalidConfig(f"bad {section} section: {exc}") from exc
+        raise ConfigurationError(f"bad {section} section: {exc}") from exc
 
 
 class ExperimentStore:
@@ -338,11 +357,15 @@ class ExperimentStore:
             raise CorpusDataError(f"unusable source name: {source!r}")
         return self.root / f"tags.{source}.jsonl"
 
-    def _require(self, name: str) -> Path:
-        p = self.root / name
-        if not p.exists():
-            raise IncompleteCorpus(f"missing {name} in {self.root}")
-        return p
+    def _read(self, name: str) -> str:
+        """The text of file `name`; a missing, unreadable or non-UTF-8 file
+        raises CorpusDataError naming it."""
+        try:
+            return self.path(name).read_text(encoding="utf-8")
+        except FileNotFoundError as exc:
+            raise CorpusDataError(f"missing {name} in {self.root}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusDataError(f"unreadable {name} in {self.root}: {exc}") from exc
 
     # pages
 
@@ -435,7 +458,7 @@ class ExperimentStore:
         `build` cannot use raises CorpusDataError naming file and record.
         """
         if name.endswith(".jsonl"):
-            records = list(self._iter_jsonl(self._require(name)))
+            records = list(self._iter_jsonl(name))
         else:
             stem = name.split(".")[0]
             doc = self.load_doc(name)
@@ -464,18 +487,19 @@ class ExperimentStore:
         )
 
     def load_doc(self, name: str):
-        p = self._require(name)
+        text = self._read(name)
         try:
-            return json.loads(p.read_text(encoding="utf-8"))
+            return json.loads(text)
         except json.JSONDecodeError as exc:
             raise CorpusDataError(f"unreadable {name} in {self.root}: {exc}") from exc
 
-    @staticmethod
-    def _iter_jsonl(path: Path):
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    def _iter_jsonl(self, name: str):
+        for lineno, line in enumerate(self._read(name).splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusDataError(f"{path}:{lineno}: bad JSON line: {exc}") from exc
+                raise CorpusDataError(
+                    f"{self.path(name)}:{lineno}: bad JSON line: {exc}"
+                ) from exc

@@ -1,8 +1,14 @@
 """Exception hierarchy shared by the obameter modules.
 
-Two branches matter to the command line: configuration problems map to
-exit code 2, corpus problems to exit code 3. Everything else is a plain
-ObameterError.
+One class per exit code of the command line:
+
+    ConfigurationError  2  bad manifest, option, taxonomy or price file
+    CorpusDataError     3  missing, unreadable or inconsistent corpus data
+    ObameterError       1  any other tool error
+
+A subclass exists only where code catches it or reads what it carries;
+every other check raises one of the three with a message naming what
+failed.
 """
 
 from __future__ import annotations
@@ -13,27 +19,11 @@ class ObameterError(Exception):
 
 
 class ConfigurationError(ObameterError):
-    """Invalid configuration, manifest, or operation parameters."""
+    """Invalid configuration, manifest, taxonomy, or operation parameters."""
 
 
 class CorpusDataError(ObameterError):
     """Missing, inconsistent, or unreadable experiment corpus data."""
-
-
-# taxonomy
-
-class TaxonomyError(ConfigurationError):
-    """Malformed taxonomy input (cycle, multiple roots, bad edge line)."""
-
-
-class UnknownKeyword(ObameterError):
-    """A keyword was looked up that no taxonomy node carries."""
-
-
-# corpus
-
-class IncompleteCorpus(CorpusDataError):
-    """An experiment directory lacks files required by the requested step."""
 
 
 # persona
@@ -50,37 +40,7 @@ class PersonaRejected(ObameterError):
         self.attrition = dict(attrition)
 
 
-class InsufficientSources(ConfigurationError):
-    """Fewer tagging sources supplied than the consensus rule needs."""
-
-
-# session
-
-class EmptyPool(ConfigurationError):
-    """A visit schedule was requested over an empty page pool."""
-
-
-class HarvesterFailure(ObameterError):
-    """The ad harvester failed mid-session.
-
-    Nothing of the session is kept: the failure propagates and aborts the
-    run before sessions.json is written.
-    """
-
-
-# ad ecosystem simulator
-
-class InvalidConfig(ConfigurationError):
-    """Simulator configuration violates its invariants."""
-
-
-# pipeline
-
-class MissingCleanProfile(CorpusDataError):
-    """The static & contextual filter was invoked without a clean-profile corpus."""
-
-
-# metrics
+# metrics: analyze catches these and writes a note in their place
 
 class EmptyTrainingSet(ObameterError):
     """TTK was requested against an empty training keyword set."""
@@ -88,10 +48,6 @@ class EmptyTrainingSet(ObameterError):
 
 class NoImpressions(ObameterError):
     """BAiLP was requested over an empty impression collection."""
-
-
-class MissingGroundTruth(CorpusDataError):
-    """Detection performance needs a ground-truth label on every impression."""
 
 
 class DegenerateSeries(ObameterError):

@@ -68,10 +68,10 @@ from .corpus import (
     tag_pages,
 )
 from .errors import (
+    ConfigurationError,
     CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
-    InvalidConfig,
     KeyMismatch,
     NoImpressions,
 )
@@ -138,27 +138,27 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         # each range check is a negated comparison, so NaN fails it too
         if not self.experiment_id:
-            raise InvalidConfig("experiment_id must be non-empty")
+            raise ConfigurationError("experiment_id must be non-empty")
         if not 0 <= self.seed < 2**64:
-            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.repetitions >= 1:
-            raise InvalidConfig(f"repetitions must be >= 1, got {self.repetitions}")
+            raise ConfigurationError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.conditions:
-            raise InvalidConfig("need at least one condition")
+            raise ConfigurationError("need at least one condition")
         ids = [c.cond_id for c in self.conditions]
         if len(set(ids)) != len(ids):
-            raise InvalidConfig(f"duplicate condition ids: {ids}")
+            raise ConfigurationError(f"duplicate condition ids: {ids}")
         if not self.visit_budget >= 1:
-            raise InvalidConfig(f"visit_budget must be >= 1, got {self.visit_budget}")
+            raise ConfigurationError(f"visit_budget must be >= 1, got {self.visit_budget}")
         if not 0 < self.mean_interval < math.inf:
-            raise InvalidConfig("mean_interval must be positive and finite")
+            raise ConfigurationError("mean_interval must be positive and finite")
         if not self.personas and not self.n_personas >= 1:
-            raise InvalidConfig("n_personas must be >= 1")
+            raise ConfigurationError("n_personas must be >= 1")
         for spec in self.personas:
             if spec.id == CLEAN_ID:
-                raise InvalidConfig(f"persona id {CLEAN_ID!r} is reserved")
+                raise ConfigurationError(f"persona id {CLEAN_ID!r} is reserved")
         if len(self.sim.sources) < self.consensus.n + 1:
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"consensus n={self.consensus.n} needs at least "
                 f"{self.consensus.n + 1} tag sources, sim.sources has "
                 f"{len(self.sim.sources)}"
@@ -169,7 +169,7 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentManifest":
-        """Inverse of to_dict; unknown keys in any section raise InvalidConfig.
+        """Inverse of to_dict; unknown keys in any section raise ConfigurationError.
 
         The session keys move to the top level and `enabled` becomes the
         field `filters`, so their types are checked first, under the
@@ -200,8 +200,8 @@ class ExperimentManifest:
 def load_manifest(path: str | Path) -> ExperimentManifest:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidConfig(f"cannot read manifest {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read manifest {path}: {exc}") from exc
     return ExperimentManifest.from_dict(data)
 
 
@@ -221,12 +221,12 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
 
     Nothing is written until every session has run, so a failing session
     leaves an earlier corpus in out_dir untouched. An out_dir that is a
-    file, or lies under one, raises InvalidConfig before any work.
+    file, or lies under one, raises ConfigurationError before any work.
     """
     out = Path(out_dir).absolute()
     blocker = next(p for p in (out, *out.parents) if p.exists())
     if not blocker.is_dir():
-        raise InvalidConfig(f"cannot write to {out_dir}: {blocker} is not a directory")
+        raise ConfigurationError(f"cannot write to {out_dir}: {blocker} is not a directory")
     taxonomy = resolve_taxonomy(manifest.taxonomy)
     specs = manifest.persona_specs()
     world = build_world(manifest.sim, specs, taxonomy, seed=manifest.seed)
@@ -659,17 +659,17 @@ def _load_prices(cpc_path: str | Path | None) -> dict[str, float] | None:
         return None
     try:
         prices = json.loads(Path(cpc_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidConfig(f"cannot read price file {cpc_path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read price file {cpc_path}: {exc}") from exc
     if not isinstance(prices, dict):
-        raise InvalidConfig(
+        raise ConfigurationError(
             f"price file {cpc_path} must map persona ids to prices, "
             f"got {type(prices).__name__}"
         )
     for pid, price in prices.items():
         if (isinstance(price, bool) or not isinstance(price, (int, float))
                 or not math.isfinite(price)):
-            raise InvalidConfig(
+            raise ConfigurationError(
                 f"price file {cpc_path}: price of persona {pid!r} is not a "
                 f"finite number: {price!r}"
             )
@@ -727,7 +727,7 @@ def validate(
     corpus is read.
     """
     if not spurious_levels:
-        raise InvalidConfig("need at least one spurious level")
+        raise ConfigurationError("need at least one spurious level")
     # dropout None takes the manifest's rate, checked when the manifest loads
     noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
     corpus = _load_corpus(root)

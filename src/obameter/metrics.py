@@ -32,10 +32,10 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .corpus import AdImpression
 from .errors import (
+    CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
     KeyMismatch,
-    MissingGroundTruth,
     NoImpressions,
 )
 
@@ -114,12 +114,12 @@ def detection_performance(
 
     predicted_keys holds AdImpression.key values the tool classified as
     OBA (survived every filter and shares a training keyword). Raises
-    MissingGroundTruth on any unlabeled impression.
+    CorpusDataError on any unlabeled impression.
     """
     tp = fp = tn = fn = 0
     for imp in impressions:
         if imp.ground_truth is None:
-            raise MissingGroundTruth(
+            raise CorpusDataError(
                 f"impression {imp.key} has no ground-truth label"
             )
         is_oba = imp.ground_truth == POSITIVE_LABEL

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 from .corpus import WebPage, _record_fields
-from .errors import ConfigurationError, InsufficientSources, PersonaRejected
+from .errors import ConfigurationError, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
 
@@ -173,7 +173,7 @@ def consensus_training_keywords(
     `tags` maps source -> canonical URL -> keywords, as `load_tags` reads
     them; every source in it counts, and only the persona's training pages are
     read. Returns the retained keyword set per source. Raises
-    InsufficientSources when fewer sources are present than the rule needs
+    ConfigurationError when fewer sources are present than the rule needs
     (at least two, and at least n + 1 so that n other sources can exist).
     """
     union = {
@@ -183,7 +183,7 @@ def consensus_training_keywords(
 
     needed = max(2, config.n + 1)
     if len(union) < needed:
-        raise InsufficientSources(
+        raise ConfigurationError(
             f"consensus needs at least {needed} sources, got {len(union)}"
         )
 

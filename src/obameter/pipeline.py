@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
 from .corpus import AdImpression
-from .errors import ConfigurationError, MissingCleanProfile
+from .errors import ConfigurationError, CorpusDataError
 from .taxonomy import KeywordTaxonomy
 
 # filter-set codes, ordered; "sc" and "dg" never run without "r"
@@ -74,10 +74,10 @@ def filter_static_contextual(
 
     Matching is global: the control page that showed the ad does not
     matter. An empty clean corpus is legitimate and removes nothing;
-    a missing one (None) raises MissingCleanProfile.
+    a missing one (None) raises CorpusDataError.
     """
     if clean_impressions is None:
-        raise MissingCleanProfile(
+        raise CorpusDataError(
             "static & contextual filter needs a clean-profile impression corpus"
         )
     clean_keys = {c.landing_key for c in clean_impressions}

@@ -13,8 +13,8 @@ Repeated sightings of the same ad merge: impressions aggregate by
 the sum of ntimes equals the raw number of served ads.
 
 A session either walks its whole schedule or fails: an error raised by
-the harvester (e.g. HarvesterFailure) propagates, and nothing of the
-session is returned.
+the harvester propagates as it is, and nothing of the session is
+returned.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 
 from .corpus import AdImpression, WebPage, landing_key
-from .errors import ConfigurationError, CorpusDataError, EmptyPool
+from .errors import ConfigurationError, CorpusDataError
 from .persona import Persona
 
 
@@ -99,11 +99,11 @@ def schedule_visits(pool: Sequence[WebPage], config: SessionConfig) -> list[Visi
     """Draw the visit schedule: uniform pages, exponential gaps.
 
     Deterministic in config.seed. Timestamps are strictly increasing and
-    exactly config.visit_budget events are produced. Raises EmptyPool for
-    an empty pool.
+    exactly config.visit_budget events are produced. An empty pool raises
+    ConfigurationError.
     """
     if not pool:
-        raise EmptyPool("cannot schedule visits over an empty page pool")
+        raise ConfigurationError("cannot schedule visits over an empty page pool")
     rng = random.Random(config.seed)
     rate = 1.0 / config.mean_interval
     events: list[VisitEvent] = []

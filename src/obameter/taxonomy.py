@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import TaxonomyError, UnknownKeyword
+from .errors import ConfigurationError, ObameterError
 
 _WS = re.compile(r"[\s_]+")
 _SENSE = re.compile(r"^(?P<text>.+)#(?P<n>\d+)$")
@@ -85,7 +85,7 @@ class KeywordTaxonomy:
     def _require(self, keyword: str) -> list[str]:
         nodes = self._lookup(keyword)[1]
         if nodes is None:
-            raise UnknownKeyword(f"keyword not in taxonomy: {keyword!r}")
+            raise ObameterError(f"keyword not in taxonomy: {keyword!r}")
         return nodes
 
     def pathlen(self, k: str, l: str) -> int:
@@ -116,13 +116,9 @@ class KeywordTaxonomy:
     def lc_similarity(self, k: str, l: str) -> float:
         """Leacock-Chodorow score, the maximum over sense pairs.
 
-        Raises UnknownKeyword when either keyword has no sense node.
+        Raises ObameterError when either keyword has no sense node.
         """
         return self._score(self._require(k), self._require(l))
-
-    def similar(self, k: str, l: str, threshold: float) -> bool:
-        """True iff lc_similarity(k, l) is strictly above the threshold."""
-        return self.lc_similarity(k, l) > threshold
 
     def score(self, k: str, l: str) -> float:
         """Leacock-Chodorow score, with the fallback outside the tree.
@@ -160,12 +156,12 @@ class KeywordTaxonomy:
         for child_tok, parent_tok in pairs:
             node, text = _split_sense(child_tok)
             if not text:
-                raise TaxonomyError(f"empty keyword text in node {child_tok!r}")
+                raise ConfigurationError(f"empty keyword text in node {child_tok!r}")
             if node in parent:
-                raise TaxonomyError(f"duplicate node declaration: {node!r}")
+                raise ConfigurationError(f"duplicate node declaration: {node!r}")
             if parent_tok == ROOT_MARKER:
                 if root is not None:
-                    raise TaxonomyError(
+                    raise ConfigurationError(
                         f"multiple roots: {root!r} and {node!r}"
                     )
                 root = node
@@ -174,10 +170,10 @@ class KeywordTaxonomy:
                 parent[node] = parent_tok
             texts[node] = text
         if root is None:
-            raise TaxonomyError("no root declared (expected a '<node>\\t-' line)")
+            raise ConfigurationError("no root declared (expected a '<node>\\t-' line)")
         for node, par in parent.items():
             if par is not None and par not in parent:
-                raise TaxonomyError(
+                raise ConfigurationError(
                     f"node {node!r} names unknown parent {par!r} "
                     "(second root or typo)"
                 )
@@ -189,7 +185,7 @@ class KeywordTaxonomy:
             cur = node
             while cur not in depth:
                 if cur in chain:
-                    raise TaxonomyError(f"cycle through node {cur!r}")
+                    raise ConfigurationError(f"cycle through node {cur!r}")
                 chain.append(cur)
                 cur = parent[cur]
             d = depth[cur]
@@ -218,7 +214,7 @@ class KeywordTaxonomy:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise TaxonomyError(
+                raise ConfigurationError(
                     f"line {lineno}: expected 'child<TAB>parent', got {raw!r}"
                 )
             pairs.append((parts[0].strip(), parts[1].strip()))
@@ -226,4 +222,10 @@ class KeywordTaxonomy:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordTaxonomy":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        """Parse the taxonomy file at `path`; a missing, unreadable or
+        non-UTF-8 file raises ConfigurationError naming it."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read taxonomy {path}: {exc}") from exc
+        return cls.loads(text)

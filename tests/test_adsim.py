@@ -23,7 +23,7 @@ from obameter import (
 )
 from obameter.adsim import DEFAULT_KIND_WEIGHTS, AdUnit, _Browser
 from obameter.corpus import from_dict
-from obameter.errors import CorpusDataError, InvalidConfig
+from obameter.errors import ConfigurationError, CorpusDataError
 
 
 @pytest.fixture
@@ -68,52 +68,52 @@ class TestConfigValidation:
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
     def test_activation_threshold_must_be_positive(self, threshold):
         # at 0 an empty (clean) profile would activate every oba unit
-        with pytest.raises(InvalidConfig, match="activation_threshold"):
+        with pytest.raises(ConfigurationError, match="activation_threshold"):
             SimConfig(activation_threshold=threshold)
 
     def test_mix_must_sum_to_one(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="must sum to 1"):
             SimConfig(mix={"oba": 0.5, "contextual": 0.5, "static": 0.5,
                            "retargeting": 0.0, "geo_demo": 0.0})
 
     @pytest.mark.parametrize("share", [float("nan"), -0.1])
     def test_mix_share_must_be_a_number_at_least_zero(self, share):
-        with pytest.raises(InvalidConfig, match="mix proportions"):
+        with pytest.raises(ConfigurationError, match="mix proportions"):
             SimConfig(mix={"oba": 0.5, "contextual": 0.5, "static": share})
 
     @pytest.mark.parametrize("halflife", [0.0, -1.0, float("nan")])
     def test_profile_decay_halflife_must_be_positive(self, halflife):
-        with pytest.raises(InvalidConfig, match="profile_decay_halflife"):
+        with pytest.raises(ConfigurationError, match="profile_decay_halflife"):
             SimConfig(profile_decay_halflife=halflife)
 
     @pytest.mark.parametrize("weight", [0.0, float("nan")])
     def test_kind_weights_must_be_positive(self, weight):
-        with pytest.raises(InvalidConfig, match="kind_weights"):
+        with pytest.raises(ConfigurationError, match="kind_weights"):
             SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "static": weight})
 
     @pytest.mark.parametrize("field_name", ["n_ads", "ads_per_visit", "n_control_pages"])
     def test_counts_reject_nan(self, field_name):
-        with pytest.raises(InvalidConfig, match=field_name):
+        with pytest.raises(ConfigurationError, match=field_name):
             SimConfig(**{field_name: float("nan")})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="unknown ad kinds"):
             SimConfig(mix={"oba": 0.5, "popunder": 0.5})
 
     def test_tracker_bounds(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="tracker bounds"):
             SimConfig(trackers_min=50, trackers_max=40)
 
     def test_needs_two_sources(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="at least 2 tag sources"):
             SimConfig(sources=["only-one"])
 
     def test_noise_rates_bounded(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match=r"dropout rate must be in \[0, 1\]"):
             TagNoise(dropout=1.5)
 
     def test_training_pages_floor(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="training_pages_per_persona"):
             SimConfig(training_pages_per_persona=5)
 
 
@@ -137,7 +137,7 @@ class TestWorldShape:
     def test_duplicate_persona_ids_rejected(self, taxonomy):
         specs = default_persona_specs(2)
         specs[1].id = specs[0].id
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="persona ids must be unique"):
             build_world(SimConfig(), specs, taxonomy)
 
     # without retargeting units nothing else notices the shared pages
@@ -146,18 +146,18 @@ class TestWorldShape:
         specs = [PersonaSpec(id="movies", category="movies"),
                  PersonaSpec(id="Movies!", category="motor sports")]
         config = SimConfig() if mix is None else SimConfig(mix=mix)
-        with pytest.raises(InvalidConfig, match=r"'movies' and 'Movies!' share"):
+        with pytest.raises(ConfigurationError, match=r"'movies' and 'Movies!' share"):
             build_world(config, specs, taxonomy, seed=1)
 
     def test_persona_id_without_a_slug_rejected(self, taxonomy):
         specs = [PersonaSpec(id="!!!", category="movies")]
-        with pytest.raises(InvalidConfig, match=r"persona id '!!!' has no letter"):
+        with pytest.raises(ConfigurationError, match=r"persona id '!!!' has no letter"):
             build_world(SimConfig(), specs, taxonomy, seed=1)
 
     def test_unknown_category_rejected(self, taxonomy):
         specs = default_persona_specs(1)
         specs[0].category = "quantum basket weaving"
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="'quantum basket weaving' not in"):
             build_world(SimConfig(), specs, taxonomy)
 
 

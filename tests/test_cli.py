@@ -58,6 +58,19 @@ def _edit_doc(src, dest, name, edit):
     return dest
 
 
+# how a read of an input file fails, and the word its error message starts with
+READ_FAILURES = {"missing": "missing", "directory": "unreadable", "not-utf8": "unreadable"}
+
+
+def _unreadable(path, kind):
+    """`path`, left so that reading it fails as READ_FAILURES `kind` says."""
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    return path
+
+
 @pytest.fixture
 def file_reads(monkeypatch):
     """Counts the Path.read_text calls made from now on, by file name."""
@@ -159,6 +172,33 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text(encoding="utf-8") == "kept"
 
+    @pytest.mark.parametrize("kind", READ_FAILURES)
+    @pytest.mark.parametrize("name", ["manifest", "taxonomy"])
+    def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, name, kind):
+        bad = _unreadable(tmp_path / "input", kind)
+        manifest = bad
+        if name == "taxonomy":
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"taxonomy": str(bad)}), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read {name} {bad}: "
+        )
+        assert not (tmp_path / "x").exists()
+
+    def test_malformed_taxonomy_file_is_a_config_error(self, tmp_path, capsys):
+        tree = tmp_path / "tree.tsv"
+        tree.write_text("root\t-\nfoo\tbar\n", encoding="utf-8")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"taxonomy": str(tree)}), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: node 'foo' names unknown parent 'bar'"
+        )
+        assert not (tmp_path / "x").exists()
+
     def test_harvester_failure_is_a_tool_error(self, tmp_path, capsys, fail_on_visit):
         fail_on_visit(10)
         code = main(["simulate", "--out", str(tmp_path / "x"),
@@ -241,6 +281,52 @@ class TestAnalyze:
                           lambda world: world["config"].update(honor_dnt="no"))
         assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 2
         assert "bad sim section: honor_dnt " in capsys.readouterr().err
+
+    def test_consensus_n_above_the_corpus_sources_is_a_config_error(
+        self, cli_corpus, capsys
+    ):
+        # the stored manifest's check against sim.sources is not rerun on a flag
+        assert main(["analyze", str(cli_corpus), "--consensus-n", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: consensus needs at least 4 sources, got 3\n"
+        )
+
+    def test_incomplete_only_clean_session_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys
+    ):
+        def mark_clean_incomplete(doc):
+            for row in doc["sessions"]:
+                row["complete"] = row["complete"] and not row["clean"]
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "sessions.json",
+                          mark_clean_incomplete)
+        assert main(["analyze", str(clone)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "corpus error: static & contextual filter needs a clean-profile"
+        )
+
+    @pytest.mark.parametrize("kind", READ_FAILURES)
+    @pytest.mark.parametrize("name", ["sessions.json", "visits.jsonl"])
+    def test_unreadable_corpus_file_is_a_data_error(
+        self, cli_corpus, tmp_path, capsys, name, kind
+    ):
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        (clone / name).unlink()
+        _unreadable(clone / name, kind)
+        assert main(["analyze", str(clone)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"corpus error: {READ_FAILURES[kind]} {name} in {clone}"
+        )
+
+    @pytest.mark.parametrize("kind", READ_FAILURES)
+    def test_unreadable_price_file_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys, kind
+    ):
+        cpc = _unreadable(tmp_path / "cpc.json", kind)
+        assert main(["analyze", str(cli_corpus), "--cpc", str(cpc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read price file {cpc}: "
+        )
 
     def test_unknown_filter_set_rejected_by_parser(self, cli_corpus):
         with pytest.raises(SystemExit):
@@ -627,6 +713,23 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and name in err
         assert f"{named}{key} must be " in err and f"got {value!r}{where}" in err
+
+    @pytest.mark.parametrize("key, entry", [
+        ("page_categories", -1),
+        ("aggregators", 5),
+    ])
+    def test_bad_entry_of_a_world_field_is_named(
+        self, cli_corpus, tmp_path, capsys, key, entry
+    ):
+        world = json.loads((cli_corpus / "world.json").read_text(encoding="utf-8"))
+        at = sorted(world[key])[entry] if key == "page_categories" else entry
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",
+                          lambda doc: doc[key].__setitem__(at, 7))
+        capsys.readouterr()
+        assert main(["validate", str(clone), "--spurious-levels", "0.0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"corpus error: world.json in {clone}: world record {key} ")
+        assert f"({key}[{at!r}] is 7)" in err
 
     def test_world_ad_with_an_unknown_key_is_read(self, cli_corpus, tmp_path):
         clone = _edit_doc(cli_corpus, tmp_path / "c", "world.json",

@@ -17,7 +17,7 @@ from obameter import (
     tag_pages,
 )
 from obameter import corpus
-from obameter.errors import CorpusDataError, IncompleteCorpus
+from obameter.errors import CorpusDataError
 
 _DEFAULT_PORT = {"http": 80, "https": 443}
 
@@ -262,9 +262,9 @@ class TestStore:
 
     def test_missing_file_raises(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
-        with pytest.raises(IncompleteCorpus):
+        with pytest.raises(CorpusDataError, match="missing pages.jsonl"):
             store.load_pages()
-        with pytest.raises(IncompleteCorpus):
+        with pytest.raises(CorpusDataError, match="missing tags.alpha.jsonl"):
             store.load_tags("alpha")
 
     def test_page_without_a_role_is_a_data_error(self, tmp_path):

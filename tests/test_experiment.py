@@ -27,13 +27,7 @@ from obameter import (
 )
 from obameter import corpus
 from obameter.cli import main
-from obameter.errors import (
-    ConfigurationError,
-    HarvesterFailure,
-    IncompleteCorpus,
-    InvalidConfig,
-    MissingCleanProfile,
-)
+from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
 from obameter.experiment import CLEAN_ID, resolve_taxonomy, session_label
 
 TINY = {
@@ -80,23 +74,23 @@ class TestManifest:
         assert doc["filters"] == {"enabled": "rscdg", "t_prime": 2.5}
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(InvalidConfig, match="unknown manifest keys"):
+        with pytest.raises(ConfigurationError, match="unknown manifest keys"):
             ExperimentManifest.from_dict({"experiment_id": "x", "buget": 3})
 
     def test_unknown_session_key(self):
-        with pytest.raises(InvalidConfig, match="unknown session keys"):
+        with pytest.raises(ConfigurationError, match="unknown session keys"):
             ExperimentManifest.from_dict({"session": {"budget": 3}})
 
     def test_unknown_sim_key(self):
-        with pytest.raises(InvalidConfig, match="unknown sim keys"):
+        with pytest.raises(ConfigurationError, match="unknown sim keys"):
             ExperimentManifest.from_dict({"sim": {"ad_count": 10}})
 
     def test_unknown_consensus_key(self):
-        with pytest.raises(InvalidConfig, match="unknown consensus keys"):
+        with pytest.raises(ConfigurationError, match="unknown consensus keys"):
             ExperimentManifest.from_dict({"consensus": {"min_sources": 2}})
 
     def test_unknown_filters_key(self):
-        with pytest.raises(InvalidConfig, match="unknown filter keys"):
+        with pytest.raises(ConfigurationError, match="unknown filter keys"):
             ExperimentManifest.from_dict({"filters": {"stages": "r"}})
 
     @pytest.mark.parametrize("section", [
@@ -105,26 +99,26 @@ class TestManifest:
         {"conditions": [{"geo": "ES", "lang": "es"}]},
     ])
     def test_unknown_nested_keys(self, section):
-        with pytest.raises(InvalidConfig, match="unknown .* keys"):
+        with pytest.raises(ConfigurationError, match="unknown .* keys"):
             ExperimentManifest.from_dict(section)
 
     def test_session_keys_only_under_session(self):
-        with pytest.raises(InvalidConfig, match="unknown manifest keys"):
+        with pytest.raises(ConfigurationError, match="unknown manifest keys"):
             ExperimentManifest.from_dict({"visit_budget": 40})
 
     def test_too_few_sources_for_consensus(self):
         two = {"sim": {"sources": ["x", "y"]}}
-        with pytest.raises(InvalidConfig, match="needs at least 3 tag sources"):
+        with pytest.raises(ConfigurationError, match="needs at least 3 tag sources"):
             ExperimentManifest.from_dict(two)
         manifest = ExperimentManifest.from_dict({**two, "consensus": {"n": 1}})
-        with pytest.raises(InvalidConfig, match="tag sources"):
+        with pytest.raises(ConfigurationError, match="tag sources"):
             dataclasses.replace(manifest, consensus=ConsensusConfig(n=2))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits(self, seed):
-        with pytest.raises(InvalidConfig, match="seed"):
+        with pytest.raises(ConfigurationError, match="seed"):
             ExperimentManifest.from_dict({"seed": seed})
-        with pytest.raises(InvalidConfig, match="seed"):
+        with pytest.raises(ConfigurationError, match="seed"):
             dataclasses.replace(ExperimentManifest(), seed=seed)
 
     @pytest.mark.parametrize("section", [
@@ -157,12 +151,12 @@ class TestManifest:
 
     def test_reserved_persona_id(self):
         doc = {"personas": [{"id": CLEAN_ID, "category": "banking"}]}
-        with pytest.raises(InvalidConfig, match="reserved"):
+        with pytest.raises(ConfigurationError, match="reserved"):
             ExperimentManifest.from_dict(doc)
 
     def test_duplicate_condition_ids(self):
         doc = {"conditions": [{"geo": "ES"}, {"geo": "ES"}]}
-        with pytest.raises(InvalidConfig, match="duplicate"):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             ExperimentManifest.from_dict(doc)
 
     def test_explicit_personas_win_over_count(self):
@@ -182,7 +176,7 @@ class TestManifest:
     def test_load_manifest_bad_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="cannot read manifest"):
             load_manifest(path)
 
     def test_demo_taxonomy_resolves(self):
@@ -262,19 +256,19 @@ class TestSimulate:
 class TestHarvesterFailure:
     def test_failed_run_leaves_no_manifest_or_sessions(self, tmp_path, fail_on_visit):
         fail_on_visit(100)  # inside the third of 14 sessions
-        with pytest.raises(HarvesterFailure):
+        with pytest.raises(ObameterError, match="harvester failed"):
             simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
         assert not (tmp_path / "visits.jsonl").exists()
         assert not (tmp_path / "manifest.json").exists()
         assert not (tmp_path / "sessions.json").exists()
-        with pytest.raises(IncompleteCorpus):
+        with pytest.raises(CorpusDataError, match="missing manifest.json"):
             analyze(tmp_path)
 
     def test_failed_rerun_leaves_a_finished_corpus_alone(self, tmp_path, fail_on_visit):
         assert _run(tmp_path, GOLDEN_MANIFEST) == GOLDEN_SHA256
         (tmp_path / "notes.txt").write_text("mine", encoding="utf-8")
         fail_on_visit(100)
-        with pytest.raises(HarvesterFailure):
+        with pytest.raises(ObameterError, match="harvester failed"):
             simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
         after = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -287,7 +281,7 @@ class TestHarvesterFailure:
         self, tmp_path, monkeypatch, fail_on_visit
     ):
         fail_on_visit(100)
-        with pytest.raises(HarvesterFailure):
+        with pytest.raises(ObameterError, match="harvester failed"):
             simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
         monkeypatch.undo()
         assert _run(tmp_path, GOLDEN_MANIFEST) == GOLDEN_SHA256
@@ -321,7 +315,7 @@ class TestIncompleteSessions:
         clone = _mark_incomplete(
             root, tmp_path / "c", {session_label(CLEAN_ID, "ES", 0)}
         )
-        with pytest.raises(MissingCleanProfile):
+        with pytest.raises(CorpusDataError, match="needs a clean-profile impression corpus"):
             analyze(clone)
         assert main(["analyze", str(clone)]) == 3
         assert "corpus error" in capsys.readouterr().err
@@ -539,7 +533,7 @@ class TestAnalyze:
     def test_bad_price_rejected_before_the_corpus_is_read(self, tmp_path, price):
         cpc = tmp_path / "cpc.json"
         cpc.write_text(json.dumps({"p": price}), encoding="utf-8")
-        with pytest.raises(InvalidConfig, match="persona 'p'"):
+        with pytest.raises(ConfigurationError, match="persona 'p'"):
             analyze(tmp_path / "empty", cpc_path=cpc)
 
     def test_failed_csv_write_keeps_the_old_report_csv(
@@ -556,7 +550,7 @@ class TestAnalyze:
         assert sorted(p.name for p in root.iterdir()) == names
 
     def test_analyze_missing_corpus(self, tmp_path):
-        with pytest.raises(IncompleteCorpus):
+        with pytest.raises(CorpusDataError, match="missing manifest.json"):
             analyze(tmp_path / "empty")
 
 
@@ -590,12 +584,12 @@ class TestGivenSections:
         assert report["filters"] == {"enabled": "rscdg", "t_prime": 3.0}
 
     @pytest.mark.parametrize("given, error", [
-        ({"filters": {"bogus": 1}}, InvalidConfig),
-        ({"consensus": {"n": 1.5}}, InvalidConfig),
-        ({"consensus": {"threshold": float("nan")}}, ConfigurationError),
+        ({"filters": {"bogus": 1}}, "unknown filters keys"),
+        ({"consensus": {"n": 1.5}}, "bad consensus section: n "),
+        ({"consensus": {"threshold": float("nan")}}, "consensus threshold must be finite"),
     ], ids=["unknown-key", "float-n", "nan-threshold"])
     def test_bad_mapping_is_a_config_error(self, stored_rsc, given, error):
-        with pytest.raises(error):
+        with pytest.raises(ConfigurationError, match=error):
             analyze(stored_rsc, **given)
 
 
@@ -640,7 +634,7 @@ class TestValidate:
         root, _ = corpus_dir
         clone = _copy_corpus(root, tmp_path / "no-world",
                              skip=("world.json", "performance.json"))
-        with pytest.raises(IncompleteCorpus, match="world"):
+        with pytest.raises(CorpusDataError, match="missing world.json"):
             validate(clone, spurious_levels=[0.0])
 
     @pytest.mark.parametrize(
@@ -651,13 +645,13 @@ class TestValidate:
     def test_bad_rates_rejected_before_the_corpus_is_read(
         self, corpus_dir, tmp_path, levels, dropout
     ):
-        # without world.json, any corpus work would raise IncompleteCorpus
+        # without world.json, any corpus work would raise CorpusDataError
         root, _ = corpus_dir
         clone = _copy_corpus(root, tmp_path / "no-world", skip=("world.json",))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match=r"spurious level|rate must be in \["):
             validate(clone, spurious_levels=levels, dropout=dropout)
 
     def test_needs_a_level(self, corpus_dir):
         root, _ = corpus_dir
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigurationError, match="at least one spurious level"):
             validate(root, spurious_levels=[])

@@ -18,10 +18,10 @@ from obameter import (
     value_correlation,
 )
 from obameter.errors import (
+    CorpusDataError,
     DegenerateSeries,
     EmptyTrainingSet,
     KeyMismatch,
-    MissingGroundTruth,
     NoImpressions,
 )
 from obameter.metrics import _t_two_sided_p
@@ -81,7 +81,7 @@ class TestDetectionPerformance:
 
     def test_unlabeled_impression_rejected(self):
         imp = _imp("p", "https://a.example/1", 1, None)
-        with pytest.raises(MissingGroundTruth):
+        with pytest.raises(CorpusDataError, match="has no ground-truth label"):
             detection_performance([imp], set())
 
     def test_rates_are_none_on_zero_denominator(self):

@@ -14,7 +14,7 @@ from obameter import (
     normalize_keyword,
     select_training_pages,
 )
-from obameter.errors import ConfigurationError, InsufficientSources, PersonaRejected
+from obameter.errors import ConfigurationError, PersonaRejected
 
 from pools_fixture import CONSENSUS_EXPECTED, consensus_case
 
@@ -111,7 +111,7 @@ class TestConsensus:
     def test_insufficient_sources(self, taxonomy):
         persona, tags = consensus_case()
         two = {src: table for src, table in tags.items() if src != "flat-b"}
-        with pytest.raises(InsufficientSources):
+        with pytest.raises(ConfigurationError, match="consensus needs at least"):
             consensus_training_keywords(
                 persona, two, ConsensusConfig(n=2, threshold=2.5), taxonomy
             )
@@ -219,7 +219,7 @@ class TestConsensusOracle:
         ))
         config = ConsensusConfig(n=data.draw(st.integers(0, 3)), threshold=threshold)
         if len(sources) < max(2, config.n + 1):
-            with pytest.raises(InsufficientSources):
+            with pytest.raises(ConfigurationError, match="consensus needs at least"):
                 consensus_training_keywords(persona, tags, config, taxonomy)
             return
         assert (consensus_training_keywords(persona, tags, config, taxonomy)

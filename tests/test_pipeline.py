@@ -15,7 +15,7 @@ from obameter import (
     filter_static_contextual,
     normalize_keyword,
 )
-from obameter.errors import ConfigurationError, MissingCleanProfile
+from obameter.errors import ConfigurationError, CorpusDataError
 from obameter.pipeline import FILTER_SETS
 
 E = pools_fixture.EXPECTED
@@ -133,7 +133,7 @@ class TestFilterConfig:
 
 class TestStaticContextualStage:
     def test_missing_clean_profile_raises(self, case):
-        with pytest.raises(MissingCleanProfile):
+        with pytest.raises(CorpusDataError, match="needs a clean-profile impression corpus"):
             filter_static_contextual(case.impressions, None)
 
     def test_empty_clean_profile_removes_nothing(self, case):

@@ -12,7 +12,7 @@ from obameter import (
     run_session,
     schedule_visits,
 )
-from obameter.errors import CorpusDataError, EmptyPool, HarvesterFailure
+from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
 
 
 class ScriptedHarvester:
@@ -38,7 +38,7 @@ class ScriptedHarvester:
         self.seen += 1
         self.handed.append(state)
         if self.fail_at is not None and self.seen == self.fail_at:
-            raise HarvesterFailure("backend went away")
+            raise ObameterError("backend went away")
         return self.serve(state["config"], event)
 
 
@@ -84,17 +84,15 @@ class TestSchedule:
         assert one != other
 
     def test_empty_pool(self):
-        with pytest.raises(EmptyPool):
+        with pytest.raises(ConfigurationError, match="empty page pool"):
             schedule_visits([], SessionConfig(persona_id="p"))
 
     def test_bad_budget(self):
-        from obameter.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             SessionConfig(persona_id="p", visit_budget=0)
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
     def test_mean_interval_positive_and_finite(self, interval):
-        from obameter.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="mean_interval"):
             SessionConfig(persona_id="p", mean_interval=interval)
 
@@ -156,7 +154,7 @@ class TestRunSession:
             fail_at=50,
         )
         config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
-        with pytest.raises(HarvesterFailure, match="backend went away"):
+        with pytest.raises(ObameterError, match="backend went away"):
             run_session(_persona(), CONTROLS, config, harvester)
         assert harvester.seen == 50
 

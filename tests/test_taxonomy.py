@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from obameter import KeywordTaxonomy, normalize_keyword
 from obameter import taxonomy as taxonomy_module
-from obameter.errors import TaxonomyError, UnknownKeyword
+from obameter.errors import ConfigurationError, ObameterError
 
 
 class TestNormalization:
@@ -31,29 +31,29 @@ class TestLoading:
         assert again.max_depth == taxonomy.max_depth
 
     def test_duplicate_node_rejected(self):
-        with pytest.raises(TaxonomyError, match="duplicate"):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             KeywordTaxonomy.from_edges([("a", "-"), ("b", "a"), ("b", "a")])
 
     def test_multiple_roots_named(self):
-        with pytest.raises(TaxonomyError) as err:
+        with pytest.raises(ConfigurationError, match="multiple roots") as err:
             KeywordTaxonomy.from_edges([("a", "-"), ("b", "-")])
         assert "a" in str(err.value) and "b" in str(err.value)
 
     def test_unknown_parent_rejected(self):
-        with pytest.raises(TaxonomyError, match="ghost"):
+        with pytest.raises(ConfigurationError, match="ghost"):
             KeywordTaxonomy.from_edges([("a", "-"), ("b", "ghost")])
 
     def test_cycle_names_a_node(self):
-        with pytest.raises(TaxonomyError):
+        with pytest.raises(ConfigurationError, match="cycle through node"):
             KeywordTaxonomy.from_edges([("a", "-"), ("b", "c"), ("c", "b")])
 
     def test_empty_text_rejected(self):
-        with pytest.raises(TaxonomyError):
+        with pytest.raises(ConfigurationError, match="empty keyword text"):
             KeywordTaxonomy.from_edges([("a", "-"), ("  ", "a")])
 
     def test_loads_reports_line_numbers(self):
         text = "a\t-\nb\n"
-        with pytest.raises(TaxonomyError, match="line 2"):
+        with pytest.raises(ConfigurationError, match="line 2"):
             KeywordTaxonomy.loads(text)
 
     def test_loads_skips_blanks_and_comments(self):
@@ -92,7 +92,7 @@ class TestSimilarity:
         )
 
     def test_unknown_keyword_raises(self, tiny_taxonomy):
-        with pytest.raises(UnknownKeyword):
+        with pytest.raises(ObameterError, match="keyword not in taxonomy: 'sharks'"):
             tiny_taxonomy.pathlen("dogs", "sharks")
 
     def test_demo_tree_shape(self, taxonomy):
@@ -108,8 +108,8 @@ class TestSimilarity:
 
     def test_similar_is_strict(self, taxonomy):
         score = taxonomy.lc_similarity("motor sports", "motorcycles")
-        assert taxonomy.similar("motor sports", "motorcycles", score) is False
-        assert taxonomy.similar("motor sports", "motorcycles", score - 1e-9)
+        assert taxonomy.similar_or_exact("motor sports", "motorcycles", score) is False
+        assert taxonomy.similar_or_exact("motor sports", "motorcycles", score - 1e-9)
 
     def test_exact_fallback_outside_tree(self, taxonomy):
         assert taxonomy.similar_or_exact("blockchain", "Blockchain", 99.0)
@@ -203,7 +203,7 @@ class TestSenses:
         assert tree.pathlen("jaguar", "jaguar") == 1
 
     def test_sense_ids_must_differ(self):
-        with pytest.raises(TaxonomyError):
+        with pytest.raises(ConfigurationError, match="duplicate node declaration: 'jaguar#1'"):
             KeywordTaxonomy.from_edges([
                 ("top", "-"), ("a", "top"), ("jaguar#1", "top"), ("jaguar#1", "a"),
             ])
