@@ -40,11 +40,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal, Sequence
 
 from . import demo
-from .corpus import AD_KINDS, WebPage, _built, _record_fields, from_dict
+from .corpus import AD_KINDS, WebPage, _built, _record_fields, _to_record, from_dict
 from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
@@ -350,7 +350,7 @@ class World:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+        return _to_record(self) | {
             "config": asdict(self.config),
             "personas": [persona.to_dict() for persona in self.personas],
             "control_pages": [p.url for p in self.control_pages],
@@ -359,16 +359,16 @@ class World:
 
     @classmethod
     def from_dict(cls, data: dict) -> "World":
-        rec = _built(lambda d: _record_fields(cls, d), data, "world record")
-        return cls(**rec | {
-            "config": from_dict(SimConfig, rec["config"], "sim"),
-            "personas": [_built(Persona.from_dict, p, "persona record", f"personas[{i}]")
-                         for i, p in enumerate(rec["personas"])],
-            "control_pages": [WebPage(url=u, role="control") for u in rec["control_pages"]],
-            "ads": [_built(lambda ad: AdUnit(**_record_fields(AdUnit, ad)), ad,
-                           "ad record", f"ads[{i}]")
-                    for i, ad in enumerate(rec["ads"])],
-        })
+        world = _built(lambda d: cls(*_record_fields(cls, d)), data, "world record")
+        return replace(
+            world,
+            config=from_dict(SimConfig, world.config, "sim"),
+            personas=[_built(Persona.from_dict, p, "persona record", f"personas[{i}]")
+                      for i, p in enumerate(world.personas)],
+            control_pages=[WebPage(url=u, role="control") for u in world.control_pages],
+            ads=[_built(lambda ad: AdUnit(*_record_fields(AdUnit, ad)), ad, "ad record",
+                        f"ads[{i}]") for i, ad in enumerate(world.ads)],
+        )
 
 
 class WorldTagSource:

@@ -26,16 +26,22 @@ Store layout. An experiment directory holds
     report.json/.csv     analysis output
     performance.json     validation output
 
+One declaration per stored record: the fields of one dataclass are the
+keys of each record of a file (a field's "key" metadata may rename it),
+and both its writer and its reader go through them. A record is checked
+once, as it is read: against its type hints, or by its constructor.
+
 Writes go through a single writer (the CLI is single-process); readers
 load snapshots, so a reader never observes a torn line. A whole file is
 written to a temporary sibling that then replaces it, so a write that
-fails part-way leaves the previous file whole.
+fails part-way leaves the previous file whole. A line ends at "\n" only.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 import re
 import reprlib
@@ -43,7 +49,7 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Literal, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import ConfigurationError, CorpusDataError
@@ -121,14 +127,14 @@ class AdImpression:
     impression came from the simulator. Both URLs are stored normalized,
     with their landing keys in control_key and landing_key and the
     aggregation and prediction identity in key; all three are set once,
-    when the impression is built. The two ids must be strings, and
-    ground_truth None or one of AD_KINDS.
+    when the impression is built, and never stored. The two ids must be
+    strings, and ground_truth None or one of AD_KINDS.
     """
 
-    persona_id: str
-    session_id: str
-    control_page: str
-    landing_page: str
+    persona_id: str = field(metadata={"key": "persona"})
+    session_id: str = field(metadata={"key": "session"})
+    control_page: str = field(metadata={"key": "control"})
+    landing_page: str = field(metadata={"key": "landing"})
     ntimes: int = 1
     ground_truth: str | None = None
     control_key: str = field(init=False, compare=False, repr=False)
@@ -147,6 +153,26 @@ class AdImpression:
         if self.ground_truth is not None and self.ground_truth not in AD_KINDS:
             raise CorpusDataError(f"ground_truth must be null or one of "
                                   f"{', '.join(AD_KINDS)}, got {self.ground_truth!r}")
+
+
+@dataclass
+class TagRecord:
+    """One line of tags.<source>.jsonl: the keywords `source` gives a page."""
+
+    url: str
+    source: str
+    keywords: list[str]
+
+
+@dataclass
+class VisitRecord:
+    """One line of visits.jsonl: visit `seq` (from 0) of a session, at `t`."""
+
+    session: str
+    seq: int
+    t: float
+    kind: Literal["training", "control"]
+    url: str
 
 
 class TaggingSource(Protocol):
@@ -173,8 +199,20 @@ def _keyword_set(keywords: Iterable[str]) -> set[str]:
 # on-disk store
 
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# one JSONL line: sorted keys, no spaces, non-ASCII text written raw; one
+# encoder serves every line, as json.dumps would build one per call
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """`json.loads(line)`, by one raw decode (about half the time) when the line is
+    one bare JSON value; any other line, padded or bad, goes to `json.loads`."""
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    return value if end == len(line) else json.loads(line)
 
 
 def check_keys(data, known: Iterable[str], section: str) -> Mapping:
@@ -196,13 +234,29 @@ def _unusable(exc: Exception, rec) -> str:
     return str(exc) if isinstance(exc, CorpusDataError) else f"is malformed: {exc}"
 
 
-def _record_fields(cls, rec) -> dict:
-    """Field name -> value for each field of dataclass `cls`, from record `rec`,
-    each value of its field's type hint; other keys are ignored."""
-    for name, (hint, is_a) in _field_types(cls).items():
-        if not is_a(rec[name]):
-            raise CorpusDataError(_not_a(name, hint, rec[name]))
-    return {name: rec[name] for name in _field_types(cls)}
+def _to_record(obj) -> dict:
+    """Stored key -> value for each stored field of dataclass instance `obj`."""
+    keys, _, of_instance, _ = _stored_fields(type(obj))
+    return dict(zip(keys, of_instance(obj)))
+
+
+def _jsonl(records: Iterable) -> str:
+    """One line per dataclass instance of `records`, holding its stored fields."""
+    return "".join(_dump_line(_to_record(r)) + "\n" for r in records)
+
+
+def _record_fields(cls, rec, check: bool = True) -> tuple:
+    """The value of each stored field of dataclass `cls`, in order, from record
+    `rec` under its stored key, so that `cls(*values)` builds the record;
+    other keys are ignored. Each value must be of its field's type hint,
+    unless `check` is false because the constructor checks every field."""
+    _, checks, _, of_record = _stored_fields(cls)
+    values = of_record(rec)
+    if check:
+        for (key, hint, is_a), value in zip(checks, values):
+            if not is_a(value):
+                raise CorpusDataError(_not_a(key, hint, value))
+    return values
 
 
 def _built(build: Callable, rec, what: str, where: str = ""):
@@ -243,6 +297,18 @@ def _field_types(cls) -> dict[str, tuple[object, Callable]]:
 
 
 @functools.cache
+def _stored_fields(cls) -> tuple[tuple[str, ...], tuple, Callable, Callable]:
+    """`(keys, checks, of_instance, of_record)` for the fields of `cls` its
+    constructor takes (two or more), in order: the key each is stored under
+    (its "key" metadata, else its name), a `(key, type hint, _is_a test)`
+    check of each, and getters of their values from an instance and a record."""
+    types_, init = _field_types(cls), [f for f in fields(cls) if f.init]
+    keys = tuple(f.metadata.get("key", f.name) for f in init)
+    return (keys, tuple((k, *types_[f.name]) for k, f in zip(keys, init)),
+            operator.attrgetter(*(f.name for f in init)), operator.itemgetter(*keys))
+
+
+@functools.cache
 def _is_a(hint) -> Callable[[object], bool]:
     """Test of decoded JSON against hint `hint`: a bool is no number, an int is a float."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -259,8 +325,10 @@ def _is_a(hint) -> Callable[[object], bool]:
         return lambda v: v in args
     if is_dataclass(hint):  # left to the build that makes it
         return lambda v: True
-    kinds = (int, float) if hint is float else hint
-    return lambda v: isinstance(v, kinds) and (hint is bool or not isinstance(v, bool))
+    if hint in (int, float):
+        kinds = (int, float) if hint is float else int
+        return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
+    return lambda v: isinstance(v, hint)
 
 
 def _not_a(name: str, hint, value) -> str:
@@ -370,36 +438,34 @@ class ExperimentStore:
     # pages
 
     def write_pages(self, pages: Iterable[WebPage]) -> None:
-        lines = [_dump_line({"role": p.role, "url": p.url}) for p in pages]
-        _write_atomic(self.path("pages.jsonl"), "\n".join(lines) + "\n")
+        _write_atomic(self.path("pages.jsonl"), _jsonl(pages))
 
     def load_pages(self) -> list[WebPage]:
-        return self.load_records(
-            "pages.jsonl", lambda rec: WebPage(url=rec["url"], role=rec["role"])
-        )
+        return self.load_records("pages.jsonl", lambda rec: WebPage(
+            *_record_fields(WebPage, rec, check=False)
+        ))
 
     # tags
 
     def write_tags(self, source: str, table: Mapping[str, set[str]]) -> None:
         """One line per URL of `table` (url -> keywords), in its order."""
-        lines = [
-            _dump_line({"keywords": sorted(kws), "source": source, "url": url})
-            for url, kws in table.items()
-        ]
-        _write_atomic(self.tags_path(source), "\n".join(lines) + "\n")
+        _write_atomic(self.tags_path(source), _jsonl(
+            TagRecord(url, source, sorted(kws)) for url, kws in table.items()
+        ))
 
     def load_tags(self, source: str) -> dict[str, set[str]]:
-        """Canonical URL to keywords as `tag_pages` makes them; each page once."""
+        """Canonical URL to keywords as `tag_pages` makes them; each page once.
+        A record of another source than the file's is an error."""
         table: dict[str, set[str]] = {}
-        is_keyword_list = _is_a(list[str])
 
         def add(rec: dict) -> None:
-            url = normalize_url(rec["url"])
+            tag = TagRecord(*_record_fields(TagRecord, rec))
+            if tag.source != source:
+                raise CorpusDataError(f"has source {tag.source!r}, not {source!r}")
+            url = normalize_url(tag.url)
             if url in table:
                 raise CorpusDataError(f"names page {url!r} again")
-            if not is_keyword_list(rec["keywords"]):
-                raise CorpusDataError("has 'keywords' that is not a list of strings")
-            table[url] = _keyword_set(rec["keywords"])
+            table[url] = _keyword_set(tag.keywords)
         self.load_records(f"tags.{source}.jsonl", add)
         return table
 
@@ -412,41 +478,28 @@ class ExperimentStore:
     # visits and impressions are append-only event logs
 
     def append_visits(self, session_id: str, events) -> None:
-        with self.path("visits.jsonl").open("a", encoding="utf-8") as fh:
-            for seq, ev in enumerate(events):
-                fh.write(_dump_line({
-                    "kind": ev.kind,
-                    "seq": seq,
-                    "session": session_id,
-                    "t": round(ev.t, 6),
-                    "url": ev.page.url,
-                }) + "\n")
+        self._append("visits.jsonl", (
+            VisitRecord(session_id, seq, round(ev.t, 6), ev.kind, ev.page.url)
+            for seq, ev in enumerate(events)
+        ))
 
-    def load_visits(self, build: Callable[[dict], object] = dict.copy) -> list:
-        """`build(record)` per visit, in log order; by default a copy of each."""
-        return self.load_records("visits.jsonl", build)
+    def load_visits(self, build: Callable[[VisitRecord], object] = lambda visit: visit) -> list:
+        """`build(visit)` per `VisitRecord`, in log order; by default the visit."""
+        return self.load_records(
+            "visits.jsonl", lambda rec: build(VisitRecord(*_record_fields(VisitRecord, rec)))
+        )
 
     def append_impressions(self, impressions: Iterable[AdImpression]) -> None:
-        with self.path("impressions.jsonl").open("a", encoding="utf-8") as fh:
-            for imp in impressions:
-                fh.write(_dump_line({
-                    "control": imp.control_page,
-                    "ground_truth": imp.ground_truth,
-                    "landing": imp.landing_page,
-                    "ntimes": imp.ntimes,
-                    "persona": imp.persona_id,
-                    "session": imp.session_id,
-                }) + "\n")
+        self._append("impressions.jsonl", impressions)
 
     def load_impressions(self) -> list[AdImpression]:
         return self.load_records("impressions.jsonl", lambda rec: AdImpression(
-            persona_id=rec["persona"],
-            session_id=rec["session"],
-            control_page=rec["control"],
-            landing_page=rec["landing"],
-            ntimes=rec["ntimes"],
-            ground_truth=rec["ground_truth"],
+            *_record_fields(AdImpression, rec, check=False)
         ))
+
+    def _append(self, name: str, records: Iterable) -> None:
+        with self.path(name).open("a", encoding="utf-8") as fh:
+            fh.write(_jsonl(records))
 
     # record lists
 
@@ -494,11 +547,11 @@ class ExperimentStore:
             raise CorpusDataError(f"unreadable {name} in {self.root}: {exc}") from exc
 
     def _iter_jsonl(self, name: str):
-        for lineno, line in enumerate(self._read(name).splitlines(), 1):
+        for lineno, line in enumerate(self._read(name).split("\n"), 1):
             if not line.strip():
                 continue
             try:
-                yield json.loads(line)
+                yield _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise CorpusDataError(
                     f"{self.path(name)}:{lineno}: bad JSON line: {exc}"

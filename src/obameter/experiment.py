@@ -58,8 +58,10 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
+    VisitRecord,
     _built,
     _record_fields,
+    _to_record,
     _write_atomic,
     check_keys,
     check_type,
@@ -234,7 +236,7 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     persona_by_id = {persona.id: persona for persona in world.personas}
     clean_persona = Persona(id=CLEAN_ID, category="weather")
 
-    runs: list[tuple[dict, SessionResult]] = []
+    runs: list[tuple[SessionRow, SessionResult]] = []
     for cond in manifest.conditions:
         for rep in range(manifest.repetitions):
             for spec in specs:
@@ -253,7 +255,7 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     for source in world.tag_sources():
         store.write_tags(source.name, tag_pages(pages, source))
     for row, result in runs:
-        store.append_visits(row["session"], result.visits)
+        store.append_visits(row.session, result.visits)
         store.append_impressions(result.impressions)
     session_rows = [row for row, _ in runs]
     store.write_doc("manifest.json", manifest.to_dict())
@@ -261,7 +263,7 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
     store.write_doc("personas.json", {
         "personas": [persona.to_dict() for persona in world.personas],
     })
-    store.write_doc("sessions.json", {"sessions": session_rows})
+    store.write_doc("sessions.json", {"sessions": [_to_record(row) for row in session_rows]})
     return {
         "experiment_id": manifest.experiment_id,
         "out": str(store.root),
@@ -269,7 +271,7 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
         "conditions": [c.cond_id for c in manifest.conditions],
         "sessions": len(session_rows),
         "pages": len(pages),
-        "impressions": sum(row["n_impressions"] for row in session_rows),
+        "impressions": sum(row.n_impressions for row in session_rows),
     }
 
 
@@ -280,7 +282,7 @@ def _run_one(
     rep: int,
     manifest: ExperimentManifest,
     clean: bool,
-) -> tuple[dict, SessionResult]:
+) -> tuple[SessionRow, SessionResult]:
     """Run one session; return its sessions.json row and its result."""
     sid = session_label(persona.id, cond.cond_id, rep)
     config = SessionConfig(
@@ -294,35 +296,32 @@ def _run_one(
         seed=derive_seed(manifest.seed, "session", sid),
     )
     result = run_session(persona, world.control_pages, config, world)
-    return {
-        "session": sid,
-        "persona": persona.id,
-        "condition": cond.cond_id,
-        "geo": cond.geo,
-        "dnt": cond.dnt,
-        "rep": rep,
-        "clean": clean,
-        "complete": True,
-        "visit_mix": result.visit_mix,
-        "raw_served": result.raw_served,
-        "n_impressions": len(result.impressions),
-    }, result
-
-
-# ---------------------------------------------------------------------------
-# shared corpus loading
+    return SessionRow(
+        session=sid, persona=persona.id, condition=cond.cond_id, geo=cond.geo,
+        dnt=cond.dnt, rep=rep, clean=clean, complete=True, visit_mix=result.visit_mix,
+        raw_served=result.raw_served, n_impressions=len(result.impressions),
+    ), result
 
 
 @dataclass(frozen=True)
-class _SessionRow:
-    """The fields of a sessions.json row that analysis reads."""
+class SessionRow:
+    """One sessions.json row: `_run_one` writes it, `_load_corpus` reads it."""
 
     session: str
     persona: str
     condition: str
+    geo: str
+    dnt: bool
     rep: int
     clean: bool
     complete: bool
+    visit_mix: dict[str, int]
+    raw_served: int
+    n_impressions: int
+
+
+# ---------------------------------------------------------------------------
+# shared corpus loading
 
 
 @dataclass
@@ -330,7 +329,7 @@ class _ConditionGroup:
     """One manifest condition's complete sessions, grouped once at load."""
 
     cond_id: str
-    sessions: list[_SessionRow] = field(default_factory=list)  # persona-session rows
+    sessions: list[SessionRow] = field(default_factory=list)  # persona-session rows
     clean: list[AdImpression] | None = None  # None: no clean session
     pooled: dict[str, list[AdImpression]] = field(default_factory=dict)  # over reps
 
@@ -381,8 +380,8 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
     groups = {c.cond_id: _ConditionGroup(c.cond_id) for c in manifest.conditions}
     imps_by_session: dict[str, list[AdImpression]] = {}
 
-    def session_row(rec: dict) -> _SessionRow:
-        row = _SessionRow(**_record_fields(_SessionRow, rec))
+    def session_row(rec: dict) -> SessionRow:
+        row = SessionRow(*_record_fields(SessionRow, rec))
         if row.session in imps_by_session:
             raise CorpusDataError(f"names session {row.session!r} again")
         if row.condition not in groups:
@@ -413,10 +412,10 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
 
     visited_by_session: dict[str, set[str]] = {}
 
-    def add_visit(rec: dict) -> None:
-        if rec["session"] not in imps_by_session:
-            raise CorpusDataError(f"names session {rec['session']!r}, not in sessions.json")
-        visited_by_session.setdefault(rec["session"], set()).add(landing_key(rec["url"]))
+    def add_visit(visit: VisitRecord) -> None:
+        if visit.session not in imps_by_session:
+            raise CorpusDataError(f"names session {visit.session!r}, not in sessions.json")
+        visited_by_session.setdefault(visit.session, set()).add(landing_key(visit.url))
     store.load_visits(add_visit)
 
     return _Corpus(
@@ -446,7 +445,7 @@ def _consensus_keywords(
 
 def _filtered_sessions(
     corpus: _Corpus, filters: FilterConfig
-) -> Iterator[tuple[str, _SessionRow, PipelineResult]]:
+) -> Iterator[tuple[str, SessionRow, PipelineResult]]:
     """(condition id, session row, pipeline result) per persona session.
 
     Sessions marked incomplete never get here: _load_corpus drops them.
@@ -471,7 +470,7 @@ def _filtered_sessions(
             )
 
 
-def _attrition_row(cond_id: str, row: _SessionRow, result: PipelineResult) -> dict:
+def _attrition_row(cond_id: str, row: SessionRow, result: PipelineResult) -> dict:
     return {"session": row.session, "condition": cond_id, "attrition": result.attrition}
 
 
@@ -534,7 +533,7 @@ def analyze(
 def _score_cell(
     url_tags: Mapping[str, set[str]],
     keywords: Mapping[str, Mapping[str, set[str]]],
-    row: _SessionRow,
+    row: SessionRow,
     cond_id: str,
     filter_set: str,
     src: str,

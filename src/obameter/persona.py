@@ -19,10 +19,10 @@ above the similarity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .corpus import WebPage, _record_fields
+from .corpus import WebPage, _record_fields, _to_record
 from .errors import ConfigurationError, PersonaRejected
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -49,17 +49,16 @@ class Persona:
         return [p.url for p in self.training_pages]
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+        return _to_record(self) | {
             "training_pages": self.visited_urls,
         }
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":
-        return cls(**_record_fields(cls, rec) | {
-            "training_pages": [
-                WebPage(url=u, role="training") for u in rec["training_pages"]
-            ],
-        })
+        persona = cls(*_record_fields(cls, rec))
+        return replace(persona, training_pages=[
+            WebPage(url=u, role="training") for u in persona.training_pages
+        ])
 
 
 @dataclass

@@ -222,10 +222,13 @@ class KeywordTaxonomy:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordTaxonomy":
-        """Parse the taxonomy file at `path`; a missing, unreadable or
-        non-UTF-8 file raises ConfigurationError naming it."""
+        """Parse the taxonomy file at `path`; a missing, unreadable,
+        non-UTF-8 or malformed file raises ConfigurationError naming it."""
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read taxonomy {path}: {exc}") from exc
-        return cls.loads(text)
+        try:
+            return cls.loads(text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{exc} in taxonomy {path}") from exc

@@ -194,9 +194,9 @@ class TestSimulate:
         manifest.write_text(json.dumps({"taxonomy": str(tree)}), encoding="utf-8")
         code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "configuration error: node 'foo' names unknown parent 'bar'"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: node 'foo' names unknown parent 'bar'")
+        assert err.endswith(f" in taxonomy {tree}\n")
         assert not (tmp_path / "x").exists()
 
     def test_harvester_failure_is_a_tool_error(self, tmp_path, capsys, fail_on_visit):
@@ -397,6 +397,7 @@ class TestAnalyze:
         ("personas.json", "attrition"),
         ("sessions.json", "complete"),
         ("tags.sim-a.jsonl", "keywords"),
+        ("tags.sim-a.jsonl", "source"),
     ])
     def test_record_without_a_key_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key
@@ -421,10 +422,21 @@ class TestAnalyze:
         ("sessions.json", "rep", "0"),
         ("impressions.jsonl", "ground_truth", "OBA"),
         ("impressions.jsonl", "ground_truth", 5),
+        ("tags.sim-a.jsonl", "source", "sim-b"),
+        ("visits.jsonl", "kind", "banner"),
+        ("visits.jsonl", "seq", "x"),
+        ("visits.jsonl", "t", "late"),
+        ("sessions.json", "geo", 5),
+        ("sessions.json", "dnt", "no"),
+        ("sessions.json", "visit_mix", {"control": "3"}),
+        ("sessions.json", "raw_served", "7"),
+        ("sessions.json", "n_impressions", 1.5),
     ], ids=["string-ntimes", "number-landing", "null-visit-url", "number-tag-url",
             "number-training-pages", "list-condition", "list-session", "list-persona",
             "string-clean", "string-complete", "string-rep", "unknown-ground-truth",
-            "number-ground-truth"])
+            "number-ground-truth", "other-tag-source", "unknown-visit-kind", "string-seq",
+            "string-t", "number-geo", "string-dnt", "string-visit-mix-count",
+            "string-raw-served", "float-n-impressions"])
     def test_record_value_of_the_wrong_type_is_a_data_error(
         self, cli_corpus, tmp_path, capsys, name, key, value
     ):
@@ -448,7 +460,7 @@ class TestAnalyze:
         assert main(["analyze", str(clone)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
-        assert name in err and "record 1 " in err and repr("keywords") in err
+        assert name in err and "record 1 keywords must be of type list[str]" in err
 
     def test_price_correlation_matches_scipy(self, tmp_path):
         root = tmp_path / "six"

@@ -294,14 +294,42 @@ class TestStore:
     def test_visits_are_read_as_stored_or_built(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
         store.path("visits.jsonl").write_text(
-            '{"session": "s", "url": "HTTP://A.example/"}\n', encoding="utf-8"
+            '{"kind": "control", "seq": 0, "session": "s", "t": 2, "url": "HTTP://A.example/"}\n',
+            encoding="utf-8",
         )
-        assert store.load_visits() == [{"session": "s", "url": "HTTP://A.example/"}]
-        keys = store.load_visits(lambda rec: (normalize_url(rec["url"]), landing_key(rec["url"])))
+        assert store.load_visits() == [
+            corpus.VisitRecord(session="s", seq=0, t=2, kind="control", url="HTTP://A.example/")
+        ]
+        keys = store.load_visits(lambda visit: (normalize_url(visit.url), landing_key(visit.url)))
         assert keys == [("http://a.example", "a.example")]
+        # a visit lacking kind, seq and t is no visit record
+        store.path("visits.jsonl").write_text(
+            '{"session": "s", "url": "http://a.example"}\n', encoding="utf-8"
+        )
+        with pytest.raises(CorpusDataError, match="record 1 has no 'seq'"):
+            store.load_visits()
         store.path("visits.jsonl").write_text('"s"\n', encoding="utf-8")
         with pytest.raises(CorpusDataError, match="record 1 is not an object"):
             store.load_visits()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.text(st.sampled_from('{}[]",:019.e-tfnul \t\r\x0b\x85\ufeffNaIy\\x'), max_size=16),
+        st.tuples(
+            st.sampled_from(["", " ", "\r", "\ufeff", "\x85", " x", ","]),
+            st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                         lambda c: st.lists(c) | st.dictionaries(st.text(), c),
+                         max_leaves=6).map(json.dumps),
+            st.sampled_from(["", " ", "\t", "\r", "\x85", "x", "{}"]),
+        ).map("".join),
+    ))
+    def test_lines_decode_as_json_loads_decodes_them(self, line):
+        def outcome(decode):
+            try:
+                return repr(decode(line))
+            except json.JSONDecodeError as exc:
+                return f"error: {exc}"
+        assert outcome(corpus._decode_line) == outcome(json.loads)
 
     def test_corrupt_jsonl_names_the_line(self, tmp_path):
         store = ExperimentStore(tmp_path).create()

@@ -28,7 +28,7 @@ from obameter import (
 from obameter import corpus
 from obameter.cli import main
 from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
-from obameter.experiment import CLEAN_ID, resolve_taxonomy, session_label
+from obameter.experiment import CLEAN_ID, SessionRow, resolve_taxonomy, session_label
 
 TINY = {
     "experiment_id": "tiny",
@@ -222,9 +222,9 @@ class TestSimulate:
         root, _ = corpus_dir
         clean_sids = {session_label(CLEAN_ID, c, 0) for c in ("ES", "US+dnt")}
         visits = [v for v in ExperimentStore(root).load_visits()
-                  if v["session"] in clean_sids]
+                  if v.session in clean_sids]
         assert visits
-        assert all(v["kind"] == "control" for v in visits)
+        assert all(v.kind == "control" for v in visits)
 
     def test_rerun_does_not_duplicate_event_logs(self, corpus_dir):
         root, summary = corpus_dir
@@ -463,6 +463,70 @@ class TestKeywordForm:
         analyze(store.root)
         for name in ("report.json", "report.csv"):
             assert store.path(name).read_bytes() == (base / name).read_bytes()
+
+
+class TestStoredRecords:
+    """One declaration per stored record: every record simulate writes holds
+    exactly the stored keys of its class, and the readers give back records
+    that write the same lines."""
+
+    def test_writers_and_readers_agree_on_every_record(self, tmp_path):
+        simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
+        store = ExperimentStore(tmp_path)
+        rows = store.load_doc("sessions.json")["sessions"]
+        read = {
+            "pages.jsonl": (corpus.WebPage, store.load_pages()),
+            "impressions.jsonl": (corpus.AdImpression, store.load_impressions()),
+            "visits.jsonl": (corpus.VisitRecord, store.load_visits()),
+            "sessions.json": (SessionRow, [SessionRow(*corpus._record_fields(SessionRow, r))
+                                           for r in rows]),
+        }
+        for src in store.tag_sources():
+            tags = [corpus.TagRecord(url, src, sorted(kws))
+                    for url, kws in store.load_tags(src).items()]
+            read[f"tags.{src}.jsonl"] = (corpus.TagRecord, tags)
+        assert set(read) == {p.name for p in tmp_path.glob("*.jsonl")} | {"sessions.json"}
+        for name, (cls, records) in read.items():
+            stored = rows if name == "sessions.json" else [
+                json.loads(line)
+                for line in store.path(name).read_text(encoding="utf-8").split("\n") if line
+            ]
+            keys = set(corpus._stored_fields(cls)[0])
+            assert stored and all(set(rec) == keys for rec in stored), name
+            assert [corpus._to_record(r) for r in records] == stored, name
+
+
+class TestLineBreaks:
+    """Only "\\n" ends a stored line: U+2028, U+2029 and U+0085, which the
+    writers leave raw inside JSON strings, are read back as written."""
+
+    def test_persona_id_with_unicode_line_breaks_round_trips(self, tmp_path):
+        pid = "motor\u2028sports\u2029\x85x"
+        small = {**TINY, "n_personas": 2, "repetitions": 1, "conditions": [{"geo": "ES"}],
+                 "personas": [{"id": pid, "category": "motor sports"},
+                              {"id": "banking", "category": "banking"}]}
+        simulate(ExperimentManifest.from_dict(small), tmp_path)
+        for name in ("impressions.jsonl", "visits.jsonl"):
+            assert pid in (tmp_path / name).read_text(encoding="utf-8")
+        report = analyze(tmp_path)
+        assert pid in report["personas"]
+        assert any(cell["persona"] == pid for cell in report["cells"])
+
+    def test_url_path_with_a_next_line_gives_the_same_outputs(self, corpus_dir, tmp_path):
+        outputs = ("report.json", "report.csv", "performance.json")
+        base = _copy_corpus(corpus_dir[0], tmp_path / "base", skip=outputs)
+        analyze(base)
+        validate(base, spurious_levels=[0.0, 0.1])
+        root = _copy_corpus(base, tmp_path / "c", skip=outputs)
+        for path in root.iterdir():
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(".example/forecast", ".example/fore\x85cast"),
+                            encoding="utf-8")
+        assert "\x85" in (root / "visits.jsonl").read_text(encoding="utf-8")
+        analyze(root)
+        validate(root, spurious_levels=[0.0, 0.1])
+        for name in outputs:
+            assert (root / name).read_bytes() == (base / name).read_bytes()
 
 
 class TestAnalyze:
