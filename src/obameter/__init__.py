@@ -76,6 +76,7 @@ from .session import (
     AdHarvester,
     ServedAd,
     SessionConfig,
+    SessionPlan,
     SessionResult,
     VisitEvent,
     run_session,
@@ -107,6 +108,7 @@ __all__ = [
     "PipelineResult",
     "ServedAd",
     "SessionConfig",
+    "SessionPlan",
     "SessionResult",
     "SimConfig",
     "TagNoise",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 from . import demo
@@ -350,12 +350,7 @@ class World:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return _to_record(self) | {
-            "config": asdict(self.config),
-            "personas": [persona.to_dict() for persona in self.personas],
-            "control_pages": [p.url for p in self.control_pages],
-            "ads": [asdict(ad) for ad in self.ads],
-        }
+        return _to_record(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "World":

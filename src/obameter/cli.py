@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _given(**flags) -> dict:
-    """The flags that were given (not None), by the field each one sets."""
+    """The flags that were given (not None), by the key each one sets."""
     return {name: value for name, value in flags.items() if value is not None}
 
 
@@ -94,12 +94,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "--personas sets the default roster size, but the manifest "
             "lists its personas explicitly"
         )
-    manifest = dataclasses.replace(manifest, **_given(
-        seed=args.seed,
-        visit_budget=args.budget,
-        mean_interval=args.mean_interval,
-        repetitions=args.repetitions,
-        n_personas=args.personas,
+    session = dataclasses.replace(manifest.session, **_given(
+        visit_budget=args.budget, mean_interval=args.mean_interval,
+    ))
+    manifest = dataclasses.replace(manifest, session=session, **_given(
+        seed=args.seed, repetitions=args.repetitions, n_personas=args.personas,
     ))
     summary = simulate(manifest, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -110,7 +109,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(
         args.dir,
         consensus=_given(n=args.consensus_n, threshold=args.consensus_t),
-        filters=_given(filters=args.filters, t_prime=args.tprime),
+        filters=_given(enabled=args.filters, t_prime=args.tprime),
         cpc_path=args.cpc,
     )
     root = Path(args.dir)
@@ -122,7 +121,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     rows = filter_attrition(
-        args.dir, filters=_given(filters=args.filters, t_prime=args.tprime)
+        args.dir, filters=_given(enabled=args.filters, t_prime=args.tprime)
     )
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0

@@ -27,9 +27,13 @@ Store layout. An experiment directory holds
     performance.json     validation output
 
 One declaration per stored record: the fields of one dataclass are the
-keys of each record of a file (a field's "key" metadata may rename it),
-and both its writer and its reader go through them. A record is checked
-once, as it is read: against its type hints, or by its constructor.
+keys of each record of a file, of each record nested in a document and
+of each configuration section (a field's "key" metadata may rename it),
+and both its writer and its reader go through them. `_to_record` writes
+them all, a nested page as its URL and each list or dict as a copy. A
+record is checked once, as it is read: against its type hints, or by its
+constructor. A config section (`from_dict`) may leave keys out but not
+add any; a stored record must hold every key and may hold others.
 
 Writes go through a single writer (the CLI is single-process); readers
 load snapshots, so a reader never observes a torn line. A whole file is
@@ -215,16 +219,6 @@ def _decode_line(line: str):
     return value if end == len(line) else json.loads(line)
 
 
-def check_keys(data, known: Iterable[str], section: str) -> Mapping:
-    """`data` itself, if it is a mapping whose keys all lie in `known`."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{section} must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
-    return data
-
-
 def _unusable(exc: Exception, rec) -> str:
     """Why stored record `rec` is unusable, from the error its build raised."""
     if not isinstance(rec, dict):
@@ -235,9 +229,9 @@ def _unusable(exc: Exception, rec) -> str:
 
 
 def _to_record(obj) -> dict:
-    """Stored key -> value for each stored field of dataclass instance `obj`."""
-    keys, _, of_instance, _ = _stored_fields(type(obj))
-    return dict(zip(keys, of_instance(obj)))
+    """Stored key -> written value for each stored field of dataclass instance
+    `obj`; it shares no list or dict with `obj`."""
+    return _stored_fields(type(obj))[2](obj)
 
 
 def _jsonl(records: Iterable) -> str:
@@ -253,7 +247,7 @@ def _record_fields(cls, rec, check: bool = True) -> tuple:
     _, checks, _, of_record = _stored_fields(cls)
     values = of_record(rec)
     if check:
-        for (key, hint, is_a), value in zip(checks, values):
+        for (_, key, hint, is_a), value in zip(checks, values):
             if not is_a(value):
                 raise CorpusDataError(_not_a(key, hint, value))
     return values
@@ -298,14 +292,43 @@ def _field_types(cls) -> dict[str, tuple[object, Callable]]:
 
 @functools.cache
 def _stored_fields(cls) -> tuple[tuple[str, ...], tuple, Callable, Callable]:
-    """`(keys, checks, of_instance, of_record)` for the fields of `cls` its
+    """`(keys, checks, to_record, of_record)` for the fields of `cls` its
     constructor takes (two or more), in order: the key each is stored under
-    (its "key" metadata, else its name), a `(key, type hint, _is_a test)`
-    check of each, and getters of their values from an instance and a record."""
+    (its "key" metadata, else its name), a `(name, key, type hint, _is_a
+    test)` check of each, the writer of an instance (one call per field only
+    where a field needs encoding), and the getter of their values from a record."""
     types_, init = _field_types(cls), [f for f in fields(cls) if f.init]
     keys = tuple(f.metadata.get("key", f.name) for f in init)
-    return (keys, tuple((k, *types_[f.name]) for k, f in zip(keys, init)),
-            operator.attrgetter(*(f.name for f in init)), operator.itemgetter(*keys))
+    values = operator.attrgetter(*(f.name for f in init))
+    encoders = tuple(_encoder(types_[f.name][0]) for f in init)
+    if any(encoders):
+        def to_record(obj) -> dict:
+            return {k: v if enc is None else enc(v)
+                    for k, enc, v in zip(keys, encoders, values(obj))}
+    else:
+        def to_record(obj) -> dict:
+            return dict(zip(keys, values(obj)))
+    return (keys, tuple((f.name, k, *types_[f.name]) for k, f in zip(keys, init)),
+            to_record, operator.itemgetter(*keys))
+
+
+@functools.cache
+def _encoder(hint) -> Callable | None:
+    """How `_to_record` writes a value of type hint `hint`: a page as its URL,
+    another dataclass as its record, a list or dict as a fresh copy of its
+    written entries; None writes it as it is (a scalar, or a union of them)."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if hint is WebPage:
+        return operator.attrgetter("url")
+    if is_dataclass(hint):
+        return _to_record
+    if origin is list:
+        item = _encoder(args[0]) if args else None
+        return list if item is None else lambda v: list(map(item, v))
+    if origin is dict:
+        value = _encoder(args[1]) if args else None
+        return dict if value is None else lambda v: {k: value(x) for k, x in v.items()}
+    return None
 
 
 @functools.cache
@@ -357,32 +380,28 @@ def _bad_part(at: str, hint, value) -> tuple[str, object]:
     return at, value
 
 
-def check_type(cls, name: str, value, section: str, key: str | None = None) -> None:
-    """Raise ConfigurationError unless decoded JSON `value` is of the type hint
-    of field `name` of `cls`. The message names `key`, the field as the
-    file spells it (`name` unless given), in `section`."""
-    kind, is_a = _field_types(cls)[name]
-    if not is_a(value):
-        raise ConfigurationError(f"bad {section} section: {_not_a(key or name, kind, value)}")
-
-
 def from_dict(cls, data, section: str):
-    """Inverse of `dataclasses.asdict` for config dataclasses.
-
-    Fields typed as a dataclass or `list[dataclass]` are built from their
-    type hints, under the field name as section; every other value must
-    be of its field's type already, and is kept as it is. A key that names
-    no field or a value of the wrong type raises ConfigurationError.
-    """
-    hints = _field_types(cls)
+    """Config dataclass `cls` from section `data`, the inverse of `_to_record`:
+    a key left out takes its default, a field typed as a dataclass or
+    `list[dataclass]` is built under its key as section, and every other
+    value must be of its field's type already. An unknown key or a value of
+    the wrong type raises ConfigurationError naming the key as stored."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{section} must be an object, got {type(data).__name__}")
+    by_key = {key: (name, hint, is_a) for name, key, hint, is_a in _stored_fields(cls)[1]}
+    unknown = set(data) - set(by_key)
+    if unknown:
+        raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
     kwargs = {}
-    for name, value in check_keys(data, hints, section).items():
-        kind, args = hints[name][0], typing.get_args(hints[name][0])
-        check_type(cls, name, value, section)
-        if is_dataclass(kind):
-            value = from_dict(kind, value, name)
-        elif typing.get_origin(kind) is list and is_dataclass(args[0]):
-            value = [from_dict(args[0], v, name) for v in value]
+    for key, value in data.items():
+        name, hint, is_a = by_key[key]
+        if not is_a(value):
+            raise ConfigurationError(f"bad {section} section: {_not_a(key, hint, value)}")
+        args = typing.get_args(hint)
+        if is_dataclass(hint):
+            value = from_dict(hint, value, key)
+        elif typing.get_origin(hint) is list and is_dataclass(args[0]):
+            value = [from_dict(args[0], v, key) for v in value]
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -36,13 +36,14 @@ for byte.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -63,8 +64,6 @@ from .corpus import (
     _record_fields,
     _to_record,
     _write_atomic,
-    check_keys,
-    check_type,
     from_dict,
     landing_key,
     tag_pages,
@@ -88,7 +87,7 @@ from .metrics import (
 from .persona import ConsensusConfig, Persona, consensus_training_keywords
 from .pipeline import FILTER_SETS, FilterConfig, PipelineResult, apply_filters, build_audience
 from .seeding import derive_seed
-from .session import SessionConfig, SessionResult, run_session
+from .session import SessionConfig, SessionPlan, SessionResult, run_session
 from .taxonomy import KeywordTaxonomy
 
 # the clean reference profile; not a real persona, excluded from analysis
@@ -96,9 +95,6 @@ CLEAN_ID = "__clean__"
 
 # pipeline stage key -> the cumulative filter set it completes
 _STAGE_TO_FILTERS = {stages[-1]: name for name, stages in FILTER_SETS.items()}
-
-# manifest fields stored under "session" in manifest.json
-_SESSION_KEYS = ("visit_budget", "mean_interval")
 
 # spurious tag rates validate sweeps unless told otherwise
 DEFAULT_SPURIOUS_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
@@ -122,7 +118,7 @@ def session_label(persona_id: str, cond_id: str, rep: int) -> str:
 
 @dataclass
 class ExperimentManifest:
-    """Everything a run needs; serializes to/from manifest.json."""
+    """Everything a run needs; its fields are the sections of manifest.json."""
 
     experiment_id: str = "experiment"
     seed: int = 0
@@ -130,8 +126,7 @@ class ExperimentManifest:
     personas: list[PersonaSpec] = field(default_factory=list)
     conditions: list[Condition] = field(default_factory=lambda: [Condition()])
     repetitions: int = 4
-    visit_budget: int = 310
-    mean_interval: float = 180.0
+    session: SessionPlan = field(default_factory=SessionPlan)
     sim: SimConfig = field(default_factory=SimConfig)
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     filters: FilterConfig = field(default_factory=FilterConfig)
@@ -150,10 +145,6 @@ class ExperimentManifest:
         ids = [c.cond_id for c in self.conditions]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate condition ids: {ids}")
-        if not self.visit_budget >= 1:
-            raise ConfigurationError(f"visit_budget must be >= 1, got {self.visit_budget}")
-        if not 0 < self.mean_interval < math.inf:
-            raise ConfigurationError("mean_interval must be positive and finite")
         if not self.personas and not self.n_personas >= 1:
             raise ConfigurationError("n_personas must be >= 1")
         for spec in self.personas:
@@ -171,32 +162,11 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentManifest":
-        """Inverse of to_dict; unknown keys in any section raise ConfigurationError.
-
-        The session keys move to the top level and `enabled` becomes the
-        field `filters`, so their types are checked first, under the
-        section and key the document spells.
-        """
-        top = {f.name for f in fields(cls)} - set(_SESSION_KEYS) | {"session"}
-        doc = dict(check_keys(data, top, "manifest"))
-        session = check_keys(doc.pop("session", {}), _SESSION_KEYS, "session")
-        for name, value in session.items():
-            check_type(cls, name, value, "session")
-        doc.update(session)
-        filters = dict(
-            check_keys(doc.get("filters", {}), ("enabled", "t_prime"), "filter")
-        )
-        if "enabled" in filters:
-            check_type(FilterConfig, "filters", filters["enabled"], "filters", "enabled")
-            filters["filters"] = filters.pop("enabled")
-        doc["filters"] = filters
-        return from_dict(cls, doc, "manifest")
+        """Inverse of to_dict; unknown keys in any section raise ConfigurationError."""
+        return from_dict(cls, data, "manifest")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["session"] = {key: doc.pop(key) for key in _SESSION_KEYS}
-        doc["filters"]["enabled"] = doc["filters"].pop("filters")
-        return doc
+        return _to_record(self)
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
@@ -223,28 +193,33 @@ def simulate(manifest: ExperimentManifest, out_dir: str | Path) -> dict:
 
     Nothing is written until every session has run, so a failing session
     leaves an earlier corpus in out_dir untouched. An out_dir that is a
-    file, or lies under one, raises ConfigurationError before any work.
+    file, or lies under one, and a manifest that would give two sessions
+    one label raise ConfigurationError before any work.
     """
     out = Path(out_dir).absolute()
     blocker = next(p for p in (out, *out.parents) if p.exists())
     if not blocker.is_dir():
         raise ConfigurationError(f"cannot write to {out_dir}: {blocker} is not a directory")
-    taxonomy = resolve_taxonomy(manifest.taxonomy)
     specs = manifest.persona_specs()
+    # (persona id, condition, rep, clean) per session, one clean reference
+    # session closing each condition
+    plan = []
+    for cond in manifest.conditions:
+        plan += [(spec.id, cond, rep, False)
+                 for rep in range(manifest.repetitions) for spec in specs]
+        plan.append((CLEAN_ID, cond, 0, True))
+    labels = collections.Counter(session_label(pid, c.cond_id, rep) for pid, c, rep, _ in plan)
+    shared = [label for label, n in labels.items() if n > 1]
+    if shared:
+        raise ConfigurationError(f"two sessions would share the label {shared[0]!r}; "
+                                 "a persona id or geo holds '|'")
+    taxonomy = resolve_taxonomy(manifest.taxonomy)
     world = build_world(manifest.sim, specs, taxonomy, seed=manifest.seed)
 
     persona_by_id = {persona.id: persona for persona in world.personas}
-    clean_persona = Persona(id=CLEAN_ID, category="weather")
-
-    runs: list[tuple[SessionRow, SessionResult]] = []
-    for cond in manifest.conditions:
-        for rep in range(manifest.repetitions):
-            for spec in specs:
-                runs.append(_run_one(
-                    world, persona_by_id[spec.id], cond, rep, manifest, clean=False,
-                ))
-        # one clean reference session per condition
-        runs.append(_run_one(world, clean_persona, cond, 0, manifest, clean=True))
+    persona_by_id[CLEAN_ID] = Persona(id=CLEAN_ID, category="weather")
+    runs = [_run_one(world, persona_by_id[pid], cond, rep, manifest, clean)
+            for pid, cond, rep, clean in plan]
 
     store = ExperimentStore(out_dir).create()
     # the event logs are append-only, and analyze finds tag files by glob,
@@ -291,8 +266,8 @@ def _run_one(
         geo=cond.geo,
         dnt=cond.dnt,
         clean_profile=clean,
-        visit_budget=manifest.visit_budget,
-        mean_interval=manifest.mean_interval,
+        visit_budget=manifest.session.visit_budget,
+        mean_interval=manifest.session.mean_interval,
         seed=derive_seed(manifest.seed, "session", sid),
     )
     result = run_session(persona, world.control_pages, config, world)
@@ -352,7 +327,8 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
 
     Each manifest section `given` by name is set (not re-checked against
     `sim.sources`) before any other file is read: a config object whole, a
-    mapping field by field, checked as stored; None keeps the stored one.
+    mapping key by key, under the section's manifest keys and checked as
+    stored; None keeps the stored one.
 
     Besides what each record's build cannot use, a record naming a condition,
     persona (not the clean one) or session that the manifest, personas.json
@@ -364,7 +340,7 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
     for section, value in given.items():
         stored = getattr(manifest, section)
         if isinstance(value, Mapping):
-            value = from_dict(type(stored), {**asdict(stored), **value}, section)
+            value = from_dict(type(stored), {**_to_record(stored), **value}, section)
         setattr(manifest, section, stored if value is None else value)
     taxonomy = resolve_taxonomy(manifest.taxonomy)
 
@@ -487,8 +463,8 @@ def analyze(
     """Score the corpus; write report.json and report.csv, return the report.
 
     `consensus` and `filters` replace the stored sections, a mapping such
-    as {"t_prime": 3.0} only the fields it names. A price file at cpc_path
-    is checked before the corpus is read.
+    as {"enabled": "r"} only the manifest keys it names. A price file at
+    cpc_path is checked before the corpus is read.
     """
     prices = _load_prices(cpc_path)
     corpus = _load_corpus(root, consensus=consensus, filters=filters)
@@ -514,8 +490,8 @@ def analyze(
 
     report = {
         "experiment_id": corpus.manifest.experiment_id,
-        "consensus": {"n": consensus.n, "threshold": consensus.threshold},
-        "filters": {"enabled": filters.filters, "t_prime": filters.t_prime},
+        "consensus": _to_record(consensus),
+        "filters": _to_record(filters),
         "conditions": [group.cond_id for group in corpus.groups],
         "sources": list(tags),
         "personas": sorted(corpus.personas),

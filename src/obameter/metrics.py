@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .corpus import AdImpression
+from .corpus import AdImpression, _to_record
 from .errors import (
     CorpusDataError,
     DegenerateSeries,
@@ -173,7 +173,7 @@ class CorrelationReport:
     removed_keys: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _to_record(self)
 
 
 def value_correlation(bailp_by_key: Mapping, cpc_by_key: Mapping) -> CorrelationReport:
@@ -332,7 +332,7 @@ class ComparisonStats:
     max: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _to_record(self)
 
 
 def comparison_stats(series_a: Mapping, series_b: Mapping) -> ComparisonStats:

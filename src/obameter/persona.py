@@ -49,9 +49,7 @@ class Persona:
         return [p.url for p in self.training_pages]
 
     def to_dict(self) -> dict:
-        return _to_record(self) | {
-            "training_pages": self.visited_urls,
-        }
+        return _to_record(self)
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":

@@ -20,7 +20,7 @@ decides categories missing from the taxonomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
 from .corpus import AdImpression
@@ -37,9 +37,10 @@ FILTER_SETS = {
 
 @dataclass
 class FilterConfig:
-    """Which stages run, and the demographic similarity threshold."""
+    """Which stages run (stored as `enabled`), and the demographic similarity
+    threshold."""
 
-    filters: str = "rscdg"
+    filters: str = field(default="rscdg", metadata={"key": "enabled"})
     t_prime: float = 2.5
 
     def __post_init__(self) -> None:

@@ -30,7 +30,23 @@ from .persona import Persona
 
 
 @dataclass
-class SessionConfig:
+class SessionPlan:
+    """What every session of a run shares: the manifest's `session` section."""
+
+    visit_budget: int = 310
+    mean_interval: float = 180.0  # simulated seconds between visits
+
+    def __post_init__(self) -> None:
+        # each range check is a negated comparison, so NaN fails it too
+        if not self.visit_budget >= 1:
+            raise ConfigurationError(f"visit_budget must be >= 1, got {self.visit_budget}")
+        if not 0 < self.mean_interval < math.inf:
+            raise ConfigurationError(
+                f"mean_interval must be positive and finite, got {self.mean_interval}")
+
+
+@dataclass(kw_only=True)
+class SessionConfig(SessionPlan):
     """One session's parameters. Equal configs and seeds replay exactly."""
 
     persona_id: str
@@ -38,21 +54,12 @@ class SessionConfig:
     geo: str = "ES"
     dnt: bool = False
     clean_profile: bool = False
-    visit_budget: int = 310
-    mean_interval: float = 180.0  # simulated seconds between visits
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.session_id:
             self.session_id = self.persona_id
-        if not self.visit_budget >= 1:
-            raise ConfigurationError(
-                f"visit_budget must be >= 1, got {self.visit_budget}"
-            )
-        if not 0 < self.mean_interval < math.inf:
-            raise ConfigurationError(
-                f"mean_interval must be positive and finite, got {self.mean_interval}"
-            )
+        super().__post_init__()
 
 
 @dataclass

@@ -205,10 +205,11 @@ class KeywordTaxonomy:
         """Parse the tab-separated edge format.
 
         One `child<TAB>parent` line per node, `<root><TAB>-` for the root.
-        Blank lines and lines starting with '#' are skipped.
+        Blank lines and lines starting with '#' are skipped. A line ends at
+        "\n" only, so U+0085 or U+2028 inside a keyword is part of it.
         """
         pairs: list[tuple[str, str]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -118,6 +118,19 @@ class TestSimulate:
         assert "--personas" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_two_sessions_with_one_label_is_a_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "personas": [{"id": "x|ES", "category": "banking"},
+                         {"id": "x", "category": "movies"}],
+            "conditions": [{"geo": "US"}, {"geo": "ES|US"}],
+            "repetitions": 1, "session": {"visit_budget": 30},
+        }), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
+        assert code == 2
+        assert "'x|ES|US|r0'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("interval", ["nan", "inf", "0"])
     def test_mean_interval_not_positive_and_finite_is_a_config_error(
         self, tmp_path, capsys, interval

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import shutil
+import typing
 from urllib.parse import urlsplit, urlunsplit
 
 import pytest
@@ -17,7 +18,10 @@ from obameter import (
     ExperimentManifest,
     ExperimentStore,
     FilterConfig,
+    Persona,
+    World,
     analyze,
+    build_world,
     filter_attrition,
     load_manifest,
     normalize_keyword,
@@ -90,7 +94,7 @@ class TestManifest:
             ExperimentManifest.from_dict({"consensus": {"min_sources": 2}})
 
     def test_unknown_filters_key(self):
-        with pytest.raises(ConfigurationError, match="unknown filter keys"):
+        with pytest.raises(ConfigurationError, match="unknown filters keys"):
             ExperimentManifest.from_dict({"filters": {"stages": "r"}})
 
     @pytest.mark.parametrize("section", [
@@ -494,6 +498,63 @@ class TestStoredRecords:
             keys = set(corpus._stored_fields(cls)[0])
             assert stored and all(set(rec) == keys for rec in stored), name
             assert [corpus._to_record(r) for r in records] == stored, name
+        # the documents: every nested record too, and each reads back into
+        # objects that write the same document
+        documents = {
+            "manifest.json": (ExperimentManifest, store.load_doc("manifest.json")),
+            "world.json": (World, store.load_doc("world.json")),
+            **{f"personas.json: personas[{i}]": (Persona, rec) for i, rec
+               in enumerate(store.load_doc("personas.json")["personas"])},
+        }
+        for name, (cls, doc) in documents.items():
+            _assert_declared_keys(cls, doc, name)
+            assert cls.from_dict(doc).to_dict() == doc, name
+        personas = store.load_records("personas.json", Persona.from_dict)
+        assert {"personas": [p.to_dict() for p in personas]} == store.load_doc("personas.json")
+
+    def test_a_written_record_shares_no_list_or_dict_with_its_object(self):
+        manifest = ExperimentManifest.from_dict({
+            **GOLDEN_MANIFEST, "personas": [{"id": "one", "category": "banking"},
+                                            {"id": "two", "category": "movies"}],
+        })
+        world = build_world(manifest.sim, manifest.persona_specs(),
+                            resolve_taxonomy(manifest.taxonomy), seed=manifest.seed)
+        for obj in (manifest, world, world.personas[0]):
+            before = json.dumps(obj.to_dict(), sort_keys=True)
+            _mutate_every_container(obj.to_dict())
+            assert json.dumps(obj.to_dict(), sort_keys=True) == before, type(obj).__name__
+        _assert_declared_keys(ExperimentManifest, manifest.to_dict(), "manifest")
+
+
+def _assert_declared_keys(cls, record, at):
+    """The keys of stored `record` are the stored keys dataclass `cls`
+    declares, and so are those of every record nested in it; a nested page
+    is its URL."""
+    if cls is corpus.WebPage:
+        assert isinstance(record, str), at
+        return
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    hints = typing.get_type_hints(cls)
+    assert set(record) == {f.metadata.get("key", f.name) for f in init}, at
+    for f in init:
+        key, hint = f.metadata.get("key", f.name), hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            _assert_declared_keys(hint, record[key], f"{at}.{key}")
+        elif typing.get_origin(hint) is list and dataclasses.is_dataclass(typing.get_args(hint)[0]):
+            for i, item in enumerate(record[key]):
+                _assert_declared_keys(typing.get_args(hint)[0], item, f"{at}.{key}[{i}]")
+
+
+def _mutate_every_container(value):
+    """Add an entry to every list and dict inside `value`, at every depth."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _mutate_every_container(item)
+        value["__added__"] = ["__added__"]
+    elif isinstance(value, list):
+        for item in list(value):
+            _mutate_every_container(item)
+        value.append({"__added__": 1})
 
 
 class TestLineBreaks:
@@ -638,10 +699,14 @@ class TestGivenSections:
         report = analyze(stored_rsc, consensus={"threshold": 1.5})
         assert report["consensus"] == {"n": 1, "threshold": 1.5}
         assert report["filters"] == {"enabled": "rsc", "t_prime": 2.0}
-        rows = filter_attrition(stored_rsc, filters={"filters": "r"})
+        rows = filter_attrition(stored_rsc, filters={"enabled": "r"})
         assert {stage for row in rows for stage in row["attrition"]} == {
             "input", "after_retargeting",
         }
+
+    def test_mapping_keys_are_the_manifest_keys(self, stored_rsc):
+        with pytest.raises(ConfigurationError, match=r"unknown filters keys: \['filters'\]"):
+            filter_attrition(stored_rsc, filters={"filters": "r"})
 
     def test_config_object_replaces_the_whole_section(self, stored_rsc):
         report = analyze(stored_rsc, filters=FilterConfig(t_prime=3.0))

@@ -56,6 +56,13 @@ class TestLoading:
         with pytest.raises(ConfigurationError, match="line 2"):
             KeywordTaxonomy.loads(text)
 
+    def test_loads_ends_a_line_at_newline_only(self):
+        tree = KeywordTaxonomy.loads("root\t-\r\nfoo\x85bar\troot\nbaz\u2028qux\troot\n")
+        assert len(tree) == 3
+        assert "foo\x85bar" in tree and "baz\u2028qux" in tree
+        with pytest.raises(ConfigurationError, match="line 4: .* got 'bad'"):
+            KeywordTaxonomy.loads("root\t-\nfoo\x85bar\troot\nbaz\u2028qux\troot\nbad\n")
+
     def test_loads_skips_blanks_and_comments(self):
         tree = KeywordTaxonomy.loads("# comment\na\t-\n\nb\ta\n")
         assert len(tree) == 2
