@@ -13,12 +13,8 @@ from .adsim import (
     AdUnit,
     PersonaSpec,
     SimConfig,
-    TagNoise,
     World,
-    WorldTagSource,
     build_world,
-    default_persona_specs,
-    kind_counts,
 )
 from .corpus import (
     AdImpression,
@@ -28,14 +24,13 @@ from .corpus import (
     normalize_url,
     tag_pages,
 )
-from .demo import demo_taxonomy, demo_taxonomy_text, persona_bundle
+from .demo import demo_taxonomy, persona_bundle
 from .errors import (
     ConfigurationError,
     CorpusDataError,
     ObameterError,
 )
 from .experiment import (
-    Condition,
     ExperimentManifest,
     analyze,
     digest,
@@ -45,14 +40,9 @@ from .experiment import (
     validate,
 )
 from .metrics import (
-    ComparisonStats,
-    CorrelationReport,
-    PerformanceReport,
     bailp,
     comparison_stats,
     detection_performance,
-    iqr_bounds,
-    quartiles,
     ttk,
     value_correlation,
 )
@@ -65,7 +55,6 @@ from .persona import (
 )
 from .pipeline import (
     FilterConfig,
-    PipelineResult,
     apply_filters,
     build_audience,
     filter_demo_geo,
@@ -73,49 +62,35 @@ from .pipeline import (
     filter_static_contextual,
 )
 from .session import (
-    AdHarvester,
     ServedAd,
     SessionConfig,
     SessionPlan,
-    SessionResult,
-    VisitEvent,
     run_session,
-    schedule_visits,
 )
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdHarvester",
     "AdImpression",
     "AdUnit",
     "CandidatePage",
-    "ComparisonStats",
-    "Condition",
     "ConfigurationError",
     "ConsensusConfig",
     "CorpusDataError",
-    "CorrelationReport",
     "ExperimentManifest",
     "ExperimentStore",
     "FilterConfig",
     "KeywordTaxonomy",
     "ObameterError",
-    "PerformanceReport",
     "Persona",
     "PersonaSpec",
-    "PipelineResult",
     "ServedAd",
     "SessionConfig",
     "SessionPlan",
-    "SessionResult",
     "SimConfig",
-    "TagNoise",
-    "VisitEvent",
     "WebPage",
     "World",
-    "WorldTagSource",
     "analyze",
     "apply_filters",
     "bailp",
@@ -123,25 +98,19 @@ __all__ = [
     "build_world",
     "comparison_stats",
     "consensus_training_keywords",
-    "default_persona_specs",
     "demo_taxonomy",
-    "demo_taxonomy_text",
     "detection_performance",
     "digest",
     "filter_attrition",
     "filter_demo_geo",
     "filter_retargeting",
     "filter_static_contextual",
-    "iqr_bounds",
-    "kind_counts",
     "landing_key",
     "load_manifest",
     "normalize_keyword",
     "normalize_url",
     "persona_bundle",
-    "quartiles",
     "run_session",
-    "schedule_visits",
     "select_training_pages",
     "simulate",
     "tag_pages",

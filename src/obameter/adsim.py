@@ -44,7 +44,15 @@ from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 from . import demo
-from .corpus import AD_KINDS, WebPage, _built, _record_fields, _to_record, from_dict
+from .corpus import (
+    _SOURCE_NAME,
+    AD_KINDS,
+    WebPage,
+    _built,
+    _record_fields,
+    _to_record,
+    from_dict,
+)
 from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
 from .seeding import derive_seed, hash_uniform
@@ -145,6 +153,13 @@ class SimConfig:
             raise ConfigurationError("geo_labels must be non-empty")
         if len(self.sources) < 2:
             raise ConfigurationError("need at least 2 tag sources")
+        # each source is written to tags.<name>.jsonl, so a name must be usable
+        # there and name one file
+        for i, name in enumerate(self.sources):
+            if not _SOURCE_NAME.fullmatch(name):
+                raise ConfigurationError(f"unusable tag source name: {name!r}")
+            if name in self.sources[:i]:
+                raise ConfigurationError(f"tag source {name!r} is listed twice")
         half = self.profile_decay_halflife
         if half is not None and not half > 0:
             raise ConfigurationError(f"profile_decay_halflife must be positive, got {half}")

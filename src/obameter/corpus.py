@@ -60,7 +60,7 @@ from .errors import ConfigurationError, CorpusDataError
 from .taxonomy import normalize_keyword
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
-_SOURCE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_SOURCE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 PAGE_ROLES = ("training", "control", "landing")
 
@@ -440,7 +440,7 @@ class ExperimentStore:
         return self.root / name
 
     def tags_path(self, source: str) -> Path:
-        if not _SOURCE_NAME.match(source):
+        if not _SOURCE_NAME.fullmatch(source):
             raise CorpusDataError(f"unusable source name: {source!r}")
         return self.root / f"tags.{source}.jsonl"
 

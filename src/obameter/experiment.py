@@ -816,7 +816,7 @@ def _report_lines(report: dict) -> list[str]:
                 f"TTK {fmt(ttk_mean)}  BAiLP {fmt(bailp_mean)}"
             )
         lines.append("")
-    for comp in report.get("comparisons") or []:
+    for comp in report["comparisons"]:
         if "diff" in comp:
             d = comp["diff"]
             lines.append(
@@ -824,8 +824,9 @@ def _report_lines(report: dict) -> list[str]:
                 f"(IQR {fmt(d['iqr'])}, n={d['n']})"
             )
         else:
-            lines.append(f"{comp['a']} vs {comp['b']}: {comp.get('error')}")
-    for corr in report.get("correlation") or []:
+            lines.append(f"{comp['a']} vs {comp['b']}: {comp['error']}")
+    # null without --cpc
+    for corr in report["correlation"] or []:
         if "correlation" in corr:
             c = corr["correlation"]
             lines.append(
@@ -835,7 +836,7 @@ def _report_lines(report: dict) -> list[str]:
             )
         else:
             lines.append(
-                f"price correlation [{corr['condition']}]: {corr.get('error')}"
+                f"price correlation [{corr['condition']}]: {corr['error']}"
             )
     return lines
 

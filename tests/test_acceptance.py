@@ -35,20 +35,19 @@ from obameter import (
     build_world,
     comparison_stats,
     consensus_training_keywords,
-    default_persona_specs,
     demo_taxonomy,
-    iqr_bounds,
     landing_key,
     normalize_keyword,
-    quartiles,
     run_session,
-    schedule_visits,
     simulate,
     ttk,
     validate,
     value_correlation,
 )
+from obameter.adsim import default_persona_specs
+from obameter.metrics import iqr_bounds, quartiles
 from obameter.persona import ConsensusConfig
+from obameter.session import schedule_visits
 
 # ---------------------------------------------------------------------------
 # independent oracles

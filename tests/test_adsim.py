@@ -12,18 +12,22 @@ from obameter import (
     PersonaSpec,
     SessionConfig,
     SimConfig,
-    TagNoise,
     World,
     build_world,
-    default_persona_specs,
-    kind_counts,
     landing_key,
     run_session,
-    schedule_visits,
 )
-from obameter.adsim import DEFAULT_KIND_WEIGHTS, AdUnit, _Browser
+from obameter.adsim import (
+    DEFAULT_KIND_WEIGHTS,
+    AdUnit,
+    TagNoise,
+    _Browser,
+    default_persona_specs,
+    kind_counts,
+)
 from obameter.corpus import from_dict
 from obameter.errors import ConfigurationError, CorpusDataError
+from obameter.session import schedule_visits
 
 
 @pytest.fixture
@@ -107,6 +111,15 @@ class TestConfigValidation:
     def test_needs_two_sources(self):
         with pytest.raises(ConfigurationError, match="at least 2 tag sources"):
             SimConfig(sources=["only-one"])
+
+    @pytest.mark.parametrize("name", ["a/b", "", ".a", "a b", "a\n"])
+    def test_source_name_that_no_tag_file_can_have_is_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="unusable tag source name"):
+            SimConfig(sources=["x", name])
+
+    def test_source_listed_twice_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="tag source 'x' is listed twice"):
+            SimConfig(sources=["x", "y", "x"])
 
     def test_noise_rates_bounded(self):
         with pytest.raises(ConfigurationError, match=r"dropout rate must be in \[0, 1\]"):

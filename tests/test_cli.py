@@ -185,6 +185,31 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text(encoding="utf-8") == "kept"
 
+    @pytest.mark.parametrize("sources, named", [
+        (["a/b", "c", "d"], "a/b"),
+        (["a", "a", "b"], "a"),
+    ], ids=["unusable-name", "listed-twice"])
+    def test_source_that_names_no_tag_file_of_its_own_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys, monkeypatch, sources, named
+    ):
+        out = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "n_personas": 2, "repetitions": 1, "session": {"visit_budget": 20},
+            "sim": {"sources": sources},
+        }), encoding="utf-8")
+        built = []
+        monkeypatch.setattr(experiment, "build_world", lambda *args, **kw: built.append(1))
+        capsys.readouterr()
+        code = main(["simulate", "--out", str(out), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and repr(named) in err
+        assert built == []  # checked before the world is built
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("kind", READ_FAILURES)
     @pytest.mark.parametrize("name", ["manifest", "taxonomy"])
     def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, name, kind):
@@ -789,6 +814,10 @@ class TestReport:
         pytest.param("performance.json",
                      lambda doc: doc["levels"][0]["aggregate"].pop("recall"),
                      "recall", id="performance.json-aggregate-recall"),
+        pytest.param("report.json", lambda doc: doc.pop("comparisons"), "comparisons",
+                     id="report.json-comparisons"),
+        pytest.param("report.json", lambda doc: doc.pop("correlation"), "correlation",
+                     id="report.json-correlation"),
     ])
     def test_document_without_a_key_is_a_data_error(
         self, scored_corpus, tmp_path, capsys, name, edit, key
@@ -820,6 +849,45 @@ class TestReport:
         assert main(["report", str(clone)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error") and name in err
+
+    def test_comparison_and_price_lines_show_the_stored_entries(self, tmp_path, capsys):
+        root, manifest, cpc = tmp_path / "two", tmp_path / "m.json", tmp_path / "cpc.json"
+        manifest.write_text(json.dumps({
+            "seed": 9, "n_personas": 6, "repetitions": 1, "session": {"visit_budget": 25},
+            "conditions": [{"geo": "ES"}, {"geo": "US"}],
+        }), encoding="utf-8")
+        assert main(["simulate", "--out", str(root), "--manifest", str(manifest)]) == 0
+        personas = json.loads((root / "personas.json").read_text(encoding="utf-8"))
+        pids = sorted(p["id"] for p in personas["personas"])
+        fmt, forms = experiment.fmt, set()
+        # a price for every persona, then a file that misses a persona
+        for prices in ({pid: 1.0 + 0.5 * i for i, pid in enumerate(pids)}, {pids[0]: 1.0}):
+            cpc.write_text(json.dumps(prices), encoding="utf-8")
+            assert main(["analyze", str(root), "--cpc", str(cpc)]) == 0
+            report = json.loads((root / "report.json").read_text(encoding="utf-8"))
+            capsys.readouterr()
+            assert main(["report", str(root)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            comparisons = [line for line in out if " vs " in line]
+            correlations = [line for line in out if line.startswith("price correlation [")]
+            assert len(comparisons) == len(report["comparisons"]) == 1
+            assert len(correlations) == len(report["correlation"]) == 2
+            for line, comp in zip(comparisons, report["comparisons"]):
+                shown = comp.get("error")
+                if "diff" in comp:
+                    d = comp["diff"]
+                    shown = (f"median BAiLP diff {fmt(d['median'])} "
+                             f"(IQR {fmt(d['iqr'])}, n={d['n']})")
+                assert line == f"{comp['a']} vs {comp['b']}: {shown}"
+            for line, corr in zip(correlations, report["correlation"]):
+                shown = corr.get("error")
+                if "correlation" in corr:
+                    c = corr["correlation"]
+                    shown = (f"spearman {fmt(c['spearman'])} (p={fmt(c['spearman_p'])}), "
+                             f"pearson {fmt(c['pearson'])} (p={fmt(c['pearson_p'])})")
+                assert line == f"price correlation [{corr['condition']}]: {shown}"
+            forms.update("correlation" in corr for corr in report["correlation"])
+        assert forms == {True, False}  # numbers and an error were both printed
 
     def test_digest_after_analyze_and_validate(self, cli_corpus, capsys):
         assert main(["analyze", str(cli_corpus)]) == 0

@@ -204,6 +204,10 @@ class TestPagesAndTags:
         with pytest.raises(CorpusDataError):
             ExperimentStore(tmp_path).tags_path("bad name!")
 
+    def test_source_name_with_a_trailing_newline_is_unusable(self, tmp_path):
+        with pytest.raises(CorpusDataError):
+            ExperimentStore(tmp_path).tags_path("name\n")
+
     def test_impression_ntimes_positive(self):
         with pytest.raises(CorpusDataError):
             AdImpression(persona_id="p", session_id="s",

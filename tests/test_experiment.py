@@ -13,7 +13,6 @@ import pytest
 from test_golden import GOLDEN_MANIFEST, GOLDEN_SHA256, _run
 
 from obameter import (
-    Condition,
     ConsensusConfig,
     ExperimentManifest,
     ExperimentStore,
@@ -32,7 +31,13 @@ from obameter import (
 from obameter import corpus
 from obameter.cli import main
 from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
-from obameter.experiment import CLEAN_ID, SessionRow, resolve_taxonomy, session_label
+from obameter.experiment import (
+    CLEAN_ID,
+    Condition,
+    SessionRow,
+    resolve_taxonomy,
+    session_label,
+)
 
 TINY = {
     "experiment_id": "tiny",

@@ -8,12 +8,9 @@ from scipy import stats as scipy_stats
 
 from obameter import (
     AdImpression,
-    PerformanceReport,
     bailp,
     comparison_stats,
     detection_performance,
-    iqr_bounds,
-    quartiles,
     ttk,
     value_correlation,
 )
@@ -24,7 +21,7 @@ from obameter.errors import (
     KeyMismatch,
     NoImpressions,
 )
-from obameter.metrics import _t_two_sided_p
+from obameter.metrics import PerformanceReport, _t_two_sided_p, iqr_bounds, quartiles
 
 
 class TestTtk:

@@ -10,9 +10,9 @@ from obameter import (
     SessionConfig,
     WebPage,
     run_session,
-    schedule_visits,
 )
 from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
+from obameter.session import schedule_visits
 
 
 class ScriptedHarvester:

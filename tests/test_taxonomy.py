@@ -25,7 +25,7 @@ class TestNormalization:
 
 class TestLoading:
     def test_round_trip_text(self, taxonomy):
-        from obameter import demo_taxonomy_text
+        from obameter.demo import demo_taxonomy_text
         again = KeywordTaxonomy.loads(demo_taxonomy_text())
         assert len(again) == len(taxonomy)
         assert again.max_depth == taxonomy.max_depth
