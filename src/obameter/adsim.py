@@ -32,7 +32,9 @@ Tag noise is a post-processing of the world's true page categories and
 never influences serving. Keyword dropout and spurious injection decide
 each (source, page, keyword) with a deterministic hash compared against
 the rate, so realized tag sets grow monotonically with the spurious rate.
-The world doubles as a set of tagging sources for the analysis side.
+A sweep over several spurious rates draws each decision once
+(`WorldTagSource.tag_levels`). The world doubles as a set of tagging
+sources for the analysis side.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from . import demo
 from .corpus import (
@@ -55,7 +58,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
-from .seeding import derive_seed, hash_uniform
+from .seeding import derive_seed, keyed_hasher, uniforms_after, with_labels
 from .session import ServedAd, SessionConfig, VisitEvent
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -386,32 +389,69 @@ class WorldTagSource:
 
     Starts from the world's true page categories, drops each true keyword
     with probability `noise.dropout`, and injects each pool keyword with
-    probability `noise.spurious`. Decisions hash (source, url, keyword)
-    against the rate, so a keyword present at rate r stays present at any
-    rate above r.
+    probability `noise.spurious`. Each decision compares the uniform
+    `hash_uniform(salt, "drop" or "spur", url, keyword)` with the rate, so
+    a keyword present at rate r stays present at any rate above r.
     """
 
     def __init__(self, name: str, world: World, noise: TagNoise):
         self.name = name
         self.world = world
         self.noise = noise
-        self._salt = derive_seed(world.seed, "tags", name)
+        self._hasher = keyed_hasher(derive_seed(world.seed, "tags", name))
         # every category of any page, the keywords spurious injection draws
         self.spurious_pool = sorted(
             {c for cats in world.page_categories.values() for c in cats}
         )
 
+    def _draws(self, url: str, spurious: float) -> tuple[list[str], list[tuple[float, str]]]:
+        """The true keywords of `url` that survive dropout, and each pool
+        keyword whose spurious draw lies below `spurious`, with that draw."""
+        kept = list(self.world.page_categories.get(url, ()))
+        if self.noise.dropout > 0.0:
+            drop = uniforms_after(with_labels(self._hasher, "drop", url), kept)
+            kept = [k for k, u in zip(kept, drop) if u >= self.noise.dropout]
+        below: list[tuple[float, str]] = []
+        if spurious > 0.0:
+            spur = uniforms_after(with_labels(self._hasher, "spur", url), self.spurious_pool)
+            below = [(u, k) for k, u in zip(self.spurious_pool, spur) if u < spurious]
+        return kept, below
+
     def keywords_for(self, page: WebPage) -> set[str]:
-        true = self.world.page_categories.get(page.url, ())
-        kept = {
-            k for k in true
-            if hash_uniform(self._salt, "drop", page.url, k) >= self.noise.dropout
-        }
-        if self.noise.spurious > 0.0:
-            for k in self.spurious_pool:
-                if hash_uniform(self._salt, "spur", page.url, k) < self.noise.spurious:
-                    kept.add(k)
-        return kept
+        kept, below = self._draws(page.url, self.noise.spurious)
+        return {*kept, *(k for _, k in below)}
+
+    def tag_levels(
+        self, pages: Sequence[WebPage], levels: Sequence[float]
+    ) -> Iterator[dict[str, set[str]]]:
+        """`tag_pages(pages, source)` at each spurious level in turn, in the
+        caller's order, with this source's dropout.
+
+        Each (url, keyword) is drawn once for all levels, spurious draws up
+        to the largest level, and a level keeps the draws below it, so the
+        tables nest as the level grows. A level's table is built when the
+        iterator reaches it.
+        """
+        bound = max(levels, default=0.0)
+        canon = {k: normalize_keyword(k) for k in self.spurious_pool}
+        # per URL: its kept keywords, and its spurious draws below the bound
+        # as rising uniforms beside their keywords; compact, because they
+        # stay alive beside each level's tables
+        drawn: dict[str, tuple[tuple[str, ...], tuple[float, ...], tuple[str, ...]]] = {}
+        for page in pages:
+            if page.url not in drawn:
+                kept, below = self._draws(page.url, bound)
+                below = sorted((u, canon[k]) for u, k in below if canon[k])
+                drawn[page.url] = (
+                    tuple({canon[k] for k in kept} - {""}),
+                    tuple(u for u, _ in below),
+                    tuple(k for _, k in below),
+                )
+        for level in levels:
+            yield {
+                url: {*kept, *spur[:bisect_left(draws, level)]}
+                for url, (kept, draws, spur) in drawn.items()
+            }
 
 
 @dataclass

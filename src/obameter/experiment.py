@@ -24,9 +24,10 @@ so corpora collected outside the simulator work too) and writes
 report.json and report.csv: TTK and BAiLP per persona, source, filter
 set, condition and repetition, repetition averages, condition
 comparisons, and optionally a correlation against ad prices. validate
-reads no tag file but needs world.json: it re-tags all pages at
-increasing spurious-noise levels, reruns consensus and the full filter
-pipeline, and scores OBA detection against the ground-truth ad kinds
+reads no tag file but needs world.json: it re-tags all pages in one
+sweep over the spurious-noise levels (each draw made once, each level
+keeping the draws below it), reruns consensus per level, and scores the
+full filter pipeline's OBA detection against the ground-truth ad kinds
 into performance.json.
 
 Every random draw is seeded by hashing the manifest seed with stable
@@ -43,7 +44,7 @@ import itertools
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -410,10 +411,19 @@ def _consensus_keywords(
     config: ConsensusConfig,
     tags: Mapping[str, Mapping[str, set[str]]],
 ) -> dict[str, dict[str, set[str]]]:
-    """Persona id -> source -> retained training keywords."""
+    """Persona id -> source -> retained training keywords.
+
+    The personas share one similarity table over the keywords of every
+    training page, filled only where some persona tests a pair.
+    """
+    training = {url for persona in corpus.personas.values() for url in persona.visited_urls}
+    relation = corpus.taxonomy._similarity_table(
+        (kw for table in tags.values() for url in training for kw in table.get(url, ())),
+        config.threshold,
+    )
     return {
         pid: consensus_training_keywords(
-            corpus.personas[pid], tags, config, corpus.taxonomy
+            corpus.personas[pid], tags, config, corpus.taxonomy, relation=relation
         )
         for pid in sorted(corpus.personas)
     }
@@ -696,21 +706,24 @@ def validate(
     """Score ground-truth OBA detection across tag-noise levels.
 
     Serving, sessions and filter survivorship are fixed by the stored
-    corpus; only the tagging is redone per spurious level (dropout held
-    constant), then consensus and the keyword match are recomputed. The
+    corpus. Every page is tagged in one sweep: each source draws each
+    (page, keyword) uniform once, and a spurious level's tables keep the
+    draws below it (dropout held constant). Consensus and the keyword
+    match are then recomputed per level, in the caller's order. The
     result lands in performance.json. Every rate is checked before the
     corpus is read.
     """
     if not spurious_levels:
         raise ConfigurationError("need at least one spurious level")
-    # dropout None takes the manifest's rate, checked when the manifest loads
-    noises = [TagNoise(dropout=dropout or 0.0, spurious=s) for s in spurious_levels]
+    # every given rate is checked here; dropout None takes the manifest's
+    # rate, checked when the manifest loads
+    for level in spurious_levels:
+        TagNoise(dropout=dropout or 0.0, spurious=level)
     corpus = _load_corpus(root)
     world = _built(World.from_dict, corpus.store.load_doc("world.json"),
                    f"world.json in {corpus.store.root}:")
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
-        noises = [replace(noise, dropout=dropout) for noise in noises]
 
     pages = world.all_pages()
     filter_config = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
@@ -722,9 +735,12 @@ def validate(
             result.by_stage["dg"]
         )
 
+    # each level's tables are the one sweep's draws below that level
+    sources = world.tag_sources(TagNoise(dropout=dropout))
+    sweeps = [src.tag_levels(pages, spurious_levels) for src in sources]
     levels = []
-    for noise in noises:
-        tags = {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
+    for level, tables in zip(spurious_levels, zip(*sweeps)):
+        tags = {src.name: table for src, table in zip(sources, tables)}
         keywords = _consensus_keywords(corpus, corpus.manifest.consensus, tags)
 
         detail = []
@@ -748,7 +764,7 @@ def validate(
                     })
         aggregate = PerformanceReport(**total)
         levels.append({
-            "spurious": noise.spurious,
+            "spurious": level,
             "dropout": dropout,
             "aggregate": aggregate.to_dict(),
             "detail": detail,

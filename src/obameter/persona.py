@@ -13,7 +13,11 @@ pages:
 Training keywords are then pooled across tagging sources with an N-of-M
 consensus: a keyword from one source survives iff at least N of the other
 sources carry some keyword whose `KeywordTaxonomy.score` against it is
-above the similarity threshold.
+above the similarity threshold. Pairs are tested against a similarity
+table (`KeywordTaxonomy._similarity_table`) over canonical keywords,
+which scores each pair once when it is first asked for; one table can
+serve every persona of an analysis, and each persona's neighbour map is
+built from it and dropped when its consensus is done.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Mapping
 
 from .corpus import WebPage, _record_fields, _to_record
 from .errors import ConfigurationError, PersonaRejected
-from .taxonomy import KeywordTaxonomy, normalize_keyword
+from .taxonomy import KeywordTaxonomy, _SimilarityTable, normalize_keyword
 
 
 @dataclass
@@ -164,6 +168,8 @@ def consensus_training_keywords(
     tags: Mapping[str, Mapping[str, Iterable[str]]],
     config: ConsensusConfig,
     taxonomy: KeywordTaxonomy,
+    *,
+    relation: _SimilarityTable | None = None,
 ) -> dict[str, set[str]]:
     """Cross-source consensus over the persona's training-page keywords.
 
@@ -172,6 +178,11 @@ def consensus_training_keywords(
     read. Returns the retained keyword set per source. Raises
     ConfigurationError when fewer sources are present than the rule needs
     (at least two, and at least n + 1 so that n other sources can exist).
+
+    `relation` is a similarity table that `taxonomy._similarity_table`
+    built at `config.threshold` over these keywords and maybe others, so
+    one table can serve every persona of a call; by default a fresh one
+    over this persona's keywords.
     """
     union = {
         src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
@@ -186,12 +197,9 @@ def consensus_training_keywords(
 
     # each keyword's neighbours: the keywords, itself included, similar to it
     vocab = sorted(set().union(*union.values()))
-    near: dict[str, set[str]] = {kw: set() for kw in vocab}
-    for i, kw in enumerate(vocab):
-        for other in vocab[i:]:
-            if taxonomy.similar_or_exact(kw, other, config.threshold):
-                near[kw].add(other)
-                near[other].add(kw)
+    if relation is None:
+        relation = taxonomy._similarity_table(vocab, config.threshold)
+    near = relation.neighbours(vocab)
 
     return {
         src: {

@@ -2,15 +2,29 @@
 
 One master seed per experiment fans out into independent substream seeds,
 one per labeled purpose (world build, each session, each tag source). The
-derivation is a keyed blake2b digest, so it is stable across processes and
-Python versions and never depends on PYTHONHASHSEED.
+derivation is a keyed blake2b digest of the labels joined by "\\x1f", so it
+is stable across processes and Python versions and never depends on
+PYTHONHASHSEED.
+
+A caller that draws many uniforms under one label prefix keys the hasher
+once (`keyed_hasher`), absorbs the prefix once (`with_labels`) and copies
+that state per draw (`uniforms_after`); blake2b absorbs a message in pieces
+as it does whole, so each draw equals `hash_uniform` byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 _SEED_BYTES = 8
+_SEP = "\x1f"
+
+
+def keyed_hasher(master: int):
+    """The blake2b that `derive_seed(master, ...)` absorbs its labels into."""
+    key = (master & 0xFFFFFFFFFFFFFFFF).to_bytes(_SEED_BYTES, "little")
+    return hashlib.blake2b(digest_size=_SEED_BYTES, key=key)
 
 
 def derive_seed(master: int, *labels: str) -> int:
@@ -19,9 +33,8 @@ def derive_seed(master: int, *labels: str) -> int:
     Same master and labels always give the same value. Distinct label
     tuples give independent streams for all practical purposes.
     """
-    key = (master & 0xFFFFFFFFFFFFFFFF).to_bytes(_SEED_BYTES, "little")
-    h = hashlib.blake2b(digest_size=_SEED_BYTES, key=key)
-    h.update("\x1f".join(labels).encode("utf-8"))
+    h = keyed_hasher(master)
+    h.update(_SEP.join(labels).encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -33,3 +46,23 @@ def hash_uniform(master: int, *labels: str) -> float:
     rate grows, which makes rate sweeps monotone by construction.
     """
     return derive_seed(master, *labels) / 2.0**64
+
+
+def with_labels(hasher, *labels: str):
+    """A copy of `hasher` that has absorbed each label and the separator
+    after it, so `uniforms_after` can append one last label per draw."""
+    h = hasher.copy()
+    h.update("".join(label + _SEP for label in labels).encode("utf-8"))
+    return h
+
+
+def uniforms_after(prefix, labels: Iterable[str]) -> list[float]:
+    """One uniform per label, in order: for the prefix
+    `with_labels(keyed_hasher(master), *first)`, the draw for `label` is
+    `hash_uniform(master, *first, label)`. The prefix is left unchanged."""
+    draws = []
+    for label in labels:
+        h = prefix.copy()
+        h.update(label.encode("utf-8"))
+        draws.append(int.from_bytes(h.digest(), "little") / 2.0**64)
+    return draws

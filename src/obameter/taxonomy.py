@@ -19,7 +19,9 @@ maximum over sense pairs.
 Keyword texts are stored normalized (`normalize_keyword`), and each public
 query normalizes its own arguments once, so callers may pass any spelling.
 `score` is the one similarity relation that consensus and the `dg` filter
-use, and the one place that decides keywords outside the tree.
+use, and the one place that decides keywords outside the tree; the
+similarity table that consensus reads scores canonical keywords by the
+same rule without normalizing them again.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, ObameterError
 
@@ -128,15 +131,27 @@ class KeywordTaxonomy:
         (below every positive one). Symmetric; each argument is normalized
         once.
         """
-        norm_k, nodes_k = self._lookup(k)
-        norm_l, nodes_l = self._lookup(l)
+        return self._canonical_score(*self._lookup(k), *self._lookup(l))
+
+    def _canonical_score(
+        self, k: str, nodes_k: list[str] | None, l: str, nodes_l: list[str] | None
+    ) -> float:
+        """`score` of canonical keywords, given their sense nodes (or None)."""
         if nodes_k is not None and nodes_l is not None:
             return self._score(nodes_k, nodes_l)
-        return math.inf if norm_k == norm_l else 0.0
+        return math.inf if k == l else 0.0
 
     def similar_or_exact(self, k: str, l: str, threshold: float) -> bool:
         """True iff score(k, l) is strictly above the threshold."""
         return self.score(k, l) > threshold
+
+    def _similarity_table(
+        self, keywords: Iterable[str], threshold: float
+    ) -> "_SimilarityTable":
+        """`similar_or_exact` at `threshold` over canonical `keywords`,
+        each looked up once and never normalized, each pair scored when
+        first asked for."""
+        return _SimilarityTable(self, sorted(set(keywords)), threshold)
 
     def keywords(self) -> list[str]:
         """All keyword texts, sorted."""
@@ -233,3 +248,43 @@ class KeywordTaxonomy:
             return cls.loads(text)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{exc} in taxonomy {path}") from exc
+
+
+class _SimilarityTable:
+    """`score(k, l) > threshold` over a fixed list of canonical keywords.
+
+    One byte per ordered pair of keywords, 0 until the pair is scored, then
+    1 (not similar) or 2 (similar) in both of its cells.
+    """
+
+    def __init__(self, taxonomy: KeywordTaxonomy, keywords: list[str], threshold: float):
+        self._taxonomy = taxonomy
+        self._threshold = threshold
+        self._keywords = keywords
+        self._index = {kw: i for i, kw in enumerate(keywords)}
+        self._senses = [taxonomy.senses.get(kw) for kw in keywords]
+        self._cells = bytearray(len(keywords) ** 2)
+
+    def _similar(self, i: int, j: int) -> bool:
+        score = self._taxonomy._canonical_score(
+            self._keywords[i], self._senses[i], self._keywords[j], self._senses[j]
+        )
+        return score > self._threshold
+
+    def neighbours(self, keywords: Sequence[str]) -> dict[str, set[str]]:
+        """Each of `keywords` -> those of them, itself included, similar to it."""
+        cells, n = self._cells, len(self._keywords)
+        rows = [self._index[kw] for kw in keywords]
+        near: dict[str, set[str]] = {kw: set() for kw in keywords}
+        for a, kw in enumerate(keywords):
+            i = rows[a]
+            for b in range(a, len(keywords)):
+                j = rows[b]
+                cell = cells[i * n + j]
+                if not cell:
+                    cell = 2 if self._similar(i, j) else 1
+                    cells[i * n + j] = cells[j * n + i] = cell
+                if cell == 2:
+                    near[kw].add(keywords[b])
+                    near[keywords[b]].add(kw)
+        return near

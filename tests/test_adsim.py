@@ -1,6 +1,7 @@
 """World building, serving rules, and ground-truth soundness."""
 
 import json
+import math
 import re
 from dataclasses import asdict, fields, replace
 
@@ -25,8 +26,9 @@ from obameter.adsim import (
     default_persona_specs,
     kind_counts,
 )
-from obameter.corpus import from_dict
+from obameter.corpus import from_dict, tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError
+from obameter.seeding import derive_seed, hash_uniform
 from obameter.session import schedule_visits
 
 
@@ -443,7 +445,77 @@ class TestDeterminismAndRoundTrip:
             AdUnit(ad_id="a", kind=kind, landing_url="http://x.example")
 
 
+def _reference_keywords(world, name, noise, url):
+    """WorldTagSource.keywords_for spelt out, one hash_uniform per decision."""
+    salt = derive_seed(world.seed, "tags", name)
+    pool = sorted({c for cats in world.page_categories.values() for c in cats})
+    kept = {k for k in world.page_categories.get(url, ())
+            if hash_uniform(salt, "drop", url, k) >= noise.dropout}
+    if noise.spurious > 0.0:
+        kept |= {k for k in pool if hash_uniform(salt, "spur", url, k) < noise.spurious}
+    return kept
+
+
+_NOISES = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.15), (0.25, 0.4), (1.0, 1.0)]
+
+
 class TestTagSources:
+    @pytest.mark.parametrize("dropout, spurious", _NOISES)
+    def test_keywords_match_the_hash_uniform_transcription(self, world, dropout, spurious):
+        noise = TagNoise(dropout=dropout, spurious=spurious)
+        for src in world.tag_sources(noise):
+            for page in world.all_pages():
+                assert src.keywords_for(page) == _reference_keywords(
+                    world, src.name, noise, page.url
+                ), (src.name, page.url)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("levels", [[0.1, 0.0, 0.1], [0.4, 0.02, 0.2], [0.0], [1.0, 0.05]])
+    def test_level_tables_are_tag_pages_at_each_level(self, world, dropout, levels):
+        pages = world.all_pages()
+        for src in world.tag_sources(TagNoise(dropout=dropout)):
+            expected = [
+                tag_pages(pages, next(s for s in world.tag_sources(
+                    TagNoise(dropout=dropout, spurious=level)) if s.name == src.name))
+                for level in levels
+            ]
+            assert list(src.tag_levels(pages, levels)) == expected
+
+    def test_a_draw_equal_to_the_rate_is_not_below_it(self, world):
+        # a keyword is injected when its draw is strictly below the rate,
+        # and kept when its drop draw is at or above the dropout
+        page = world.control_pages[0]
+        name = world.config.sources[0]
+        salt = derive_seed(world.seed, "tags", name)
+        pool = sorted({c for cats in world.page_categories.values() for c in cats})
+        spur = next(k for k in pool if k not in world.page_categories[page.url])
+        u = hash_uniform(salt, "spur", page.url, spur)
+        true = world.page_categories[page.url][0]
+        d = hash_uniform(salt, "drop", page.url, true)
+
+        def tagged(dropout, spurious):
+            src = world.tag_sources(TagNoise(dropout=dropout, spurious=spurious))[0]
+            return src.keywords_for(page)
+
+        assert spur not in tagged(0.0, u)
+        assert spur in tagged(0.0, math.nextafter(u, 1.0))
+        assert true in tagged(d, 0.0)
+        assert true not in tagged(math.nextafter(d, 1.0), 0.0)
+        src = world.tag_sources(TagNoise())[0]
+        at, above = src.tag_levels([page], [u, math.nextafter(u, 1.0)])
+        assert spur not in at[page.url] and spur in above[page.url]
+
+    def test_level_tables_normalize_as_tag_pages_does(self, world):
+        url = world.personas[0].training_pages[0].url
+        world.page_categories[url] = ["Online  Banking", "   ", "pools"]
+        pages = world.all_pages()
+        src = world.tag_sources(TagNoise())[0]
+        levels = [0.0, 0.3]
+        expected = [tag_pages(pages, s) for s in
+                    (world.tag_sources(TagNoise(spurious=level))[0] for level in levels)]
+        assert list(src.tag_levels(pages, levels)) == expected
+        assert expected[0][url] == {"online banking", "pools"}
+
     def test_zero_noise_returns_true_categories(self, world):
         src = world.tag_sources(TagNoise())[0]
         page = world.personas[0].training_pages[0]

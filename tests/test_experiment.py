@@ -28,8 +28,10 @@ from obameter import (
     simulate,
     validate,
 )
-from obameter import corpus
+from obameter import corpus, experiment
+from obameter.adsim import TagNoise
 from obameter.cli import main
+from obameter.corpus import tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
 from obameter.experiment import (
     CLEAN_ID,
@@ -763,6 +765,33 @@ class TestValidate:
         # one detail row per condition, persona, source
         assert len(level["detail"]) == 2 * 3 * 3
         assert (root / "performance.json").exists()
+
+    @pytest.mark.parametrize("levels, dropout", [
+        ([0.1, 0.0, 0.1], None), ([0.3, 0.02, 0.0, 0.3], 0.2),
+    ])
+    def test_each_level_is_tagged_as_tag_pages_tags_it(
+        self, corpus_dir, monkeypatch, levels, dropout
+    ):
+        # the one sweep keeps the caller's level order, repeats included
+        root, _ = corpus_dir
+        seen = []
+        consensus = experiment._consensus_keywords
+
+        def record(corpus, config, tags):
+            seen.append(tags)
+            return consensus(corpus, config, tags)
+
+        monkeypatch.setattr(experiment, "_consensus_keywords", record)
+        result = validate(root, spurious_levels=levels, dropout=dropout)
+        world = World.from_dict(ExperimentStore(root).load_doc("world.json"))
+        rate = world.config.tag_noise.dropout if dropout is None else dropout
+        pages = world.all_pages()
+        assert [level["spurious"] for level in result["levels"]] == levels
+        assert len(seen) == len(levels)
+        for level, tags in zip(levels, seen):
+            noise = TagNoise(dropout=rate, spurious=level)
+            assert tags == {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
+        assert result["levels"][0]["detail"] == result["levels"][-1]["detail"]
 
     def test_needs_world_state(self, corpus_dir, tmp_path):
         root, _ = corpus_dir

@@ -224,3 +224,46 @@ class TestConsensusOracle:
             return
         assert (consensus_training_keywords(persona, tags, config, taxonomy)
                 == _consensus_oracle(persona, tags, config, taxonomy))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_personas_sharing_one_table_each_match_the_pair_loop(self, taxonomy, data):
+        # personas over overlapping training pages, keywords inside and
+        # outside the taxonomy, one table per threshold across all of them
+        urls = [f"http://t-{i}.example/p" for i in range(5)]
+        personas = [
+            Persona(id=f"p{i}", category="banking", training_pages=[
+                WebPage(url=u, role="training")
+                for u in data.draw(st.lists(st.sampled_from(urls), min_size=1,
+                                            max_size=3, unique=True))
+            ])
+            for i in range(data.draw(st.integers(2, 4)))
+        ]
+        tags = {
+            src: data.draw(st.dictionaries(
+                st.sampled_from(urls), st.sets(_KEYWORDS, max_size=4), max_size=5
+            ))
+            for src in ("s0", "s1", "s2")
+        }
+        keywords = {kw for table in tags.values() for kws in table.values() for kw in kws}
+        n = data.draw(st.integers(0, 2))
+        scores = [-math.log(k / (2 * taxonomy.max_depth))
+                  for k in range(1, 2 * taxonomy.max_depth + 1)]
+        thresholds = data.draw(st.lists(st.one_of(
+            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+        ), min_size=2, max_size=2, unique=True))
+        for threshold in thresholds:
+            config = ConsensusConfig(n=n, threshold=threshold)
+            relation = taxonomy._similarity_table(keywords, threshold)
+            for persona in personas:
+                assert (consensus_training_keywords(persona, tags, config, taxonomy,
+                                                    relation=relation)
+                        == _consensus_oracle(persona, tags, config, taxonomy))
+
+    def test_public_query_still_normalizes_its_arguments(self, taxonomy):
+        assert "online banking" in taxonomy
+        assert taxonomy.similar_or_exact("Online  Banking", "online_banking",
+                                         taxonomy.max_score - 0.01)
+        # outside the taxonomy only equal normalized texts are similar
+        assert taxonomy.similar_or_exact("Web  3", "web_3", 3.0)
+        assert not taxonomy.similar_or_exact("Web  3", "web_4", 0.0)
