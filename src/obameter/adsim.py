@@ -52,6 +52,7 @@ from .corpus import (
     AD_KINDS,
     WebPage,
     _built,
+    _keyword_set,
     _record_fields,
     _to_record,
     from_dict,
@@ -433,7 +434,9 @@ class WorldTagSource:
         iterator reaches it.
         """
         bound = max(levels, default=0.0)
-        canon = {k: normalize_keyword(k) for k in self.spurious_pool}
+        # each pool keyword (so each page's true keyword too) -> its one
+        # tag form, by `tag_pages`'s rule; a keyword without one is left out
+        canon = {k: tag for k in self.spurious_pool for tag in _keyword_set((k,))}
         # per URL: its kept keywords, and its spurious draws below the bound
         # as rising uniforms beside their keywords; compact, because they
         # stay alive beside each level's tables
@@ -441,9 +444,9 @@ class WorldTagSource:
         for page in pages:
             if page.url not in drawn:
                 kept, below = self._draws(page.url, bound)
-                below = sorted((u, canon[k]) for u, k in below if canon[k])
+                below = sorted((u, canon[k]) for u, k in below if k in canon)
                 drawn[page.url] = (
-                    tuple({canon[k] for k in kept} - {""}),
+                    tuple({canon[k] for k in kept if k in canon}),
                     tuple(u for u, _ in below),
                     tuple(k for _, k in below),
                 )

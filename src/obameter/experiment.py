@@ -413,14 +413,10 @@ def _consensus_keywords(
 ) -> dict[str, dict[str, set[str]]]:
     """Persona id -> source -> retained training keywords.
 
-    The personas share one similarity table over the keywords of every
-    training page, filled only where some persona tests a pair.
+    The personas share one similarity table, so a keyword pair that
+    several of them test is scored once.
     """
-    training = {url for persona in corpus.personas.values() for url in persona.visited_urls}
-    relation = corpus.taxonomy._similarity_table(
-        (kw for table in tags.values() for url in training for kw in table.get(url, ())),
-        config.threshold,
-    )
+    relation = corpus.taxonomy._similarity_table(config.threshold)
     return {
         pid: consensus_training_keywords(
             corpus.personas[pid], tags, config, corpus.taxonomy, relation=relation

@@ -13,11 +13,11 @@ pages:
 Training keywords are then pooled across tagging sources with an N-of-M
 consensus: a keyword from one source survives iff at least N of the other
 sources carry some keyword whose `KeywordTaxonomy.score` against it is
-above the similarity threshold. Pairs are tested against a similarity
-table (`KeywordTaxonomy._similarity_table`) over canonical keywords,
-which scores each pair once when it is first asked for; one table can
-serve every persona of an analysis, and each persona's neighbour map is
-built from it and dropped when its consensus is done.
+above the similarity threshold. Pairs are tested through a similarity
+table (`KeywordTaxonomy._similarity_table`) that looks each keyword up
+once; one table can serve every persona of an analysis, scoring a pair
+that personas share once. Each persona's neighbour map is dropped when
+its consensus is done.
 """
 
 from __future__ import annotations
@@ -179,10 +179,9 @@ def consensus_training_keywords(
     ConfigurationError when fewer sources are present than the rule needs
     (at least two, and at least n + 1 so that n other sources can exist).
 
-    `relation` is a similarity table that `taxonomy._similarity_table`
-    built at `config.threshold` over these keywords and maybe others, so
-    one table can serve every persona of a call; by default a fresh one
-    over this persona's keywords.
+    `relation` is a table from `taxonomy._similarity_table(config.threshold)`
+    to share across the personas of one analysis; a table of another
+    taxonomy or threshold is a ConfigurationError. By default a fresh one.
     """
     union = {
         src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
@@ -195,11 +194,15 @@ def consensus_training_keywords(
             f"consensus needs at least {needed} sources, got {len(union)}"
         )
 
-    # each keyword's neighbours: the keywords, itself included, similar to it
-    vocab = sorted(set().union(*union.values()))
     if relation is None:
-        relation = taxonomy._similarity_table(vocab, config.threshold)
-    near = relation.neighbours(vocab)
+        relation = taxonomy._similarity_table(config.threshold)
+    elif relation.taxonomy is not taxonomy or relation.threshold != config.threshold:
+        raise ConfigurationError(
+            f"similarity table at threshold {relation.threshold} does not fit "
+            f"consensus threshold {config.threshold} over this taxonomy"
+        )
+    # each keyword's neighbours: the keywords, itself included, similar to it
+    near = relation.neighbours(set().union(*union.values()))
 
     return {
         src: {

@@ -19,9 +19,9 @@ maximum over sense pairs.
 Keyword texts are stored normalized (`normalize_keyword`), and each public
 query normalizes its own arguments once, so callers may pass any spelling.
 `score` is the one similarity relation that consensus and the `dg` filter
-use, and the one place that decides keywords outside the tree; the
-similarity table that consensus reads scores canonical keywords by the
-same rule without normalizing them again.
+use, and the one place that decides keywords outside the tree.
+Consensus reads it through a similarity table (`_SimilarityTable`), which
+looks each keyword up once and scores a pair shared between personas once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError, ObameterError
 
@@ -131,27 +131,20 @@ class KeywordTaxonomy:
         (below every positive one). Symmetric; each argument is normalized
         once.
         """
-        return self._canonical_score(*self._lookup(k), *self._lookup(l))
-
-    def _canonical_score(
-        self, k: str, nodes_k: list[str] | None, l: str, nodes_l: list[str] | None
-    ) -> float:
-        """`score` of canonical keywords, given their sense nodes (or None)."""
+        norm_k, nodes_k = self._lookup(k)
+        norm_l, nodes_l = self._lookup(l)
         if nodes_k is not None and nodes_l is not None:
             return self._score(nodes_k, nodes_l)
-        return math.inf if k == l else 0.0
+        return math.inf if norm_k == norm_l else 0.0
 
     def similar_or_exact(self, k: str, l: str, threshold: float) -> bool:
         """True iff score(k, l) is strictly above the threshold."""
         return self.score(k, l) > threshold
 
-    def _similarity_table(
-        self, keywords: Iterable[str], threshold: float
-    ) -> "_SimilarityTable":
-        """`similar_or_exact` at `threshold` over canonical `keywords`,
-        each looked up once and never normalized, each pair scored when
-        first asked for."""
-        return _SimilarityTable(self, sorted(set(keywords)), threshold)
+    def _similarity_table(self, threshold: float) -> "_SimilarityTable":
+        """`similar_or_exact` at `threshold`, for many personas' keyword
+        sets in turn; see `_SimilarityTable`."""
+        return _SimilarityTable(self, threshold)
 
     def keywords(self) -> list[str]:
         """All keyword texts, sorted."""
@@ -251,40 +244,84 @@ class KeywordTaxonomy:
 
 
 class _SimilarityTable:
-    """`score(k, l) > threshold` over a fixed list of canonical keywords.
+    """`similar_or_exact(k, l, threshold)` over the keyword sets of many
+    personas, asked for one persona at a time (`neighbours`).
 
-    One byte per ordered pair of keywords, 0 until the pair is scored, then
-    1 (not similar) or 2 (similar) in both of its cells.
+    Each keyword is normalized and looked up once. A form outside the
+    taxonomy scores math.inf against itself and 0.0 against any other
+    (`score`), so with a finite threshold >= 0 it is similar only to itself
+    and is never paired. A pair of forms inside the taxonomy is scored when
+    asked for, and kept only when both forms were asked for by an earlier
+    persona, since only then can a later one ask again: what the table keeps
+    grows with the pairs that personas share, not with every pair tested.
+    A kept pair is one byte in a 64-byte block, so pairs that personas
+    share densely cost about a byte each.
     """
 
-    def __init__(self, taxonomy: KeywordTaxonomy, keywords: list[str], threshold: float):
-        self._taxonomy = taxonomy
-        self._threshold = threshold
-        self._keywords = keywords
-        self._index = {kw: i for i, kw in enumerate(keywords)}
-        self._senses = [taxonomy.senses.get(kw) for kw in keywords]
-        self._cells = bytearray(len(keywords) ** 2)
+    def __init__(self, taxonomy: KeywordTaxonomy, threshold: float):
+        if not 0 <= threshold < math.inf:
+            raise ConfigurationError(
+                f"similarity threshold must be finite and >= 0, got {threshold}"
+            )
+        self.taxonomy = taxonomy
+        self.threshold = threshold
+        self._index: dict[str, int] = {}  # keyword and its form -> form index
+        self._nodes: list[list[str] | None] = []  # form index -> sense nodes
+        self._asked = bytearray()  # form index -> 1 once a persona asked for it
+        # kept pairs (hi, lo) of form indexes, hi >= lo: block (hi, lo // 64)
+        # -> one cell per lo, 0 unscored, 1 not similar, 2 similar
+        self._kept: dict[int, bytearray] = {}
 
-    def _similar(self, i: int, j: int) -> bool:
-        score = self._taxonomy._canonical_score(
-            self._keywords[i], self._senses[i], self._keywords[j], self._senses[j]
-        )
-        return score > self._threshold
+    def _form_index(self, keyword: str) -> int:
+        form = normalize_keyword(keyword)
+        i = self._index.get(form)
+        if i is None:
+            i = self._index[form] = len(self._nodes)
+            self._nodes.append(self.taxonomy.senses.get(form))
+            self._asked.append(0)
+        self._index[keyword] = i
+        return i
 
-    def neighbours(self, keywords: Sequence[str]) -> dict[str, set[str]]:
+    def neighbours(self, keywords: Iterable[str]) -> dict[str, set[str]]:
         """Each of `keywords` -> those of them, itself included, similar to it."""
-        cells, n = self._cells, len(self._keywords)
-        rows = [self._index[kw] for kw in keywords]
-        near: dict[str, set[str]] = {kw: set() for kw in keywords}
-        for a, kw in enumerate(keywords):
-            i = rows[a]
-            for b in range(a, len(keywords)):
-                j = rows[b]
-                cell = cells[i * n + j]
-                if not cell:
-                    cell = 2 if self._similar(i, j) else 1
-                    cells[i * n + j] = cells[j * n + i] = cell
-                if cell == 2:
-                    near[kw].add(keywords[b])
-                    near[keywords[b]].add(kw)
+        spellings: dict[int, list[str]] = {}
+        for kw in keywords:
+            i = self._index.get(kw)
+            if i is None:
+                i = self._form_index(kw)
+            spellings.setdefault(i, []).append(kw)
+
+        near: dict[str, set[str]] = {}
+        inside = []  # (index, sense nodes, asked before, spellings) per form
+        for i, kws in spellings.items():
+            nodes = self._nodes[i]
+            if nodes is None:
+                for kw in kws:
+                    near[kw] = set(kws)
+            else:
+                inside.append((i, nodes, self._asked[i], kws))
+                for kw in kws:
+                    near[kw] = set()
+            self._asked[i] = 1
+
+        score, threshold, kept = self.taxonomy._score, self.threshold, self._kept
+        for a, (i, nodes_i, before_i, kws_i) in enumerate(inside):
+            for j, nodes_j, before_j, kws_j in inside[a:]:
+                if before_i and before_j:
+                    hi, lo = (i, j) if i >= j else (j, i)
+                    key = hi << 32 | lo >> 6
+                    block = kept.get(key)
+                    if block is None:
+                        block = kept[key] = bytearray(64)
+                    cell = block[lo & 63]
+                    if not cell:
+                        cell = block[lo & 63] = 2 if score(nodes_i, nodes_j) > threshold else 1
+                    similar = cell == 2
+                else:
+                    similar = score(nodes_i, nodes_j) > threshold
+                if similar:
+                    for kw in kws_i:
+                        near[kw].update(kws_j)
+                    for kw in kws_j:
+                        near[kw].update(kws_i)
         return near

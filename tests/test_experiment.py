@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 import shutil
+import tracemalloc
+import types
 import typing
 from urllib.parse import urlsplit, urlunsplit
 
@@ -17,7 +19,9 @@ from obameter import (
     ExperimentManifest,
     ExperimentStore,
     FilterConfig,
+    KeywordTaxonomy,
     Persona,
+    WebPage,
     World,
     analyze,
     build_world,
@@ -749,6 +753,38 @@ class TestTagReads:
         analyze(root)
         assert calls == ["sim-a", "sim-b", "sim-c"]
 
+
+
+class TestConsensusMemory:
+    def test_disjoint_vocabularies_cost_memory_per_persona(self):
+        # 50 personas with 120 taxonomy keywords each and none in common:
+        # what consensus keeps across personas must grow with the keywords,
+        # not with every pair tested (50 * 7,260) or with the square of
+        # every persona's keywords (6,000^2 bytes = 36 MB); at threshold 1
+        # a leaf is similar to itself (ln 6) and not to a sibling (ln 2)
+        edges = [("root", "-")]
+        for i in range(50):
+            edges.append((f"c{i}", "root"))
+            edges += [(f"k{i} {j}", f"c{i}") for j in range(120)]
+        taxonomy = KeywordTaxonomy.from_edges(edges)
+        personas, tags = {}, {src: {} for src in ("s0", "s1", "s2")}
+        for i in range(50):
+            page = WebPage(url=f"http://p{i}.example/", role="training")
+            personas[f"p{i}"] = Persona(id=f"p{i}", category="banking", training_pages=[page])
+            for table in tags.values():
+                table[page.url] = {f"k{i} {j}" for j in range(120)}
+        corpus = types.SimpleNamespace(personas=personas, taxonomy=taxonomy)
+        tracemalloc.start()
+        try:
+            kept = experiment._consensus_keywords(
+                corpus, ConsensusConfig(n=2, threshold=1.0), tags
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(kept[f"p{i}"][src] == {f"k{i} {j}" for j in range(120)}
+                   for i in range(50) for src in tags)
+        assert peak < 3_000_000
 
 class TestValidate:
     def test_zero_noise_detection_is_exact(self, corpus_dir):

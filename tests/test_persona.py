@@ -11,6 +11,7 @@ from obameter import (
     Persona,
     WebPage,
     consensus_training_keywords,
+    demo_taxonomy,
     normalize_keyword,
     select_training_pages,
 )
@@ -227,9 +228,9 @@ class TestConsensusOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_personas_sharing_one_table_each_match_the_pair_loop(self, taxonomy, data):
+    def test_personas_over_shared_pages_each_match_the_pair_loop(self, taxonomy, data):
         # personas over overlapping training pages, keywords inside and
-        # outside the taxonomy, one table per threshold across all of them
+        # outside the taxonomy, some spelt other than their canonical form
         urls = [f"http://t-{i}.example/p" for i in range(5)]
         personas = [
             Persona(id=f"p{i}", category="banking", training_pages=[
@@ -239,13 +240,15 @@ class TestConsensusOracle:
             ])
             for i in range(data.draw(st.integers(2, 4)))
         ]
+        keywords = st.one_of(_KEYWORDS, st.sampled_from(
+            ["Online  Banking", "online_banking", "Web3", " web3 "]
+        ))
         tags = {
             src: data.draw(st.dictionaries(
-                st.sampled_from(urls), st.sets(_KEYWORDS, max_size=4), max_size=5
+                st.sampled_from(urls), st.sets(keywords, max_size=4), max_size=5
             ))
             for src in ("s0", "s1", "s2")
         }
-        keywords = {kw for table in tags.values() for kws in table.values() for kw in kws}
         n = data.draw(st.integers(0, 2))
         scores = [-math.log(k / (2 * taxonomy.max_depth))
                   for k in range(1, 2 * taxonomy.max_depth + 1)]
@@ -254,11 +257,50 @@ class TestConsensusOracle:
         ), min_size=2, max_size=2, unique=True))
         for threshold in thresholds:
             config = ConsensusConfig(n=n, threshold=threshold)
-            relation = taxonomy._similarity_table(keywords, threshold)
+            relation = taxonomy._similarity_table(threshold)
             for persona in personas:
                 assert (consensus_training_keywords(persona, tags, config, taxonomy,
                                                     relation=relation)
                         == _consensus_oracle(persona, tags, config, taxonomy))
+
+    def test_a_shared_pair_is_scored_until_it_is_kept(self, taxonomy, monkeypatch):
+        # a pair is kept once both its keywords were asked for by an
+        # earlier persona, so the third persona with these keywords scores
+        # nothing; at a threshold equal to the score of pools and inground
+        # pools, a kept pair must still compare strictly
+        threshold = taxonomy.score("pools", "inground pools")
+        calls = []
+        score = taxonomy._score
+        monkeypatch.setattr(taxonomy, "_score", lambda k, l: calls.append(1) or score(k, l))
+        config = ConsensusConfig(n=1, threshold=threshold)
+        relation = taxonomy._similarity_table(threshold)
+        scored = []
+        for i in range(3):
+            url = f"http://t-{i}.example/p"
+            persona = Persona(id=f"p{i}", category="banking",
+                              training_pages=[WebPage(url=url, role="training")])
+            tags = {"s0": {url: {"pools", "banking", "web3"}},
+                    "s1": {url: {"inground pools", "banking", "web3"}}}
+            before = len(calls)
+            kept = consensus_training_keywords(persona, tags, config, taxonomy,
+                                               relation=relation)
+            scored.append(len(calls) - before)
+            assert kept == {"s0": {"banking", "web3"}, "s1": {"banking", "web3"}}
+            assert kept == _consensus_oracle(persona, tags, config, taxonomy)
+        # three keywords inside the taxonomy make six pairs, itself included
+        assert scored == [6, 6, 0]
+
+    def test_a_table_of_another_threshold_or_taxonomy_is_refused(self, taxonomy):
+        persona = Persona(id="p", category="banking", training_pages=[
+            WebPage(url=u, role="training") for u in _TRAINING
+        ])
+        tags = {src: {_TRAINING[0]: {"banking"}} for src in ("s0", "s1", "s2")}
+        config = ConsensusConfig(threshold=2.5)
+        for relation in (taxonomy._similarity_table(2.0),
+                         demo_taxonomy()._similarity_table(2.5)):
+            with pytest.raises(ConfigurationError, match="does not fit"):
+                consensus_training_keywords(persona, tags, config, taxonomy,
+                                            relation=relation)
 
     def test_public_query_still_normalizes_its_arguments(self, taxonomy):
         assert "online banking" in taxonomy

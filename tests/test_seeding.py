@@ -73,5 +73,6 @@ class TestPrefixDraws:
         prefix = with_labels(base, "spur", "http://a.example/")
         first = uniforms_after(prefix, ["pools", "banking"])
         assert uniforms_after(prefix, ["pools", "banking"]) == first
-        assert uniforms_after(with_labels(base, "spur", "http://a.example/"), ["pools"]) == first[:1]
+        again = with_labels(base, "spur", "http://a.example/")
+        assert uniforms_after(again, ["pools"]) == first[:1]
         assert base.digest() == keyed_hasher(9).digest()
