@@ -14,13 +14,19 @@ in which every ad unit carries exactly one kind label:
 
 Serving draws a fixed number of ad slots per control visit, weighted by
 the units' base weights, without replacement within the visit. Eligibility
-builds one category -> profile weight map per control visit (the max over
-the aggregators present on the page, or with `share_profiles` the sum over
-all of them), so each oba unit costs one lookup against the activation
-threshold; the eligible units keep inventory order, which the weighted
-draw picks from by position. Aggregator profiles build up from tracked
-page visits. `World.begin` returns the session's browser, and
-`World.visit` serves and observes one page with it; a clean-profile
+reads a per-session inventory index that `World.begin` builds once: the
+static units and the session geo's geo_demo units in one base list, the
+contextual units by theme, and, unless the session's DNT is honoured, the
+retargeting units by landing URL and the oba units by target category. A
+control visit takes the base list, the page theme's list, the lists of
+the landing URLs in the browser's history, and the lists of the
+categories whose profile weight reaches the activation threshold (the max
+over the aggregators present on the page, or with `share_profiles` the sum
+over all of them), computed only for categories some oba unit targets. It
+sorts the merged positions, so the eligible units keep inventory order,
+which the weighted draw picks from by position. Aggregator profiles build
+up from tracked page visits. `World.begin` returns the session's browser,
+and `World.visit` serves and observes one page with it; a clean-profile
 browser observes nothing, so it stays empty and can never receive oba or
 retargeting ads, which is why the activation threshold must be positive.
 
@@ -44,7 +50,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Sequence
+from typing import Collection, Iterator, Literal, Sequence
 
 from . import demo
 from .corpus import (
@@ -204,14 +210,41 @@ def kind_counts(n_ads: int, mix: dict[str, float]) -> dict[str, int]:
     return counts
 
 
-class _Browser:
-    """One session's serving state: its config, what it has observed, and
-    the rng that draws its ad slots."""
+class _InventoryIndex:
+    """One session's eligible inventory, as positions in `World.ads` keyed
+    by what makes each unit eligible on a control visit.
 
-    __slots__ = ("config", "history", "profiles", "clock", "rng")
+    Static units and the session geo's geo_demo units are always eligible,
+    so they form one base list. Under honoured DNT no retargeting or oba
+    unit is ever eligible, so neither is indexed.
+    """
+
+    __slots__ = ("base", "by_theme", "by_landing", "by_category")
+
+    def __init__(self, ads: Sequence[AdUnit], geo: str, suppressed: bool) -> None:
+        self.base: list[int] = []
+        self.by_theme: dict[str | None, list[int]] = {}
+        self.by_landing: dict[str, list[int]] = {}
+        self.by_category: dict[str | None, list[int]] = {}
+        for i, ad in enumerate(ads):
+            if ad.kind == "static" or (ad.kind == "geo_demo" and ad.geo == geo):
+                self.base.append(i)
+            elif ad.kind == "contextual":
+                self.by_theme.setdefault(ad.theme, []).append(i)
+            elif ad.kind == "retargeting" and not suppressed:
+                self.by_landing.setdefault(ad.landing_url, []).append(i)
+            elif ad.kind == "oba" and not suppressed:
+                self.by_category.setdefault(ad.target_category, []).append(i)
+
+
+class _Browser:
+    """One session's serving state: its config, what it has observed, the
+    rng that draws its ad slots, and its inventory index."""
+
+    __slots__ = ("config", "history", "profiles", "clock", "rng", "index")
 
     def __init__(
-        self, config: SessionConfig | None = None, rng: random.Random | None = None
+        self, config: SessionConfig, rng: random.Random, index: _InventoryIndex
     ) -> None:
         self.config = config
         self.history: set[str] = set()  # canonical URLs of visited pages
@@ -219,6 +252,7 @@ class _Browser:
         self.profiles: dict[str, dict[str, float]] = {}
         self.clock = 0.0
         self.rng = rng
+        self.index = index
 
 
 @dataclass(eq=False)
@@ -244,7 +278,9 @@ class World:
 
     def begin(self, config: SessionConfig) -> _Browser:
         return _Browser(
-            config, random.Random(derive_seed(self.seed, "serve", config.session_id))
+            config,
+            random.Random(derive_seed(self.seed, "serve", config.session_id)),
+            _InventoryIndex(self.ads, config.geo, self.config.honor_dnt and config.dnt),
         )
 
     def visit(self, browser: _Browser, event: VisitEvent) -> list[ServedAd]:
@@ -279,50 +315,45 @@ class World:
                 prof[cat] = prof.get(cat, 0.0) + 1.0
         browser.history.add(url)
 
-    def _category_weights(self, browser: _Browser, present: Sequence[str]) -> dict[str, float]:
-        """Profile weight per category as the page's aggregators see it."""
-        weights: dict[str, float] = {}
+    def _activated(
+        self, browser: _Browser, present: Sequence[str], targeted: Collection[str]
+    ) -> Collection[str]:
+        """The `targeted` categories whose profile weight, as the page's
+        aggregators see it, reaches the activation threshold."""
+        threshold = self.config.activation_threshold
         if self.config.share_profiles:
             # data brokers pooled their observations; added up in profile
             # order, so each total is the float a per-category sum gives
+            totals: dict[str, float] = {}
             for prof in browser.profiles.values():
                 for cat, w in prof.items():
-                    weights[cat] = weights.get(cat, 0.0) + w
-            return weights
+                    if cat in targeted:
+                        totals[cat] = totals.get(cat, 0.0) + w
+            return [cat for cat, total in totals.items() if total >= threshold]
+        # the max over the present aggregators reaches it when one of them does
+        active: set[str] = set()
         for agg in present:
-            for cat, w in browser.profiles.get(agg, {}).items():
-                if w > weights.get(cat, 0.0):
-                    weights[cat] = w
-        return weights
+            prof = browser.profiles.get(agg)
+            if prof:
+                for cat, w in prof.items():
+                    if w >= threshold and cat in targeted:
+                        active.add(cat)
+        return active
 
     def _eligible(self, browser: _Browser, url: str) -> list[AdUnit]:
-        config = browser.config
-        suppressed = self.config.honor_dnt and config.dnt
-        theme = self.page_themes.get(url)
-        present = self.trackers.get(url, ())
-        # DNT suppression and a page without aggregators leave the map
-        # empty, which activates nothing because the threshold is positive
-        weights: dict[str, float] = {}
-        if present and not suppressed:
-            weights = self._category_weights(browser, present)
-        threshold = self.config.activation_threshold
-        out: list[AdUnit] = []
-        for ad in self.ads:
-            if ad.kind == "static":
-                out.append(ad)
-            elif ad.kind == "contextual":
-                if ad.theme == theme:
-                    out.append(ad)
-            elif ad.kind == "geo_demo":
-                if ad.geo == config.geo:
-                    out.append(ad)
-            elif ad.kind == "retargeting":
-                if not suppressed and ad.landing_url in browser.history:
-                    out.append(ad)
-            elif ad.kind == "oba":
-                if weights.get(ad.target_category, 0.0) >= threshold:
-                    out.append(ad)
-        return out
+        index = browser.index
+        picks = index.base + index.by_theme.get(self.page_themes.get(url), [])
+        for seen in browser.history & index.by_landing.keys():
+            picks += index.by_landing[seen]
+        # a page without aggregators activates nothing
+        present = self.trackers.get(url)
+        if present and index.by_category:
+            for cat in self._activated(browser, present, index.by_category):
+                picks += index.by_category[cat]
+        # inventory order, which the weighted draw picks from by position
+        picks.sort()
+        ads = self.ads
+        return [ads[i] for i in picks]
 
     def _serve(self, browser: _Browser, url: str) -> list[AdUnit]:
         pool = self._eligible(browser, url)

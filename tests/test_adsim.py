@@ -2,8 +2,10 @@
 
 import json
 import math
+import random
 import re
 from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,14 +24,13 @@ from obameter.adsim import (
     DEFAULT_KIND_WEIGHTS,
     AdUnit,
     TagNoise,
-    _Browser,
     default_persona_specs,
     kind_counts,
 )
 from obameter.corpus import from_dict, tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError
 from obameter.seeding import derive_seed, hash_uniform
-from obameter.session import schedule_visits
+from obameter.session import ServedAd, schedule_visits
 
 
 @pytest.fixture
@@ -253,13 +254,19 @@ class TestServingRules:
         assert "oba" not in kinds
 
     def test_shared_profiles_sum_across_aggregators(self, world):
-        browser = _Browser()
-        browser.profiles = {"agg-00": {"banking": 2.0}, "agg-01": {"banking": 1.5}}
-        alone = world._category_weights(browser, ["agg-00"])
-        assert alone["banking"] == 2.0
+        # only the sum of the two profiles reaches the 3.0 threshold
+        banking = {ad.ad_id for ad in world.ads if ad.target_category == "banking"}
+        assert banking and world.config.activation_threshold == 3.0
+        url = world.control_pages[0].url
+
+        def eligible_oba():
+            browser = world.begin(SessionConfig(persona_id="p"))
+            browser.profiles = {"agg-00": {"banking": 2.0}, "agg-01": {"banking": 1.5}}
+            return {ad.ad_id for ad in world._eligible(browser, url) if ad.kind == "oba"}
+
+        assert eligible_oba() == set()
         world.config.share_profiles = True
-        pooled = world._category_weights(browser, ["agg-00"])
-        assert pooled["banking"] == 3.5
+        assert eligible_oba() == banking
 
 
 def _reference_eligible(world, config, browser, url):
@@ -316,36 +323,81 @@ def _serving_cases(draw, world):
         max_size=5,
     ))
     retarget = [ad.landing_url for ad in world.ads if ad.kind == "retargeting"]
-    history = draw(st.sets(st.sampled_from(retarget + ["https://elsewhere.example/x"])))
+    history = draw(st.sets(st.sampled_from(
+        retarget + [world.personas[0].training_pages[0].url, "https://elsewhere.example/x"]
+    )))
     url = draw(st.sampled_from([
         world.control_pages[0].url,
         world.personas[0].training_pages[0].url,
-        "https://unlisted.example/page",
+        "https://unlisted.example/page",  # no theme
     ]))
-    present = draw(st.lists(st.sampled_from(_AGGS), max_size=4))
+    # None leaves the page out of the tracker map
+    present = draw(st.one_of(st.none(), st.lists(st.sampled_from(_AGGS), max_size=4)))
+    trackers = {k: v for k, v in world.trackers.items() if k != url}
+    if present is not None:
+        trackers[url] = present
     sim = replace(
         world.config,
         activation_threshold=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5])),
         honor_dnt=draw(st.booleans()),
         share_profiles=draw(st.booleans()),
     )
-    variant = World(
-        config=sim, seed=world.seed,
-        personas=world.personas, control_pages=world.control_pages,
-        ads=world.ads, page_categories=world.page_categories,
-        page_themes=world.page_themes,
-        trackers={**world.trackers, url: present},
-        aggregators=world.aggregators,
-    )
-    browser = _Browser()
-    browser.profiles = profiles
-    browser.history = history
-    browser.config = SessionConfig(
+    variant = replace(world, config=sim, trackers=trackers)
+    config = SessionConfig(
         persona_id="p",
+        # FR has no geo_demo unit
         geo=draw(st.sampled_from(["ES", "US", "FR"])),
         dnt=draw(st.booleans()),
     )
-    return variant, browser.config, browser, url
+    browser = variant.begin(config)
+    browser.profiles = profiles
+    browser.history = history
+    return variant, config, browser, url
+
+
+class _ReferenceHarvester:
+    """Serves each control visit from `_reference_eligible` with the slot
+    draw written out, and builds profiles as the world's docstring says."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def begin(self, config):
+        rng = random.Random(derive_seed(self.world.seed, "serve", config.session_id))
+        return SimpleNamespace(config=config, rng=rng, profiles={}, history=set(),
+                               clock=0.0)
+
+    def visit(self, state, event):
+        world, url = self.world, event.page.url
+        served = []
+        if event.kind == "control":
+            pool = _reference_eligible(world, state.config, state, url)
+            for _ in range(min(world.config.ads_per_visit, len(pool))):
+                # the first unit whose running weight passes a uniform mark
+                # on the pool's total, else the last one
+                mark = state.rng.random() * sum(ad.base_weight for ad in pool)
+                acc, pick = 0.0, len(pool) - 1
+                for i, ad in enumerate(pool):
+                    acc += ad.base_weight
+                    if mark < acc:
+                        pick = i
+                        break
+                ad = pool.pop(pick)
+                served.append(ServedAd(landing_url=ad.landing_url, label=ad.kind))
+        if not state.config.clean_profile:
+            half = world.config.profile_decay_halflife
+            if half is not None and event.t > state.clock:
+                factor = 2.0 ** (-(event.t - state.clock) / half)
+                for prof in state.profiles.values():
+                    for cat in prof:
+                        prof[cat] *= factor
+            state.clock = max(state.clock, event.t)
+            for agg in world.trackers.get(url, ()):
+                prof = state.profiles.setdefault(agg, {})
+                for cat in world.page_categories.get(url, ()):
+                    prof[cat] = prof.get(cat, 0.0) + 1.0
+            state.history.add(url)
+        return served
 
 
 class TestEligibilityEquivalence:
@@ -356,6 +408,29 @@ class TestEligibilityEquivalence:
         got = world._eligible(browser, url)
         want = _reference_eligible(world, config, browser, url)
         assert [ad.ad_id for ad in got] == [ad.ad_id for ad in want]
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"honor_dnt": True, "share_profiles": True},
+        {"profile_decay_halflife": 900.0},
+    ], ids=["default", "dnt-shared", "decay"])
+    def test_sessions_match_the_reference_harvester(self, taxonomy, overrides):
+        world = build_world(SimConfig(n_ads=400, **overrides),
+                            default_persona_specs(4), taxonomy, seed=8)
+        kinds = set()
+        for persona in world.personas:
+            for geo, dnt in (("ES", False), ("US", True)):
+                config = SessionConfig(persona_id=persona.id, visit_budget=150,
+                                       seed=4, geo=geo, dnt=dnt)
+                got = run_session(persona, world.control_pages, config, world)
+                want = run_session(persona, world.control_pages, config,
+                                   _ReferenceHarvester(world))
+                assert got.raw_served == want.raw_served
+                assert [asdict(imp) for imp in got.impressions] \
+                    == [asdict(imp) for imp in want.impressions]
+                kinds.update(imp.ground_truth for imp in got.impressions)
+        # every variant serves targeted ads to some session
+        assert {"oba", "retargeting"} <= kinds
 
 
 class TestDeterminismAndRoundTrip:
