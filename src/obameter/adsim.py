@@ -173,9 +173,11 @@ class SimConfig:
         half = self.profile_decay_halflife
         if half is not None and not half > 0:
             raise ConfigurationError(f"profile_decay_halflife must be positive, got {half}")
-        missing = [k for k in AD_KINDS if not self.kind_weights.get(k, 0) > 0]
+        # an infinite weight makes every slot draw fall through to the pool's
+        # last unit
+        missing = [k for k in AD_KINDS if not 0 < self.kind_weights.get(k, 0) < math.inf]
         if missing:
-            raise ConfigurationError(f"kind_weights must be positive for {missing}")
+            raise ConfigurationError(f"kind_weights must be positive and finite for {missing}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ raises CorpusDataError. `landing_key` is coarser, host + path only, and
 every filter and audience map compares pages by it. One parse gives both.
 
 URLs are parsed where they enter memory: an AdImpression stores its
-canonical URLs and keys when it is built, and a WebPage its canonical URL.
+canonical URLs and landing key when it is built, and a WebPage its canonical URL.
 Every parse goes through one bounded module cache, so each distinct URL
 string is parsed once, whichever reader, session or page it enters by;
 evicting an entry only costs a re-parse. Tag tables are keyed by
@@ -129,10 +129,9 @@ class AdImpression:
 
     ground_truth is the simulator's ad-kind label and is present iff the
     impression came from the simulator. Both URLs are stored normalized,
-    with their landing keys in control_key and landing_key and the
-    aggregation and prediction identity in key; all three are set once,
-    when the impression is built, and never stored. The two ids must be
-    strings, and ground_truth None or one of AD_KINDS.
+    and the landing page's landing key in landing_key, set once when the
+    impression is built and never stored. The two ids must be strings,
+    and ground_truth None or one of AD_KINDS.
     """
 
     persona_id: str = field(metadata={"key": "persona"})
@@ -141,17 +140,14 @@ class AdImpression:
     landing_page: str = field(metadata={"key": "landing"})
     ntimes: int = 1
     ground_truth: str | None = None
-    control_key: str = field(init=False, compare=False, repr=False)
     landing_key: str = field(init=False, compare=False, repr=False)
-    key: tuple[str, str, str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("persona_id", "session_id"):
             if not isinstance(getattr(self, name), str):
                 raise CorpusDataError(f"{name} must be a string, got {getattr(self, name)!r}")
-        self.control_page, self.control_key = _split(self.control_page)
+        self.control_page = _split(self.control_page)[0]
         self.landing_page, self.landing_key = _split(self.landing_page)
-        self.key = (self.persona_id, self.session_id, self.control_key, self.landing_key)
         if type(self.ntimes) is not int or self.ntimes < 1:  # bool is not a count
             raise CorpusDataError(f"ntimes must be an integer >= 1, got {self.ntimes!r}")
         if self.ground_truth is not None and self.ground_truth not in AD_KINDS:

@@ -46,7 +46,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import demo
 from .adsim import (
@@ -485,14 +485,19 @@ def analyze(
         attritions.append(_attrition_row(cond_id, row, result))
         for stage, survivors in result.by_stage.items():
             for src, url_tags in tags.items():
-                cells.append(_score_cell(
-                    url_tags, keywords, row, cond_id, _STAGE_TO_FILTERS[stage], src,
-                    survivors,
-                ))
+                cells.append({
+                    "persona": row.persona,
+                    "source": src,
+                    "filters": _STAGE_TO_FILTERS[stage],
+                    "condition": cond_id,
+                    "rep": row.rep,
+                    **_cell_scores(keywords[row.persona].get(src, set()), survivors, url_tags),
+                })
 
     summary = _summarize_cells(cells)
-    comparisons = _compare_conditions(corpus, cells, filters.filters)
-    correlation = _correlate_prices(corpus, cells, filters.filters, prices)
+    series = _persona_bailp(corpus, cells, filters.filters)
+    comparisons = _compare_conditions(series, filters.filters)
+    correlation = _correlate_prices(series, filters.filters, prices)
 
     report = {
         "experiment_id": corpus.manifest.experiment_id,
@@ -512,44 +517,41 @@ def analyze(
     return report
 
 
-def _score_cell(
-    url_tags: Mapping[str, set[str]],
-    keywords: Mapping[str, Mapping[str, set[str]]],
-    row: SessionRow,
-    cond_id: str,
-    filter_set: str,
-    src: str,
-    survivors: list[AdImpression],
-) -> dict:
-    k_t = keywords[row.persona].get(src, set())
-    k_l: set[str] = set()
-    records: list[tuple[set[str], int]] = []
-    for imp in survivors:
-        kws = url_tags.get(imp.landing_page, set())
-        k_l |= kws
-        records.append((kws, imp.ntimes))
+def _matches(
+    impressions: Sequence[AdImpression],
+    url_tags: Mapping[str, Collection[str]],
+    k_t: AbstractSet[str],
+) -> tuple[list[Collection[str]], list[bool]]:
+    """The match rule, for analyze and validate alike: per impression, the
+    keywords one source's tag table holds for its landing page (none for a
+    page it lacks), and whether they meet the persona's consensus keywords."""
+    landing = [url_tags.get(imp.landing_page, ()) for imp in impressions]
+    return landing, [not k_t.isdisjoint(kws) for kws in landing]
 
+
+def _cell_scores(
+    k_t: AbstractSet[str], survivors: list[AdImpression], url_tags: Mapping[str, set[str]]
+) -> dict:
+    """TTK over the survivors' landing keywords, BAiLP over their matches,
+    and the cell's volume; an undefined score is None beside a note."""
+    landing, matches = _matches(survivors, url_tags, k_t)
+    ntimes = [imp.ntimes for imp in survivors]
     note = None
     try:
-        ttk_value = ttk(k_t, k_l)
+        ttk_value = ttk(k_t, set().union(*landing))
     except EmptyTrainingSet:
         ttk_value = None
         note = "empty training keyword set"
     try:
-        bailp_value = bailp(k_t, records)
+        bailp_value = bailp(matches, ntimes)
     except NoImpressions:
         bailp_value = None
         note = "no surviving impressions"
     return {
-        "persona": row.persona,
-        "source": src,
-        "filters": filter_set,
-        "condition": cond_id,
-        "rep": row.rep,
         "ttk": ttk_value,
         "bailp": bailp_value,
-        "n_impressions": len(survivors),
-        "ntimes": sum(imp.ntimes for imp in survivors),
+        "n_impressions": len(ntimes),
+        "ntimes": sum(ntimes),
         "note": note,
     }
 
@@ -601,25 +603,24 @@ def _summary_csv(summary: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _persona_bailp(cells: list[dict], filter_set: str, cond_id: str) -> dict[str, float]:
-    """Persona id -> mean BAiLP over sources and reps at one filter set."""
-    by_pid: dict[str, list[float]] = {}
+def _persona_bailp(corpus: _Corpus, cells: list[dict], filter_set: str) -> dict[str, dict]:
+    """Condition id -> persona id -> mean BAiLP over sources and reps at
+    one filter set, conditions in manifest order."""
+    by_cond: dict[str, dict[str, list[float]]] = {group.cond_id: {} for group in corpus.groups}
     for cell in cells:
-        if cell["filters"] != filter_set or cell["condition"] != cond_id:
-            continue
-        if cell["bailp"] is None:
-            continue
-        by_pid.setdefault(cell["persona"], []).append(cell["bailp"])
-    return {pid: statistics.fmean(vals) for pid, vals in sorted(by_pid.items())}
+        if cell["filters"] == filter_set and cell["bailp"] is not None:
+            by_cond[cell["condition"]].setdefault(cell["persona"], []).append(cell["bailp"])
+    return {
+        cond_id: {pid: statistics.fmean(vals) for pid, vals in sorted(by_pid.items())}
+        for cond_id, by_pid in by_cond.items()
+    }
 
 
-def _compare_conditions(corpus: _Corpus, cells: list[dict], filter_set: str) -> list[dict]:
+def _compare_conditions(series: Mapping[str, dict], filter_set: str) -> list[dict]:
     """Paired per-persona BAiLP differences for every condition pair."""
     out = []
-    cond_ids = [group.cond_id for group in corpus.groups]
-    for a, b in itertools.combinations(cond_ids, 2):
-        series_a = _persona_bailp(cells, filter_set, a)
-        series_b = _persona_bailp(cells, filter_set, b)
+    for a, b in itertools.combinations(series, 2):
+        series_a, series_b = series[a], series[b]
         shared = sorted(set(series_a) & set(series_b))
         entry: dict = {"a": a, "b": b, "filters": filter_set, "n_personas": len(shared)}
         try:
@@ -658,8 +659,7 @@ def _load_prices(cpc_path: str | Path | None) -> dict[str, float] | None:
 
 
 def _correlate_prices(
-    corpus: _Corpus,
-    cells: list[dict],
+    series: Mapping[str, dict],
     filter_set: str,
     prices: Mapping[str, float] | None,
 ) -> list[dict] | None:
@@ -667,11 +667,10 @@ def _correlate_prices(
     if prices is None:
         return None
     out = []
-    for group in corpus.groups:
-        series = _persona_bailp(cells, filter_set, group.cond_id)
-        entry: dict = {"condition": group.cond_id, "filters": filter_set}
+    for cond_id, by_pid in series.items():
+        entry: dict = {"condition": cond_id, "filters": filter_set}
         try:
-            rep = value_correlation(series, {k: prices[k] for k in series})
+            rep = value_correlation(by_pid, {k: prices[k] for k in by_pid})
             entry["correlation"] = rep.to_dict()
         except KeyError as exc:
             entry["error"] = f"price file misses persona {exc}"
@@ -740,25 +739,22 @@ def validate(
         keywords = _consensus_keywords(corpus, corpus.manifest.consensus, tags)
 
         detail = []
-        total = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        aggregate = PerformanceReport(tp=0, fp=0, tn=0, fn=0)
         for group in corpus.groups:
             for pid in sorted(group.pooled):
                 for src in sorted(tags):
                     k_t = keywords[pid].get(src, set())
-                    predicted = {
-                        imp.key for imp in survivors[(group.cond_id, pid)]
-                        if k_t & tags[src].get(imp.landing_page, set())
-                    }
+                    pool_survivors = survivors[(group.cond_id, pid)]
+                    _, matches = _matches(pool_survivors, tags[src], k_t)
+                    predicted = itertools.compress(pool_survivors, matches)
                     perf = detection_performance(group.pooled[pid], predicted)
-                    for k in total:
-                        total[k] += getattr(perf, k)
+                    aggregate += perf
                     detail.append({
                         "condition": group.cond_id,
                         "persona": pid,
                         "source": src,
                         **perf.to_dict(),
                     })
-        aggregate = PerformanceReport(**total)
         levels.append({
             "spurious": level,
             "dropout": dropout,

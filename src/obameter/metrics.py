@@ -4,13 +4,13 @@ TTK (trained-to-landing keyword overlap) and BAiLP (behaviourally matched
 ad share) quantify how strongly surviving ads reflect the training:
 
     ttk   = |K_T intersect K_L| / |K_T|
-    bailp = sum(ntimes over impressions whose landing page shares at least
-            one training keyword) / sum(ntimes over all impressions)
+    bailp = sum(ntimes over matched impressions) / sum(ntimes over all)
 
-Both compare canonical keyword sets, as tag tables and consensus hold
-them, by exact string overlap; the taxonomy plays no role here. Detection
-performance weighs every displayed ad (ntimes), not just distinct landing
-pages, so a frequently repeated ad counts as often as it was shown.
+An impression matches when its landing page shares a training keyword;
+the caller decides that once per impression, and BAiLP and detection
+performance sum the result. Detection performance weighs every displayed
+ad (ntimes), not just distinct landing pages, so a frequently repeated
+ad counts as often as it was shown.
 
 Correlation against ad prices removes CPC outliers outside
 [Q1 - 1.5 IQR, Q3 + 1.5 IQR] first. Quartiles use the median-exclusive
@@ -24,6 +24,7 @@ reported, never gated on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import sys
@@ -49,24 +50,16 @@ def ttk(training_keywords: AbstractSet[str], landing_keywords: AbstractSet[str])
     return len(training_keywords & landing_keywords) / len(training_keywords)
 
 
-def bailp(
-    training_keywords: AbstractSet[str],
-    landing_records: Iterable[tuple[Iterable[str], int]],
-) -> float:
-    """ntimes-weighted share of impressions with a training-keyword match.
+def bailp(matches: Iterable[bool], ntimes: Sequence[int]) -> float:
+    """ntimes-weighted share of matched impressions.
 
-    landing_records pairs each landing page's keyword set with its ntimes
-    count. Raises NoImpressions when the records are empty (zero total).
+    matches and ntimes hold one entry per impression, in one order.
+    Raises NoImpressions when there is none (zero total).
     """
-    matched = 0
-    total = 0
-    for keywords, ntimes in landing_records:
-        total += ntimes
-        if not training_keywords.isdisjoint(keywords):
-            matched += ntimes
+    total = sum(ntimes)
     if total <= 0:
         raise NoImpressions("BAiLP needs at least one impression")
-    return matched / total
+    return sum(itertools.compress(ntimes, matches)) / total
 
 
 @dataclass
@@ -98,6 +91,10 @@ class PerformanceReport:
     def fnr(self) -> float | None:
         return self.fn / (self.fn + self.tp) if (self.fn + self.tp) else None
 
+    def __add__(self, other: "PerformanceReport") -> "PerformanceReport":
+        return PerformanceReport(tp=self.tp + other.tp, fp=self.fp + other.fp,
+                                 tn=self.tn + other.tn, fn=self.fn + other.fn)
+
     def to_dict(self) -> dict:
         return {
             "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
@@ -108,31 +105,33 @@ class PerformanceReport:
 
 def detection_performance(
     impressions: Iterable[AdImpression],
-    predicted_keys: set,
+    predicted: Iterable[AdImpression],
 ) -> PerformanceReport:
-    """Score predicted-OBA membership against ground-truth labels.
+    """Score predicted-OBA impressions against ground-truth labels.
 
-    predicted_keys holds AdImpression.key values the tool classified as
-    OBA (survived every filter and shares a training keyword). Raises
-    CorpusDataError on any unlabeled impression.
+    predicted holds the impressions of the pool `impressions` that the
+    tool classified as OBA (survived every filter and share a training
+    keyword). TP and FP sum the predicted ones by label, FN and TN are
+    the pool's sums less those. Raises CorpusDataError on any unlabeled
+    impression.
     """
-    tp = fp = tn = fn = 0
+    pos, neg = _label_sums(impressions)
+    tp, fp = _label_sums(predicted)
+    return PerformanceReport(tp=tp, fp=fp, tn=neg - fp, fn=pos - tp)
+
+
+def _label_sums(impressions: Iterable[AdImpression]) -> tuple[int, int]:
+    """(ntimes labelled OBA, ntimes labelled otherwise)."""
+    pos = neg = 0
     for imp in impressions:
-        if imp.ground_truth is None:
-            raise CorpusDataError(
-                f"impression {imp.key} has no ground-truth label"
-            )
-        is_oba = imp.ground_truth == POSITIVE_LABEL
-        predicted = imp.key in predicted_keys
-        if is_oba and predicted:
-            tp += imp.ntimes
-        elif is_oba:
-            fn += imp.ntimes
-        elif predicted:
-            fp += imp.ntimes
+        if imp.ground_truth == POSITIVE_LABEL:
+            pos += imp.ntimes
+        elif imp.ground_truth is None:
+            raise CorpusDataError(f"impression of {imp.session_id} landing on "
+                                  f"{imp.landing_page} has no ground-truth label")
         else:
-            tn += imp.ntimes
-    return PerformanceReport(tp=tp, fp=fp, tn=tn, fn=fn)
+            neg += imp.ntimes
+    return pos, neg
 
 
 # ---------------------------------------------------------------------------

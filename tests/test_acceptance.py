@@ -45,6 +45,7 @@ from obameter import (
     value_correlation,
 )
 from obameter.adsim import default_persona_specs
+from obameter.experiment import _matches
 from obameter.metrics import iqr_bounds, quartiles
 from obameter.persona import ConsensusConfig
 from obameter.session import schedule_visits
@@ -163,16 +164,23 @@ def test_criterion_01_formula_oracles():
                 hits += 1
         assert ttk(k_t, k_l) == hits / len(k_t)
 
-        records = []
+        url_tags, imps, hits = {}, [], []
         matched = total = 0
-        for _ in range(rng.randint(1, 8)):
+        for i in range(rng.randint(1, 8)):
             kws = set(rng.sample(universe, rng.randint(0, 5)))
             nt = rng.randint(1, 9)
-            records.append((kws, nt))
+            url_tags[f"https://l.example/{i}"] = kws
+            imps.append(AdImpression(persona_id="p", session_id="s",
+                                     control_page="https://c.example/",
+                                     landing_page=f"https://l.example/{i}", ntimes=nt))
+            hits.append(any(kw in kws for kw in k_t))
             total += nt
-            if any(kw in kws for kw in k_t):
+            if hits[-1]:
                 matched += nt
-        assert bailp(k_t, records) == matched / total
+        landing, matches = _matches(imps, url_tags, k_t)
+        assert landing == list(url_tags.values())
+        assert matches == hits
+        assert bailp(matches, [imp.ntimes for imp in imps]) == matched / total
     assert time.monotonic() - t0 < 10.0
 
 
@@ -210,13 +218,11 @@ def test_criterion_02_worked_example_replay():
         k_t = consensus[src]
         for stage, survivors in result.by_stage.items():
             k_l: set = set()
-            records = []
             for imp in survivors:
-                kws = case.tags.get(imp.landing_page, set())
-                k_l |= kws
-                records.append((kws, imp.ntimes))
+                k_l |= case.tags.get(imp.landing_page, set())
             assert ttk(k_t, k_l) == 1.0
-            assert bailp(k_t, records) == pytest.approx(
+            _, matches = _matches(survivors, case.tags, k_t)
+            assert bailp(matches, [imp.ntimes for imp in survivors]) == pytest.approx(
                 expected_bailp[stage], abs=0.005
             )
     assert time.monotonic() - t0 < 5.0
@@ -387,12 +393,11 @@ def test_criterion_05_filter_properties(taxonomy):
         result = apply_filters(imps_by[pid], FilterConfig(), visited_by[pid],
                                clean_res.impressions, pid, categories,
                                audience, taxonomy)
-        oba_keys = {i.key for i in imps_by[pid] if i.ground_truth == "oba"}
-        saw_oba = saw_oba or bool(oba_keys)
+        oba = [i for i in imps_by[pid] if i.ground_truth == "oba"]
+        saw_oba = saw_oba or bool(oba)
         for stage in ("r", "sc"):
-            survived = {i.key for i in result.by_stage[stage]
-                        if i.ground_truth == "oba"}
-            assert survived == oba_keys
+            survived = [i for i in result.by_stage[stage] if i.ground_truth == "oba"]
+            assert survived == oba
     assert saw_oba
     assert time.monotonic() - t0 < 30.0
 

@@ -93,7 +93,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="profile_decay_halflife"):
             SimConfig(profile_decay_halflife=halflife)
 
-    @pytest.mark.parametrize("weight", [0.0, float("nan")])
+    @pytest.mark.parametrize("weight", [0.0, float("nan"), float("inf")])
     def test_kind_weights_must_be_positive(self, weight):
         with pytest.raises(ConfigurationError, match="kind_weights"):
             SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "static": weight})

@@ -16,6 +16,7 @@ from scipy import stats as scipy_stats
 
 import obameter
 from obameter import ExperimentManifest, experiment
+from obameter.adsim import DEFAULT_KIND_WEIGHTS
 from obameter.cli import main
 
 
@@ -208,6 +209,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and repr(named) in err
         assert built == []  # checked before the world is built
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_kind_weight_not_positive_and_finite_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys, weight
+    ):
+        out = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = tmp_path / "m.json"
+        # json writes the non-standard tokens Infinity and NaN, and reads them back
+        manifest.write_text(json.dumps({
+            "n_personas": 2, "repetitions": 1, "session": {"visit_budget": 20},
+            "sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "oba": weight}},
+        }), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["simulate", "--out", str(out), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "kind_weights" in err
+        assert "['oba']" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("kind", READ_FAILURES)

@@ -162,9 +162,9 @@ class TestStoredKeys:
 
     @staticmethod
     def _check(imp, pid, sid, control, landing):
-        (c_url, c_key), (l_url, l_key) = _uncached(control), _uncached(landing)
-        assert imp.key == (pid, sid, c_key, l_key)
-        assert (imp.control_key, imp.landing_key) == imp.key[2:]
+        (c_url, _), (l_url, l_key) = _uncached(control), _uncached(landing)
+        assert (imp.persona_id, imp.session_id) == (pid, sid)
+        assert imp.landing_key == l_key
         assert (imp.control_page, imp.landing_page) == (c_url, l_url)
 
     @settings(max_examples=200, deadline=None)
@@ -262,7 +262,7 @@ class TestStore:
         assert len(again) == 1
         assert again[0].ntimes == 3
         assert again[0].ground_truth == "oba"
-        assert again[0].key == imps[0].key
+        assert again[0] == imps[0]
 
     def test_missing_file_raises(self, tmp_path):
         store = ExperimentStore(tmp_path).create()

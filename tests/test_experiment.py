@@ -25,6 +25,7 @@ from obameter import (
     World,
     analyze,
     build_world,
+    consensus_training_keywords,
     filter_attrition,
     load_manifest,
     normalize_keyword,
@@ -829,6 +830,36 @@ class TestValidate:
             assert tags == {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
         assert result["levels"][0]["detail"] == result["levels"][-1]["detail"]
 
+    def test_impression_sharing_a_survivors_landing_key_is_scored_by_its_own_page(
+        self, corpus_dir, tmp_path
+    ):
+        # a static ad landing on another page under the same host and path
+        # as a predicted OBA ad, shown on another URL of the same control
+        # page: it survives every filter with that ad, but its own landing
+        # page holds no tag, so it is a true negative, not a false positive
+        root = _copy_corpus(corpus_dir[0], tmp_path / "corpus")
+        before = validate(root, spurious_levels=[0.0])["levels"][0]
+        assert before["aggregate"]["recall"] == 1.0  # every OBA ad is predicted
+        path = root / "impressions.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = next(json.loads(line) for line in lines
+                      if json.loads(line)["ground_truth"] == "oba")
+        record.update(
+            control=urlunsplit(urlsplit(record["control"])._replace(query="x=1")),
+            landing=urlunsplit(urlsplit(record["landing"])._replace(query="b")),
+            ground_truth="static",
+        )
+        path.write_text("".join(lines) + json.dumps(record) + "\n", encoding="utf-8")
+
+        after = validate(root, spurious_levels=[0.0])["levels"][0]
+        condition = next(row["condition"] for row in ExperimentStore(root).load_doc(
+            "sessions.json")["sessions"] if row["session"] == record["session"])
+        for old, new in zip(before["detail"], after["detail"]):
+            shift = record["ntimes"] * (
+                (new["condition"], new["persona"]) == (condition, record["persona"]))
+            assert (new["tp"], new["fp"], new["fn"]) == (old["tp"], old["fp"], old["fn"])
+            assert new["tn"] == old["tn"] + shift
+
     def test_needs_world_state(self, corpus_dir, tmp_path):
         root, _ = corpus_dir
         clone = _copy_corpus(root, tmp_path / "no-world",
@@ -854,3 +885,129 @@ class TestValidate:
         root, _ = corpus_dir
         with pytest.raises(ConfigurationError, match="at least one spurious level"):
             validate(root, spurious_levels=[])
+
+
+# a short budget lets contextual, static and geo_demo ads survive `rscdg`
+SHORT_BUDGET = {
+    "experiment_id": "short",
+    "seed": 23,
+    "n_personas": 4,
+    "repetitions": 1,
+    "session": {"visit_budget": 100},
+    "sim": {"n_ads": 300},
+}
+
+_FILTER_SET = {"r": "r", "sc": "rsc", "dg": "rscdg"}
+
+
+def _reference_cells(root):
+    """Every report cell from the README definitions, one impression at a
+    time: TTK is the share of K_T found on any landing page, BAiLP the
+    ntimes share of impressions whose landing page holds a word of K_T.
+    The filter survivors and consensus keywords are taken as given."""
+    corpus = experiment._load_corpus(root)
+    tags = {src: corpus.store.load_tags(src) for src in corpus.store.tag_sources()}
+    k_t = {pid: consensus_training_keywords(persona, tags, corpus.manifest.consensus,
+                                            corpus.taxonomy)
+           for pid, persona in corpus.personas.items()}
+    cells = {}
+    for cond_id, row, result in experiment._filtered_sessions(corpus, corpus.manifest.filters):
+        for stage, survivors in result.by_stage.items():
+            for src in tags:
+                training = k_t[row.persona].get(src, set())
+                landing = set()
+                matched = total = 0
+                for imp in survivors:
+                    keywords = tags[src].get(imp.landing_page, set())
+                    landing |= keywords
+                    total += imp.ntimes
+                    if any(kw in keywords for kw in training):
+                        matched += imp.ntimes
+                found = sum(1 for kw in training if kw in landing)
+                cells[(row.persona, src, _FILTER_SET[stage], cond_id, row.rep)] = {
+                    "ttk": found / len(training) if training else None,
+                    "bailp": matched / total if total else None,
+                    "n_impressions": len(survivors),
+                    "ntimes": total,
+                }
+    return cells
+
+
+def _reference_detail(root, levels):
+    """Every performance detail row per level: an impression is predicted
+    OBA when it survives `rscdg` and its landing page, tagged at that
+    level, holds a word of the persona's consensus keywords; counts weigh
+    each impression by ntimes over the persona's pooled sessions."""
+    corpus = experiment._load_corpus(root)
+    world = World.from_dict(corpus.store.load_doc("world.json"))
+    pages = world.all_pages()
+    filters = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
+    sessions = list(experiment._filtered_sessions(corpus, filters))
+    out = []
+    for level in levels:
+        noise = TagNoise(dropout=corpus.manifest.sim.tag_noise.dropout, spurious=level)
+        tags = {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
+        k_t = {pid: consensus_training_keywords(persona, tags, corpus.manifest.consensus,
+                                                corpus.taxonomy)
+               for pid, persona in corpus.personas.items()}
+        rows = {}
+        for cond_id, row, result in sessions:
+            survived = {id(imp) for imp in result.by_stage["dg"]}
+            for src in tags:
+                counts = rows.setdefault((cond_id, row.persona, src),
+                                         {"tp": 0, "fp": 0, "tn": 0, "fn": 0})
+                training = k_t[row.persona].get(src, set())
+                for imp in corpus.imps_by_session[row.session]:
+                    keywords = tags[src].get(imp.landing_page, set())
+                    predicted = id(imp) in survived and any(kw in keywords for kw in training)
+                    oba = imp.ground_truth == "oba"
+                    if predicted and oba:
+                        counts["tp"] += imp.ntimes
+                    elif predicted:
+                        counts["fp"] += imp.ntimes
+                    elif oba:
+                        counts["fn"] += imp.ntimes
+                    else:
+                        counts["tn"] += imp.ntimes
+        for counts in rows.values():
+            tp, fp, tn, fn = counts["tp"], counts["fp"], counts["tn"], counts["fn"]
+            counts.update(
+                recall=tp / (tp + fn) if tp + fn else None,
+                accuracy=(tp + tn) / (tp + fp + tn + fn) if tp + fp + tn + fn else None,
+                fpr=fp / (fp + tn) if fp + tn else None,
+                fnr=fn / (fn + tp) if fn + tp else None,
+            )
+        out.append(rows)
+    return out
+
+
+class TestReferenceScores:
+    """report.json cells and performance.json detail rows equal a literal
+    per-impression loop over the same survivors and consensus keywords."""
+
+    @pytest.mark.parametrize("manifest", [GOLDEN_MANIFEST, SHORT_BUDGET],
+                             ids=["golden", "short-budget"])
+    def test_cells_and_confusion_counts_match_the_reference(self, tmp_path, manifest):
+        simulate(ExperimentManifest.from_dict(manifest), tmp_path)
+        levels = [0.0, 0.1]
+        report = analyze(tmp_path)
+        performance = validate(tmp_path, spurious_levels=levels)
+
+        cells = {
+            (c["persona"], c["source"], c["filters"], c["condition"], c["rep"]):
+                {k: c[k] for k in ("ttk", "bailp", "n_impressions", "ntimes")}
+            for c in report["cells"]
+        }
+        assert len(cells) == len(report["cells"])
+        assert cells == _reference_cells(tmp_path)
+
+        for level, expected in zip(performance["levels"], _reference_detail(tmp_path, levels)):
+            detail = {(r["condition"], r["persona"], r["source"]):
+                      {k: v for k, v in r.items()
+                       if k not in ("condition", "persona", "source")}
+                      for r in level["detail"]}
+            assert len(detail) == len(level["detail"])
+            assert detail == expected
+        if manifest is SHORT_BUDGET:
+            # non-OBA survivors do get predicted once the tags are noisy
+            assert performance["levels"][1]["aggregate"]["fp"] > 0

@@ -23,18 +23,18 @@ def _inline_spans() -> list[str]:
     return re.findall(r"`([^`]+)`", FENCED.sub("", README))
 
 
-def _traced_modules() -> set[str]:
-    """The modules whose functions benchmarks/spans.py wraps, reached there
-    as attributes of the package."""
+def _traced_targets() -> list[tuple[str, str]]:
+    """The (module, function or Class.method) pairs benchmarks/spans.py
+    wraps, each module reached there as an attribute of the package."""
     tree = ast.parse((ROOT / "benchmarks" / "spans.py").read_text(encoding="utf-8"))
-    modules = set()
+    pairs = []
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED") for t in node.targets
         ):
             for targets in ast.literal_eval(node.value).values():
-                modules |= {module for module, _ in targets}
-    return modules
+                pairs += [tuple(target) for target in targets]
+    return pairs
 
 
 def test_all_is_every_public_name_the_package_binds():
@@ -77,7 +77,26 @@ def test_import_binds_every_module_the_benchmark_traces():
     bound = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    traced = _traced_modules()
+    traced = {module for module, _ in _traced_targets()}
     assert traced >= {"adsim", "corpus", "experiment", "metrics", "persona",
                       "pipeline", "seeding", "session", "taxonomy"}
     assert sorted(traced - set(bound)) == []
+
+
+def test_every_target_the_benchmark_traces_resolves():
+    # looked up as spans.py's install replaces it: a function on its module,
+    # a method in its own class's namespace, not one it inherits
+    targets = _traced_targets()
+    assert len(targets) > 20
+    missing = []
+    for module_name, qualname in targets:
+        module = importlib.import_module(f"obameter.{module_name}")
+        owner_name, _, attr = qualname.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []

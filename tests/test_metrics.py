@@ -41,16 +41,14 @@ class TestTtk:
 
 class TestBailp:
     def test_weighted_by_ntimes(self):
-        records = [({"a"}, 3), ({"z"}, 7)]
-        assert bailp({"a"}, records) == pytest.approx(0.3)
+        assert bailp([True, False], [3, 7]) == pytest.approx(0.3)
 
     def test_counts_unmatched_in_denominator_only(self):
-        records = [({"a"}, 1), (set(), 1), ({"b"}, 2)]
-        assert bailp({"a", "b"}, records) == pytest.approx(0.75)
+        assert bailp([True, False, True], [1, 1, 2]) == pytest.approx(0.75)
 
     def test_no_impressions_rejected(self):
         with pytest.raises(NoImpressions):
-            bailp({"a"}, [])
+            bailp([], [])
 
 
 def _imp(pid, landing, ntimes, label):
@@ -68,8 +66,7 @@ class TestDetectionPerformance:
             _imp("p", "https://a.example/3", 3, "contextual"),
             _imp("p", "https://a.example/4", 7, "static"),
         ]
-        predicted = {imps[0].key, imps[2].key}
-        report = detection_performance(imps, predicted)
+        report = detection_performance(imps, [imps[0], imps[2]])
         assert (report.tp, report.fn, report.fp, report.tn) == (5, 2, 3, 7)
         assert report.recall == pytest.approx(5 / 7)
         assert report.fpr == pytest.approx(3 / 10)
@@ -79,11 +76,11 @@ class TestDetectionPerformance:
     def test_unlabeled_impression_rejected(self):
         imp = _imp("p", "https://a.example/1", 1, None)
         with pytest.raises(CorpusDataError, match="has no ground-truth label"):
-            detection_performance([imp], set())
+            detection_performance([imp], [])
 
     def test_rates_are_none_on_zero_denominator(self):
         imps = [_imp("p", "https://a.example/1", 4, "static")]
-        report = detection_performance(imps, set())
+        report = detection_performance(imps, [])
         assert report.recall is None
         assert report.fnr is None
         assert report.fpr == 0.0
