@@ -65,7 +65,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
-from .seeding import derive_seed, keyed_hasher, uniforms_after, with_labels
+from .seeding import cut, derive_seed, keyed_hasher, with_labels
 from .session import ServedAd, SessionConfig, VisitEvent
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -173,11 +173,16 @@ class SimConfig:
         half = self.profile_decay_halflife
         if half is not None and not half > 0:
             raise ConfigurationError(f"profile_decay_halflife must be positive, got {half}")
-        # an infinite weight makes every slot draw fall through to the pool's
-        # last unit
-        missing = [k for k in AD_KINDS if not 0 < self.kind_weights.get(k, 0) < math.inf]
-        if missing:
-            raise ConfigurationError(f"kind_weights must be positive and finite for {missing}")
+        # an infinite weight or pool total (at most every unit's) makes every
+        # slot draw fall through to the pool's last unit
+        bad = sorted(set(self.kind_weights) - set(AD_KINDS)) + [
+            k for k in AD_KINDS if not 0 < self.kind_weights.get(k, 0) < math.inf]
+        if bad:
+            raise ConfigurationError("kind_weights must give each ad kind, and no other "
+                                     f"key, a positive finite weight; wrong for {bad}")
+        counts = kind_counts(self.n_ads, self.mix)
+        if not sum(counts[k] * self.kind_weights[k] for k in AD_KINDS) < math.inf:
+            raise ConfigurationError("kind_weights times the kind counts must have a finite sum")
 
 
 @dataclass
@@ -426,33 +431,49 @@ class WorldTagSource:
     probability `noise.spurious`. Each decision compares the uniform
     `hash_uniform(salt, "drop" or "spur", url, keyword)` with the rate, so
     a keyword present at rate r stays present at any rate above r.
+    A draw absorbs the keyword's bytes, encoded once per source, into a copy
+    of the page's prefix and compares the digest's integer with the rate's
+    `cut`; only a kept spurious draw is turned into its uniform.
     """
 
     def __init__(self, name: str, world: World, noise: TagNoise):
         self.name = name
         self.world = world
-        self.noise = noise
         self._hasher = keyed_hasher(derive_seed(world.seed, "tags", name))
         # every category of any page, the keywords spurious injection draws
         self.spurious_pool = sorted(
             {c for cats in world.page_categories.values() for c in cats}
         )
+        # each pool keyword, so each page's true keyword too, as its label
+        self._labels = {k: k.encode("utf-8") for k in self.spurious_pool}
+        self._drop_cut, self._spur_cut = cut(noise.dropout), cut(noise.spurious)
 
-    def _draws(self, url: str, spurious: float) -> tuple[list[str], list[tuple[float, str]]]:
+    def _draws(self, url: str, spur_cut: int) -> tuple[list[str], list[tuple[float, str]]]:
         """The true keywords of `url` that survive dropout, and each pool
-        keyword whose spurious draw lies below `spurious`, with that draw."""
+        keyword whose spurious draw lies below `spur_cut`, with its uniform."""
+        labels, from_bytes = self._labels, int.from_bytes
         kept = list(self.world.page_categories.get(url, ()))
-        if self.noise.dropout > 0.0:
-            drop = uniforms_after(with_labels(self._hasher, "drop", url), kept)
-            kept = [k for k, u in zip(kept, drop) if u >= self.noise.dropout]
+        if self._drop_cut:
+            prefix, survivors = with_labels(self._hasher, "drop", url), []
+            for k in kept:
+                h = prefix.copy()
+                h.update(labels[k])
+                if from_bytes(h.digest(), "little") >= self._drop_cut:
+                    survivors.append(k)
+            kept = survivors
         below: list[tuple[float, str]] = []
-        if spurious > 0.0:
-            spur = uniforms_after(with_labels(self._hasher, "spur", url), self.spurious_pool)
-            below = [(u, k) for k, u in zip(self.spurious_pool, spur) if u < spurious]
+        if spur_cut:
+            prefix = with_labels(self._hasher, "spur", url)
+            for k, label in labels.items():
+                h = prefix.copy()
+                h.update(label)
+                n = from_bytes(h.digest(), "little")
+                if n < spur_cut:
+                    below.append((n / 2.0**64, k))
         return kept, below
 
     def keywords_for(self, page: WebPage) -> set[str]:
-        kept, below = self._draws(page.url, self.noise.spurious)
+        kept, below = self._draws(page.url, self._spur_cut)
         return {*kept, *(k for _, k in below)}
 
     def tag_levels(
@@ -466,13 +487,12 @@ class WorldTagSource:
         tables nest as the level grows. A level's table is built when the
         iterator reaches it.
         """
-        bound = max(levels, default=0.0)
+        bound = cut(max(levels, default=0.0))
         # each pool keyword (so each page's true keyword too) -> its one
         # tag form, by `tag_pages`'s rule; a keyword without one is left out
         canon = {k: tag for k in self.spurious_pool for tag in _keyword_set((k,))}
-        # per URL: its kept keywords, and its spurious draws below the bound
-        # as rising uniforms beside their keywords; compact, because they
-        # stay alive beside each level's tables
+        # per URL: kept keywords, and spurious draws below the bound as rising
+        # uniforms beside their keywords; compact, as they outlive each table
         drawn: dict[str, tuple[tuple[str, ...], tuple[float, ...], tuple[str, ...]]] = {}
         for page in pages:
             if page.url not in drawn:

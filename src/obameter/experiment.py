@@ -411,11 +411,8 @@ def _consensus_keywords(
     config: ConsensusConfig,
     tags: Mapping[str, Mapping[str, set[str]]],
 ) -> dict[str, dict[str, set[str]]]:
-    """Persona id -> source -> retained training keywords.
-
-    The personas share one similarity table, so a keyword pair that
-    several of them test is scored once.
-    """
+    """Persona id -> source -> retained training keywords, through one
+    similarity table that every persona shares."""
     relation = corpus.taxonomy._similarity_table(config.threshold)
     return {
         pid: consensus_training_keywords(

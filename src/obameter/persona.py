@@ -13,11 +13,9 @@ pages:
 Training keywords are then pooled across tagging sources with an N-of-M
 consensus: a keyword from one source survives iff at least N of the other
 sources carry some keyword whose `KeywordTaxonomy.score` against it is
-above the similarity threshold. Pairs are tested through a similarity
-table (`KeywordTaxonomy._similarity_table`) that looks each keyword up
-once; one table can serve every persona of an analysis, scoring a pair
-that personas share once. Each persona's neighbour map is dropped when
-its consensus is done.
+above the similarity threshold. A similarity table
+(`KeywordTaxonomy._similarity_table`), which can serve every persona of an
+analysis, gives each keyword's neighbours by a walk over the taxonomy.
 """
 
 from __future__ import annotations

@@ -7,15 +7,15 @@ is stable across processes and Python versions and never depends on
 PYTHONHASHSEED.
 
 A caller that draws many uniforms under one label prefix keys the hasher
-once (`keyed_hasher`), absorbs the prefix once (`with_labels`) and copies
-that state per draw (`uniforms_after`); blake2b absorbs a message in pieces
-as it does whole, so each draw equals `hash_uniform` byte for byte.
+once (`keyed_hasher`), absorbs the prefix once (`with_labels`), then per
+draw copies it and absorbs the last label: blake2b absorbs a message in
+pieces as it does whole, so the digest is `derive_seed`'s. `cut(rate)`
+makes `hash_uniform(...) < rate` one integer comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 _SEED_BYTES = 8
 _SEP = "\x1f"
@@ -50,19 +50,18 @@ def hash_uniform(master: int, *labels: str) -> float:
 
 def with_labels(hasher, *labels: str):
     """A copy of `hasher` that has absorbed each label and the separator
-    after it, so `uniforms_after` can append one last label per draw."""
+    after it, so a copy of it can absorb one last label per draw."""
     h = hasher.copy()
     h.update("".join(label + _SEP for label in labels).encode("utf-8"))
     return h
 
 
-def uniforms_after(prefix, labels: Iterable[str]) -> list[float]:
-    """One uniform per label, in order: for the prefix
-    `with_labels(keyed_hasher(master), *first)`, the draw for `label` is
-    `hash_uniform(master, *first, label)`. The prefix is left unchanged."""
-    draws = []
-    for label in labels:
-        h = prefix.copy()
-        h.update(label.encode("utf-8"))
-        draws.append(int.from_bytes(h.digest(), "little") / 2.0**64)
-    return draws
+def cut(rate: float) -> int:
+    """The smallest n with n / 2**64 >= rate, so a draw n has its uniform
+    below `rate` exactly when n < cut(rate). Found by bisection on that very
+    expression, since n / 2**64 rounds n to a float first."""
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid / 2.0**64 < rate else (lo, mid)
+    return lo

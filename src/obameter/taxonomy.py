@@ -21,7 +21,7 @@ query normalizes its own arguments once, so callers may pass any spelling.
 `score` is the one similarity relation that consensus and the `dg` filter
 use, and the one place that decides keywords outside the tree.
 Consensus reads it through a similarity table (`_SimilarityTable`), which
-looks each keyword up once and scores a pair shared between personas once.
+walks the tree out from each keyword's senses instead of scoring pairs.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ class KeywordTaxonomy:
 
     def __post_init__(self) -> None:
         self.max_depth = max(self.depth.values())
+        # node id -> parent and children, and -> keyword text: for tree walks
+        self._links = {node: [] if par is None else [par] for node, par in self.parent.items()}
+        for node, par in self.parent.items():
+            if par is not None:
+                self._links[par].append(node)
+        self._text = {node: text for text, nodes in self.senses.items() for node in nodes}
 
     # size of the sense tree, not of the keyword vocabulary
     def __len__(self) -> int:
@@ -245,17 +251,16 @@ class KeywordTaxonomy:
 
 class _SimilarityTable:
     """`similar_or_exact(k, l, threshold)` over the keyword sets of many
-    personas, asked for one persona at a time (`neighbours`).
+    personas, asked for one persona at a time (`neighbours`), without
+    scoring a pair.
 
-    Each keyword is normalized and looked up once. A form outside the
-    taxonomy scores math.inf against itself and 0.0 against any other
-    (`score`), so with a finite threshold >= 0 it is similar only to itself
-    and is never paired. A pair of forms inside the taxonomy is scored when
-    asked for, and kept only when both forms were asked for by an earlier
-    persona, since only then can a later one ask again: what the table keeps
-    grows with the pairs that personas share, not with every pair tested.
-    A kept pair is one byte in a 64-byte block, so pairs that personas
-    share densely cost about a byte each.
+    The table tests `-ln(p / 2D) > threshold` once for each node-count path
+    length p in 1..2D. A walk over parent and child links out from all of a
+    form's senses, as far as the largest admissible length, reaches each
+    form first at its shortest length over sense pairs; the form is a
+    neighbour when that length is admissible. A form outside the taxonomy
+    is similar only to its own spellings (`score`). Each keyword is
+    normalized once per table, and the table keeps nothing per pair.
     """
 
     def __init__(self, taxonomy: KeywordTaxonomy, threshold: float):
@@ -265,63 +270,42 @@ class _SimilarityTable:
             )
         self.taxonomy = taxonomy
         self.threshold = threshold
-        self._index: dict[str, int] = {}  # keyword and its form -> form index
-        self._nodes: list[list[str] | None] = []  # form index -> sense nodes
-        self._asked = bytearray()  # form index -> 1 once a persona asked for it
-        # kept pairs (hi, lo) of form indexes, hi >= lo: block (hi, lo // 64)
-        # -> one cell per lo, 0 unscored, 1 not similar, 2 similar
-        self._kept: dict[int, bytearray] = {}
+        # path length p -> admissible, for 1..2D (index 0 unused); the reach
+        # is the largest admissible length
+        two_d = 2 * taxonomy.max_depth
+        self._admits = [False] + [-math.log(p / two_d) > threshold for p in range(1, two_d + 1)]
+        self._reach = max((p for p, ok in enumerate(self._admits) if ok), default=0)
+        self._forms: dict[str, str] = {}  # keyword -> its normalized form
 
-    def _form_index(self, keyword: str) -> int:
-        form = normalize_keyword(keyword)
-        i = self._index.get(form)
-        if i is None:
-            i = self._index[form] = len(self._nodes)
-            self._nodes.append(self.taxonomy.senses.get(form))
-            self._asked.append(0)
-        self._index[keyword] = i
-        return i
+    def _lengths(self, nodes: list[str]) -> dict[str, int]:
+        """Form -> its shortest path length from `nodes`, up to the reach."""
+        links, text = self.taxonomy._links, self.taxonomy._text
+        lengths: dict[str, int] = {}
+        seen, level = set(nodes), nodes
+        for length in range(1, self._reach + 1):
+            if length > 1:
+                level = {other for node in level for other in links[node]} - seen
+                seen |= level
+            for node in level:
+                lengths.setdefault(text[node], length)
+        return lengths
 
     def neighbours(self, keywords: Iterable[str]) -> dict[str, set[str]]:
-        """Each of `keywords` -> those of them, itself included, similar to it."""
-        spellings: dict[int, list[str]] = {}
+        """Each of `keywords` -> those of them, itself included, similar to
+        it; the spellings of one form share one set."""
+        spellings: dict[str, list[str]] = {}
         for kw in keywords:
-            i = self._index.get(kw)
-            if i is None:
-                i = self._form_index(kw)
-            spellings.setdefault(i, []).append(kw)
+            if kw not in self._forms:
+                self._forms[kw] = normalize_keyword(kw)
+            spellings.setdefault(self._forms[kw], []).append(kw)
 
+        senses, admits = self.taxonomy.senses, self._admits
         near: dict[str, set[str]] = {}
-        inside = []  # (index, sense nodes, asked before, spellings) per form
-        for i, kws in spellings.items():
-            nodes = self._nodes[i]
-            if nodes is None:
-                for kw in kws:
-                    near[kw] = set(kws)
-            else:
-                inside.append((i, nodes, self._asked[i], kws))
-                for kw in kws:
-                    near[kw] = set()
-            self._asked[i] = 1
-
-        score, threshold, kept = self.taxonomy._score, self.threshold, self._kept
-        for a, (i, nodes_i, before_i, kws_i) in enumerate(inside):
-            for j, nodes_j, before_j, kws_j in inside[a:]:
-                if before_i and before_j:
-                    hi, lo = (i, j) if i >= j else (j, i)
-                    key = hi << 32 | lo >> 6
-                    block = kept.get(key)
-                    if block is None:
-                        block = kept[key] = bytearray(64)
-                    cell = block[lo & 63]
-                    if not cell:
-                        cell = block[lo & 63] = 2 if score(nodes_i, nodes_j) > threshold else 1
-                    similar = cell == 2
-                else:
-                    similar = score(nodes_i, nodes_j) > threshold
-                if similar:
-                    for kw in kws_i:
-                        near[kw].update(kws_j)
-                    for kw in kws_j:
-                        near[kw].update(kws_i)
+        for form, kws in spellings.items():
+            nodes = senses.get(form)
+            similar = set(kws) if nodes is None else {
+                kw for other, length in self._lengths(nodes).items()
+                if admits[length] and other in spellings for kw in spellings[other]
+            }
+            near.update(dict.fromkeys(kws, similar))
         return near

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from obameter import (
 )
 from obameter.adsim import (
     DEFAULT_KIND_WEIGHTS,
+    DEFAULT_MIX,
     AdUnit,
     TagNoise,
     default_persona_specs,
@@ -29,7 +31,7 @@ from obameter.adsim import (
 )
 from obameter.corpus import from_dict, tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError
-from obameter.seeding import derive_seed, hash_uniform
+from obameter.seeding import cut, derive_seed, hash_uniform
 from obameter.session import ServedAd, schedule_visits
 
 
@@ -97,6 +99,26 @@ class TestConfigValidation:
     def test_kind_weights_must_be_positive(self, weight):
         with pytest.raises(ConfigurationError, match="kind_weights"):
             SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "static": weight})
+
+    def test_kind_weights_naming_no_ad_kind_are_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"wrong for \[.bogus.\]"):
+            SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "bogus": -1})
+
+    def test_kind_weights_whose_pool_total_overflows_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite sum"):
+            SimConfig(kind_weights={**DEFAULT_KIND_WEIGHTS, "oba": 1e308, "static": 1e308})
+        # two static units: half the largest float each sums to it exactly,
+        # and the next weight up sums to 2**1024, which overflows
+        half = sys.float_info.max / 2
+        only_static = {k: 1.0 if k == "static" else 0.0 for k in DEFAULT_MIX}
+        config = SimConfig(n_ads=2, mix=only_static,
+                           kind_weights={**DEFAULT_KIND_WEIGHTS, "static": half})
+        assert kind_counts(2, only_static)["static"] == 2
+        assert config.kind_weights["static"] * 2 == sys.float_info.max
+        with pytest.raises(ConfigurationError, match="finite sum"):
+            SimConfig(n_ads=2, mix=only_static, kind_weights={
+                **DEFAULT_KIND_WEIGHTS, "static": math.nextafter(half, math.inf)
+            })
 
     @pytest.mark.parametrize("field_name", ["n_ads", "ads_per_visit", "n_control_pages"])
     def test_counts_reject_nan(self, field_name):
@@ -579,6 +601,38 @@ class TestTagSources:
         src = world.tag_sources(TagNoise())[0]
         at, above = src.tag_levels([page], [u, math.nextafter(u, 1.0)])
         assert spur not in at[page.url] and spur in above[page.url]
+
+    def test_a_draw_at_the_cut_is_not_below_it(self, world):
+        # draws n that are the smallest integer with their uniform, so that
+        # n == cut(n / 2**64): injected only above that uniform, and kept
+        # from dropout at it
+        at_cut = {}
+        for name in world.config.sources:
+            salt = derive_seed(world.seed, "tags", name)
+            pool = sorted({c for cats in world.page_categories.values() for c in cats})
+            for page in world.all_pages():
+                for kind, keywords in (("spur", pool),
+                                       ("drop", world.page_categories[page.url])):
+                    for k in keywords:
+                        n = derive_seed(salt, kind, page.url, k)
+                        if cut(n / 2.0**64) == n:
+                            at_cut.setdefault(kind, (name, page, k, n / 2.0**64))
+        assert set(at_cut) == {"spur", "drop"}
+
+        def tagged(name, page, **rates):
+            src = next(s for s in world.tag_sources(TagNoise(**rates)) if s.name == name)
+            return src.keywords_for(page)
+
+        name, page, k, u = at_cut["spur"]
+        assert k not in world.page_categories[page.url]
+        assert k not in tagged(name, page, spurious=u)
+        assert k in tagged(name, page, spurious=math.nextafter(u, 1.0))
+        src = next(s for s in world.tag_sources(TagNoise()) if s.name == name)
+        at, above = src.tag_levels([page], [u, math.nextafter(u, 1.0)])
+        assert k not in at[page.url] and k in above[page.url]
+        name, page, k, u = at_cut["drop"]
+        assert k in tagged(name, page, dropout=u)
+        assert k not in tagged(name, page, dropout=math.nextafter(u, 1.0))
 
     def test_level_tables_normalize_as_tag_pages_does(self, world):
         url = world.personas[0].training_pages[0].url

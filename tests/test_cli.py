@@ -232,6 +232,28 @@ class TestSimulate:
         assert "['oba']" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("weights, named", [
+        ({**DEFAULT_KIND_WEIGHTS, "bogus": -1}, "wrong for ['bogus']"),
+        ({**DEFAULT_KIND_WEIGHTS, "oba": 1e308, "static": 1e308}, "finite sum"),
+    ], ids=["unknown-kind", "overflowing-total"])
+    def test_kind_weights_serving_cannot_use_are_a_config_error(
+        self, cli_corpus, tmp_path, capsys, weights, named
+    ):
+        out = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "n_personas": 2, "repetitions": 1, "session": {"visit_budget": 20},
+            "sim": {"kind_weights": weights},
+        }), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["simulate", "--out", str(out), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("kind", READ_FAILURES)
     @pytest.mark.parametrize("name", ["manifest", "taxonomy"])
     def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, name, kind):

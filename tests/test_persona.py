@@ -263,32 +263,31 @@ class TestConsensusOracle:
                                                     relation=relation)
                         == _consensus_oracle(persona, tags, config, taxonomy))
 
-    def test_a_shared_pair_is_scored_until_it_is_kept(self, taxonomy, monkeypatch):
-        # a pair is kept once both its keywords were asked for by an
-        # earlier persona, so the third persona with these keywords scores
-        # nothing; at a threshold equal to the score of pools and inground
-        # pools, a kept pair must still compare strictly
+    def test_neighbours_never_score_a_pair(self, taxonomy, monkeypatch):
+        # personas sharing a table over overlapping keywords: the table
+        # walks the tree and scores nothing, also at a threshold equal to
+        # the score of pools and inground pools, which must compare strictly
         threshold = taxonomy.score("pools", "inground pools")
-        calls = []
-        score = taxonomy._score
-        monkeypatch.setattr(taxonomy, "_score", lambda k, l: calls.append(1) or score(k, l))
         config = ConsensusConfig(n=1, threshold=threshold)
-        relation = taxonomy._similarity_table(threshold)
-        scored = []
+        cases = []
         for i in range(3):
             url = f"http://t-{i}.example/p"
             persona = Persona(id=f"p{i}", category="banking",
                               training_pages=[WebPage(url=url, role="training")])
             tags = {"s0": {url: {"pools", "banking", "web3"}},
-                    "s1": {url: {"inground pools", "banking", "web3"}}}
-            before = len(calls)
+                    "s1": {url: {"inground pools", "banking", "web3", "Web3"}}}
+            cases.append((persona, tags, _consensus_oracle(persona, tags, config, taxonomy)))
+
+        def refuse(*args):
+            raise AssertionError("a keyword pair was scored")
+        for name in ("_score", "_min_pathlen", "_pair_pathlen"):
+            monkeypatch.setattr(taxonomy, name, refuse)
+        relation = taxonomy._similarity_table(threshold)
+        for persona, tags, expected in cases:
             kept = consensus_training_keywords(persona, tags, config, taxonomy,
                                                relation=relation)
-            scored.append(len(calls) - before)
-            assert kept == {"s0": {"banking", "web3"}, "s1": {"banking", "web3"}}
-            assert kept == _consensus_oracle(persona, tags, config, taxonomy)
-        # three keywords inside the taxonomy make six pairs, itself included
-        assert scored == [6, 6, 0]
+            assert kept == expected == {"s0": {"banking", "web3"},
+                                        "s1": {"banking", "web3", "Web3"}}
 
     def test_a_table_of_another_threshold_or_taxonomy_is_refused(self, taxonomy):
         persona = Persona(id="p", category="banking", training_pages=[

@@ -1,15 +1,13 @@
-"""Seed derivation: pinned digests, and prefix-copied draws equal to hash_uniform."""
+"""Seed derivation: pinned digests, prefix-copied draws equal to derive_seed,
+and the integer cut equal to the uniform's comparison with a rate."""
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obameter.seeding import (
-    derive_seed,
-    hash_uniform,
-    keyed_hasher,
-    uniforms_after,
-    with_labels,
-)
+from obameter.experiment import DEFAULT_SPURIOUS_LEVELS
+from obameter.seeding import cut, derive_seed, hash_uniform, keyed_hasher, with_labels
 
 # (master, labels) -> derive_seed; every stored corpus depends on these
 PINNED = [
@@ -46,6 +44,18 @@ class TestPinned:
         assert derive_seed(42, "ab") != derive_seed(42, "a", "b")
 
 
+def _draws_after(prefix, labels):
+    """The draw loop of `WorldTagSource._draws`: per label a copy of the
+    prefix absorbs the label's UTF-8 bytes, and the digest is read as an
+    integer."""
+    draws = []
+    for label in labels:
+        h = prefix.copy()
+        h.update(label.encode("utf-8"))
+        draws.append(int.from_bytes(h.digest(), "little"))
+    return draws
+
+
 class TestPrefixDraws:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -54,8 +64,11 @@ class TestPrefixDraws:
         lasts=st.lists(_LABEL, max_size=5),
     )
     def test_prefix_copy_draws_equal_hash_uniform(self, master, prefix, lasts):
-        draws = uniforms_after(with_labels(keyed_hasher(master), *prefix), lasts)
-        assert draws == [hash_uniform(master, *prefix, last) for last in lasts]
+        draws = _draws_after(with_labels(keyed_hasher(master), *prefix), lasts)
+        assert draws == [derive_seed(master, *prefix, last) for last in lasts]
+        assert [n / 2.0**64 for n in draws] == [
+            hash_uniform(master, *prefix, last) for last in lasts
+        ]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -66,13 +79,42 @@ class TestPrefixDraws:
     )
     def test_prefixes_compose(self, master, outer, inner, last):
         nested = with_labels(with_labels(keyed_hasher(master), *outer), *inner)
-        assert uniforms_after(nested, [last]) == [hash_uniform(master, *outer, *inner, last)]
+        assert _draws_after(nested, [last]) == [derive_seed(master, *outer, *inner, last)]
 
     def test_hashers_are_copied_not_consumed(self):
         base = keyed_hasher(9)
         prefix = with_labels(base, "spur", "http://a.example/")
-        first = uniforms_after(prefix, ["pools", "banking"])
-        assert uniforms_after(prefix, ["pools", "banking"]) == first
+        first = _draws_after(prefix, ["pools", "banking"])
+        assert _draws_after(prefix, ["pools", "banking"]) == first
         again = with_labels(base, "spur", "http://a.example/")
-        assert uniforms_after(again, ["pools"]) == first[:1]
+        assert _draws_after(again, ["pools"]) == first[:1]
         assert base.digest() == keyed_hasher(9).digest()
+
+
+_RATES = [0.0, 1.0, 5e-324, *DEFAULT_SPURIOUS_LEVELS]
+
+
+class TestCut:
+    @pytest.mark.parametrize("rate", sorted({
+        r for rate in _RATES
+        for r in (rate, math.nextafter(rate, -math.inf), math.nextafter(rate, math.inf))
+    }))
+    def test_a_draw_is_below_the_cut_exactly_when_its_uniform_is_below_the_rate(self, rate):
+        c = cut(rate)
+        for n in {0, 2**64 - 1, *range(c - 2, c + 3)}:
+            if 0 <= n < 2**64:
+                assert (n < c) == (n / 2.0**64 < rate), (rate, c, n)
+
+    def test_ends(self):
+        assert cut(0.0) == cut(-1.0) == cut(math.nan) == 0
+        assert cut(5e-324) == 1
+        # the top 1,024 draws round to the uniform 1.0, which is not below 1.0
+        assert cut(1.0) == 2**64 - 1024
+        assert cut(math.nextafter(1.0, 2.0)) == cut(2.0) == 2**64
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 2**64 - 1))
+    def test_a_draw_at_its_own_uniform_is_not_below_it(self, n):
+        # every draw that shares n's uniform is at or above the cut
+        assert n >= cut(n / 2.0**64)
+        assert n < cut(math.nextafter(n / 2.0**64, 2.0))

@@ -233,3 +233,72 @@ class TestRandomTreeProperties:
             assert 0.0 < score <= tree.max_score + 1e-12
             if a == b:
                 assert tree.pathlen(a, b) == 1
+
+
+# two multi-sense keywords, the nearer sense of each not the first, and a
+# chain four deep under one of them; D = 6
+_SENSES = KeywordTaxonomy.from_edges([
+    ("root", "-"),
+    ("vehicles", "root"), ("cars", "vehicles"), ("jaguar#1", "cars"),
+    ("sedan", "cars"), ("compact sedan", "sedan"), ("city car", "compact sedan"),
+    ("boats", "vehicles"), ("bass#1", "boats"),
+    ("animals", "root"), ("cats", "animals"), ("jaguar#2", "cats"), ("lion", "cats"),
+    ("fish", "animals"), ("bass#2", "fish"), ("trout", "fish"),
+    ("music", "root"), ("bass#3", "music"), ("guitar", "music"),
+])
+# every form, some spelt other than canonically, and two outside the tree
+_ASKED = [*_SENSES.keywords(), "Jaguar", "compact_sedan", "  Lion ", "web3", "Web 3", "WEB3"]
+
+
+def _thresholds(taxonomy):
+    """Every attainable score, its float neighbours, and ln(2D) and above,
+    where no keyword of the tree is similar to itself."""
+    scores = [-math.log(p / (2 * taxonomy.max_depth))
+              for p in range(1, 2 * taxonomy.max_depth + 1)]
+    return sorted({
+        t for s in scores for t in (s, math.nextafter(s, -1.0), math.nextafter(s, math.inf))
+        if t >= 0
+    } | {taxonomy.max_score + 0.5})
+
+
+class TestSimilarityTable:
+    @pytest.mark.parametrize("threshold", _thresholds(_SENSES))
+    def test_neighbours_are_the_pairs_similar_or_exact_admits(self, threshold):
+        near = _SENSES._similarity_table(threshold).neighbours(_ASKED)
+        assert near == {
+            k: {l for l in _ASKED if _SENSES.similar_or_exact(k, l, threshold)}
+            for k in _ASKED
+        }
+
+    def test_on_the_demo_tree(self, taxonomy):
+        asked = random.Random(3).sample(taxonomy.keywords(), 60) + ["web3", "Pools"]
+        for threshold in _thresholds(taxonomy):
+            near = taxonomy._similarity_table(threshold).neighbours(asked)
+            assert near == {
+                k: {l for l in asked if taxonomy.similar_or_exact(k, l, threshold)}
+                for k in asked
+            }, threshold
+
+    def test_at_ln_2d_and_above_only_outside_keywords_are_their_own_neighbours(self):
+        for threshold in (_SENSES.max_score, _SENSES.max_score + 0.5):
+            near = _SENSES._similarity_table(threshold).neighbours(_ASKED)
+            assert near["jaguar"] == near["Jaguar"] == set()
+            assert near["web3"] == {"web3", "WEB3"} and near["Web 3"] == {"Web 3"}
+
+    @pytest.mark.parametrize("threshold", _thresholds(_SENSES))
+    def test_the_walk_reaches_each_form_within_the_largest_admissible_length(self, threshold):
+        table = _SENSES._similarity_table(threshold)
+        reach = max((p for p in range(1, 2 * _SENSES.max_depth + 1)
+                     if -math.log(p / (2 * _SENSES.max_depth)) > threshold), default=0)
+        for form, nodes in _SENSES.senses.items():
+            assert table._lengths(nodes) == {
+                other: _SENSES.pathlen(form, other) for other in _SENSES.senses
+                if _SENSES.pathlen(form, other) <= reach
+            }, form
+
+    def test_the_nearer_sense_decides(self):
+        # jaguar#2 is a sibling of lion, jaguar#1 three nodes further
+        assert _SENSES.pathlen("jaguar", "lion") == 3
+        near = _SENSES._similarity_table(-math.log(4 / 12)).neighbours(["jaguar", "lion", "sedan"])
+        assert near == {"jaguar": {"jaguar", "lion", "sedan"}, "lion": {"jaguar", "lion"},
+                        "sedan": {"jaguar", "sedan"}}
