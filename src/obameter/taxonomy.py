@@ -68,11 +68,13 @@ class KeywordTaxonomy:
 
     def __post_init__(self) -> None:
         self.max_depth = max(self.depth.values())
-        # node id -> parent and children, and -> keyword text: for tree walks
-        self._links = {node: [] if par is None else [par] for node, par in self.parent.items()}
+        # node id -> parent and children, and -> keyword text, for tree walks;
+        # tuples of strings, which the garbage collector stops scanning
+        links = {node: [] if par is None else [par] for node, par in self.parent.items()}
         for node, par in self.parent.items():
             if par is not None:
-                self._links[par].append(node)
+                links[par].append(node)
+        self._links = {node: tuple(nodes) for node, nodes in links.items()}
         self._text = {node: text for text, nodes in self.senses.items() for node in nodes}
 
     # size of the sense tree, not of the keyword vocabulary
@@ -270,8 +272,7 @@ class _SimilarityTable:
             )
         self.taxonomy = taxonomy
         self.threshold = threshold
-        # path length p -> admissible, for 1..2D (index 0 unused); the reach
-        # is the largest admissible length
+        # path length -> admissible (1..2D; index 0 unused), and the largest
         two_d = 2 * taxonomy.max_depth
         self._admits = [False] + [-math.log(p / two_d) > threshold for p in range(1, two_d + 1)]
         self._reach = max((p for p, ok in enumerate(self._admits) if ok), default=0)
