@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterator, Literal, Sequence
@@ -136,16 +137,17 @@ class SimConfig:
             raise ConfigurationError(f"n_ads must be >= 1, got {self.n_ads}")
         if not self.ads_per_visit >= 1:
             raise ConfigurationError(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
-        if not self.activation_threshold > 0:
+        if not 0 < self.activation_threshold <= sys.float_info.max:
             # at 0 an empty profile already activates every oba unit
             raise ConfigurationError(
-                f"activation_threshold must be > 0, got {self.activation_threshold}"
+                f"activation_threshold must be positive and finite, "
+                f"got {self.activation_threshold}"
             )
         unknown = set(self.mix) - set(AD_KINDS)
         if unknown:
             raise ConfigurationError(f"unknown ad kinds in mix: {sorted(unknown)}")
-        if not all(v >= 0 for v in self.mix.values()):
-            raise ConfigurationError("mix proportions must be >= 0")
+        if not all(0 <= v <= 1 for v in self.mix.values()):
+            raise ConfigurationError("mix proportions must be in [0, 1]")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"mix proportions must sum to 1, got {sum(self.mix.values())}"
@@ -171,17 +173,20 @@ class SimConfig:
             if name in self.sources[:i]:
                 raise ConfigurationError(f"tag source {name!r} is listed twice")
         half = self.profile_decay_halflife
-        if half is not None and not half > 0:
-            raise ConfigurationError(f"profile_decay_halflife must be positive, got {half}")
+        if half is not None and not 0 < half <= sys.float_info.max:
+            raise ConfigurationError(
+                f"profile_decay_halflife must be positive and finite, got {half}")
         # an infinite weight or pool total (at most every unit's) makes every
-        # slot draw fall through to the pool's last unit
+        # slot draw fall through to the pool's last unit, and one beyond float
+        # range cannot be drawn from at all
         bad = sorted(set(self.kind_weights) - set(AD_KINDS)) + [
-            k for k in AD_KINDS if not 0 < self.kind_weights.get(k, 0) < math.inf]
+            k for k in AD_KINDS if not 0 < self.kind_weights.get(k, 0) <= sys.float_info.max]
         if bad:
             raise ConfigurationError("kind_weights must give each ad kind, and no other "
                                      f"key, a positive finite weight; wrong for {bad}")
         counts = kind_counts(self.n_ads, self.mix)
-        if not sum(counts[k] * self.kind_weights[k] for k in AD_KINDS) < math.inf:
+        total = sum(counts[k] * float(self.kind_weights[k]) for k in AD_KINDS)
+        if not total <= sys.float_info.max:
             raise ConfigurationError("kind_weights times the kind counts must have a finite sum")
 
 

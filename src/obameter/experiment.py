@@ -411,13 +411,9 @@ def _consensus_keywords(
     config: ConsensusConfig,
     tags: Mapping[str, Mapping[str, set[str]]],
 ) -> dict[str, dict[str, set[str]]]:
-    """Persona id -> source -> retained training keywords, through one
-    similarity table that every persona shares."""
-    relation = corpus.taxonomy._similarity_table(config.threshold)
+    """Persona id -> source -> retained training keywords."""
     return {
-        pid: consensus_training_keywords(
-            corpus.personas[pid], tags, config, corpus.taxonomy, relation=relation
-        )
+        pid: consensus_training_keywords(corpus.personas[pid], tags, config, corpus.taxonomy)
         for pid in sorted(corpus.personas)
     }
 

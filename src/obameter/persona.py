@@ -13,20 +13,19 @@ pages:
 Training keywords are then pooled across tagging sources with an N-of-M
 consensus: a keyword from one source survives iff at least N of the other
 sources carry some keyword whose `KeywordTaxonomy.score` against it is
-above the similarity threshold. A similarity table
-(`KeywordTaxonomy._similarity_table`), which can serve every persona of an
-analysis, gives each keyword's neighbours by a walk over the taxonomy.
+above the similarity threshold. `KeywordTaxonomy.neighbours` gives each
+keyword's neighbours at that threshold by a walk over the taxonomy.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .corpus import WebPage, _record_fields, _to_record
 from .errors import ConfigurationError, PersonaRejected
-from .taxonomy import KeywordTaxonomy, _SimilarityTable, normalize_keyword
+from .taxonomy import KeywordTaxonomy, normalize_keyword
 
 
 @dataclass
@@ -155,7 +154,7 @@ class ConsensusConfig:
         if not self.n >= 0:
             raise ConfigurationError(f"consensus n must be >= 0, got {self.n}")
         # an infinite threshold would reject even exact matches (score inf)
-        if not 0 <= self.threshold < math.inf:
+        if not 0 <= self.threshold <= sys.float_info.max:
             raise ConfigurationError(
                 f"consensus threshold must be finite and >= 0, got {self.threshold}"
             )
@@ -166,8 +165,6 @@ def consensus_training_keywords(
     tags: Mapping[str, Mapping[str, Iterable[str]]],
     config: ConsensusConfig,
     taxonomy: KeywordTaxonomy,
-    *,
-    relation: _SimilarityTable | None = None,
 ) -> dict[str, set[str]]:
     """Cross-source consensus over the persona's training-page keywords.
 
@@ -176,10 +173,6 @@ def consensus_training_keywords(
     read. Returns the retained keyword set per source. Raises
     ConfigurationError when fewer sources are present than the rule needs
     (at least two, and at least n + 1 so that n other sources can exist).
-
-    `relation` is a table from `taxonomy._similarity_table(config.threshold)`
-    to share across the personas of one analysis; a table of another
-    taxonomy or threshold is a ConfigurationError. By default a fresh one.
     """
     union = {
         src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
@@ -192,15 +185,8 @@ def consensus_training_keywords(
             f"consensus needs at least {needed} sources, got {len(union)}"
         )
 
-    if relation is None:
-        relation = taxonomy._similarity_table(config.threshold)
-    elif relation.taxonomy is not taxonomy or relation.threshold != config.threshold:
-        raise ConfigurationError(
-            f"similarity table at threshold {relation.threshold} does not fit "
-            f"consensus threshold {config.threshold} over this taxonomy"
-        )
     # each keyword's neighbours: the keywords, itself included, similar to it
-    near = relation.neighbours(set().union(*union.values()))
+    near = taxonomy.neighbours(set().union(*union.values()), config.threshold)
 
     return {
         src: {

@@ -20,6 +20,7 @@ decides categories missing from the taxonomy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
@@ -49,8 +50,8 @@ class FilterConfig:
                 f"unknown filter set {self.filters!r}, expected one of "
                 f"{sorted(FILTER_SETS)}"
             )
-        if not self.t_prime >= 0:
-            raise ConfigurationError(f"t_prime must be >= 0, got {self.t_prime}")
+        if not 0 <= self.t_prime <= sys.float_info.max:
+            raise ConfigurationError(f"t_prime must be finite and >= 0, got {self.t_prime}")
 
     @property
     def stages(self) -> tuple[str, ...]:

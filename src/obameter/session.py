@@ -19,8 +19,8 @@ returned.
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 
@@ -40,7 +40,7 @@ class SessionPlan:
         # each range check is a negated comparison, so NaN fails it too
         if not self.visit_budget >= 1:
             raise ConfigurationError(f"visit_budget must be >= 1, got {self.visit_budget}")
-        if not 0 < self.mean_interval < math.inf:
+        if not 0 < self.mean_interval <= sys.float_info.max:
             raise ConfigurationError(
                 f"mean_interval must be positive and finite, got {self.mean_interval}")
 

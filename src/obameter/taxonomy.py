@@ -20,14 +20,16 @@ Keyword texts are stored normalized (`normalize_keyword`), and each public
 query normalizes its own arguments once, so callers may pass any spelling.
 `score` is the one similarity relation that consensus and the `dg` filter
 use, and the one place that decides keywords outside the tree.
-Consensus reads it through a similarity table (`_SimilarityTable`), which
-walks the tree out from each keyword's senses instead of scoring pairs.
+Consensus asks `neighbours`, which gives the keywords `score` admits at a
+threshold by walking the tree out from each keyword's senses instead of
+scoring pairs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -149,10 +151,56 @@ class KeywordTaxonomy:
         """True iff score(k, l) is strictly above the threshold."""
         return self.score(k, l) > threshold
 
-    def _similarity_table(self, threshold: float) -> "_SimilarityTable":
-        """`similar_or_exact` at `threshold`, for many personas' keyword
-        sets in turn; see `_SimilarityTable`."""
-        return _SimilarityTable(self, threshold)
+    def neighbours(self, keywords: Iterable[str], threshold: float) -> dict[str, set[str]]:
+        """Each of `keywords` -> those of them, itself included, that
+        `similar_or_exact` admits against it at `threshold`; the spellings
+        of one form share one set.
+
+        Scores no pair. The threshold is tested once for each node-count
+        path length p in 1..2D; a walk over parent and child links out from
+        all of a form's senses, as far as the largest admissible length,
+        reaches each form first at its shortest length over sense pairs,
+        and the form is a neighbour when that length is admissible. A form
+        outside the taxonomy is similar only to its own spellings (`score`).
+        Raises ConfigurationError unless the threshold is finite and >= 0.
+        """
+        if not 0 <= threshold <= sys.float_info.max:
+            raise ConfigurationError(
+                f"similarity threshold must be finite and >= 0, got {threshold}"
+            )
+        # path length -> admissible (1..2D; index 0 unused), and the largest
+        two_d = 2 * self.max_depth
+        admits = [False] + [-math.log(p / two_d) > threshold for p in range(1, two_d + 1)]
+        reach = max((p for p, ok in enumerate(admits) if ok), default=0)
+
+        # a sense key is already normalized, and normalizing is idempotent
+        senses = self.senses
+        spellings: dict[str, list[str]] = {}
+        for kw in keywords:
+            spellings.setdefault(kw if kw in senses else normalize_keyword(kw), []).append(kw)
+
+        near: dict[str, set[str]] = {}
+        for form, kws in spellings.items():
+            nodes = senses.get(form)
+            similar = set(kws) if nodes is None else {
+                kw for other, length in self._lengths(nodes, reach).items()
+                if admits[length] and other in spellings for kw in spellings[other]
+            }
+            near.update(dict.fromkeys(kws, similar))
+        return near
+
+    def _lengths(self, nodes: list[str], reach: int) -> dict[str, int]:
+        """Form -> its shortest path length from `nodes`, up to `reach`."""
+        links, text = self._links, self._text
+        lengths: dict[str, int] = {}
+        seen, level = set(nodes), nodes
+        for length in range(1, reach + 1):
+            if length > 1:
+                level = {other for node in level for other in links[node]} - seen
+                seen |= level
+            for node in level:
+                lengths.setdefault(text[node], length)
+        return lengths
 
     def keywords(self) -> list[str]:
         """All keyword texts, sorted."""
@@ -249,64 +297,3 @@ class KeywordTaxonomy:
             return cls.loads(text)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{exc} in taxonomy {path}") from exc
-
-
-class _SimilarityTable:
-    """`similar_or_exact(k, l, threshold)` over the keyword sets of many
-    personas, asked for one persona at a time (`neighbours`), without
-    scoring a pair.
-
-    The table tests `-ln(p / 2D) > threshold` once for each node-count path
-    length p in 1..2D. A walk over parent and child links out from all of a
-    form's senses, as far as the largest admissible length, reaches each
-    form first at its shortest length over sense pairs; the form is a
-    neighbour when that length is admissible. A form outside the taxonomy
-    is similar only to its own spellings (`score`). Each keyword is
-    normalized once per table, and the table keeps nothing per pair.
-    """
-
-    def __init__(self, taxonomy: KeywordTaxonomy, threshold: float):
-        if not 0 <= threshold < math.inf:
-            raise ConfigurationError(
-                f"similarity threshold must be finite and >= 0, got {threshold}"
-            )
-        self.taxonomy = taxonomy
-        self.threshold = threshold
-        # path length -> admissible (1..2D; index 0 unused), and the largest
-        two_d = 2 * taxonomy.max_depth
-        self._admits = [False] + [-math.log(p / two_d) > threshold for p in range(1, two_d + 1)]
-        self._reach = max((p for p, ok in enumerate(self._admits) if ok), default=0)
-        self._forms: dict[str, str] = {}  # keyword -> its normalized form
-
-    def _lengths(self, nodes: list[str]) -> dict[str, int]:
-        """Form -> its shortest path length from `nodes`, up to the reach."""
-        links, text = self.taxonomy._links, self.taxonomy._text
-        lengths: dict[str, int] = {}
-        seen, level = set(nodes), nodes
-        for length in range(1, self._reach + 1):
-            if length > 1:
-                level = {other for node in level for other in links[node]} - seen
-                seen |= level
-            for node in level:
-                lengths.setdefault(text[node], length)
-        return lengths
-
-    def neighbours(self, keywords: Iterable[str]) -> dict[str, set[str]]:
-        """Each of `keywords` -> those of them, itself included, similar to
-        it; the spellings of one form share one set."""
-        spellings: dict[str, list[str]] = {}
-        for kw in keywords:
-            if kw not in self._forms:
-                self._forms[kw] = normalize_keyword(kw)
-            spellings.setdefault(self._forms[kw], []).append(kw)
-
-        senses, admits = self.taxonomy.senses, self._admits
-        near: dict[str, set[str]] = {}
-        for form, kws in spellings.items():
-            nodes = senses.get(form)
-            similar = set(kws) if nodes is None else {
-                kw for other, length in self._lengths(nodes).items()
-                if admits[length] and other in spellings for kw in spellings[other]
-            }
-            near.update(dict.fromkeys(kws, similar))
-        return near

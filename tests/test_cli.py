@@ -232,6 +232,36 @@ class TestSimulate:
         assert "['oba']" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("section, named", [
+        ({"filters": {"t_prime": math.inf}}, "t_prime"),
+        ({"sim": {"activation_threshold": math.inf}}, "activation_threshold"),
+        ({"sim": {"profile_decay_halflife": math.inf}}, "profile_decay_halflife"),
+        ({"consensus": {"threshold": 10**400}}, "consensus threshold"),
+        ({"session": {"mean_interval": 10**400}}, "mean_interval"),
+        ({"sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "geo_demo": 10**400}}},
+         "wrong for ['geo_demo']"),
+        ({"sim": {"mix": {"oba": 10**400}}}, "mix proportions"),
+        ({"sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "static": 10**308, "oba": 10**308}}},
+         "finite sum"),
+    ], ids=["inf-t_prime", "inf-activation", "inf-halflife", "huge-int-consensus",
+            "huge-int-interval", "huge-int-weight", "huge-int-mix", "huge-int-total"])
+    def test_float_beyond_float_range_is_a_config_error(
+        self, cli_corpus, tmp_path, capsys, section, named
+    ):
+        # json reads Infinity, and an integer too large for a float, as given
+        out = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"n_personas": 2, "repetitions": 1, **section}),
+                            encoding="utf-8")
+        capsys.readouterr()
+        code = main(["simulate", "--out", str(out), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("weights, named", [
         ({**DEFAULT_KIND_WEIGHTS, "bogus": -1}, "wrong for ['bogus']"),
         ({**DEFAULT_KIND_WEIGHTS, "oba": 1e308, "static": 1e308}, "finite sum"),
@@ -338,6 +368,17 @@ class TestAnalyze:
         assert main(["analyze", str(cli_corpus), "--tprime", "nan"]) == 2
         assert "t_prime" in capsys.readouterr().err
         assert (cli_corpus / "report.json").read_bytes() == before
+
+    @pytest.mark.parametrize("tprime", ["inf", "1e400"])
+    def test_infinite_tprime_is_a_config_error(self, cli_corpus, tmp_path, capsys, tprime):
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        assert main(["analyze", str(clone)]) == 0
+        before = {p.name: p.read_bytes() for p in clone.iterdir()}
+        capsys.readouterr()
+        assert main(["analyze", str(clone), "--tprime", tprime]) == 2
+        assert "t_prime must be finite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in clone.iterdir()} == before
 
     def test_nan_tprime_is_a_config_error_before_the_corpus_records(
         self, cli_corpus, tmp_path, capsys

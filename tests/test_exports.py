@@ -100,3 +100,18 @@ def test_every_target_the_benchmark_traces_resolves():
         if not found:
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_every_readme_class_attribute_resolves():
+    # `Class.attr` spans whose class the package root exports
+    spans = {
+        (owner, attr) for span in _inline_spans()
+        for owner, attr in re.findall(r"\b([A-Za-z_]\w*)\.(\w+)", span)
+        if owner in obameter.__all__
+    }
+    assert len(spans) >= 6
+    assert sorted(f"{o}.{a}" for o, a in spans if not hasattr(getattr(obameter, o), a)) == []
+
+
+def test_readme_names_no_private_attribute():
+    assert [span for span in _inline_spans() if re.search(r"\w\._\w", span)] == []

@@ -11,7 +11,6 @@ from obameter import (
     Persona,
     WebPage,
     consensus_training_keywords,
-    demo_taxonomy,
     normalize_keyword,
     select_training_pages,
 )
@@ -257,16 +256,14 @@ class TestConsensusOracle:
         ), min_size=2, max_size=2, unique=True))
         for threshold in thresholds:
             config = ConsensusConfig(n=n, threshold=threshold)
-            relation = taxonomy._similarity_table(threshold)
             for persona in personas:
-                assert (consensus_training_keywords(persona, tags, config, taxonomy,
-                                                    relation=relation)
+                assert (consensus_training_keywords(persona, tags, config, taxonomy)
                         == _consensus_oracle(persona, tags, config, taxonomy))
 
     def test_neighbours_never_score_a_pair(self, taxonomy, monkeypatch):
-        # personas sharing a table over overlapping keywords: the table
-        # walks the tree and scores nothing, also at a threshold equal to
-        # the score of pools and inground pools, which must compare strictly
+        # personas over overlapping keywords: their neighbours come from a
+        # walk over the tree and nothing is scored, also at a threshold equal
+        # to the score of pools and inground pools, which must compare strictly
         threshold = taxonomy.score("pools", "inground pools")
         config = ConsensusConfig(n=1, threshold=threshold)
         cases = []
@@ -282,24 +279,10 @@ class TestConsensusOracle:
             raise AssertionError("a keyword pair was scored")
         for name in ("_score", "_min_pathlen", "_pair_pathlen"):
             monkeypatch.setattr(taxonomy, name, refuse)
-        relation = taxonomy._similarity_table(threshold)
         for persona, tags, expected in cases:
-            kept = consensus_training_keywords(persona, tags, config, taxonomy,
-                                               relation=relation)
+            kept = consensus_training_keywords(persona, tags, config, taxonomy)
             assert kept == expected == {"s0": {"banking", "web3"},
                                         "s1": {"banking", "web3", "Web3"}}
-
-    def test_a_table_of_another_threshold_or_taxonomy_is_refused(self, taxonomy):
-        persona = Persona(id="p", category="banking", training_pages=[
-            WebPage(url=u, role="training") for u in _TRAINING
-        ])
-        tags = {src: {_TRAINING[0]: {"banking"}} for src in ("s0", "s1", "s2")}
-        config = ConsensusConfig(threshold=2.5)
-        for relation in (taxonomy._similarity_table(2.0),
-                         demo_taxonomy()._similarity_table(2.5)):
-            with pytest.raises(ConfigurationError, match="does not fit"):
-                consensus_training_keywords(persona, tags, config, taxonomy,
-                                            relation=relation)
 
     def test_public_query_still_normalizes_its_arguments(self, taxonomy):
         assert "online banking" in taxonomy

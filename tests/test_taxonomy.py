@@ -261,10 +261,10 @@ def _thresholds(taxonomy):
     } | {taxonomy.max_score + 0.5})
 
 
-class TestSimilarityTable:
+class TestNeighbours:
     @pytest.mark.parametrize("threshold", _thresholds(_SENSES))
     def test_neighbours_are_the_pairs_similar_or_exact_admits(self, threshold):
-        near = _SENSES._similarity_table(threshold).neighbours(_ASKED)
+        near = _SENSES.neighbours(_ASKED, threshold)
         assert near == {
             k: {l for l in _ASKED if _SENSES.similar_or_exact(k, l, threshold)}
             for k in _ASKED
@@ -273,7 +273,7 @@ class TestSimilarityTable:
     def test_on_the_demo_tree(self, taxonomy):
         asked = random.Random(3).sample(taxonomy.keywords(), 60) + ["web3", "Pools"]
         for threshold in _thresholds(taxonomy):
-            near = taxonomy._similarity_table(threshold).neighbours(asked)
+            near = taxonomy.neighbours(asked, threshold)
             assert near == {
                 k: {l for l in asked if taxonomy.similar_or_exact(k, l, threshold)}
                 for k in asked
@@ -281,17 +281,16 @@ class TestSimilarityTable:
 
     def test_at_ln_2d_and_above_only_outside_keywords_are_their_own_neighbours(self):
         for threshold in (_SENSES.max_score, _SENSES.max_score + 0.5):
-            near = _SENSES._similarity_table(threshold).neighbours(_ASKED)
+            near = _SENSES.neighbours(_ASKED, threshold)
             assert near["jaguar"] == near["Jaguar"] == set()
             assert near["web3"] == {"web3", "WEB3"} and near["Web 3"] == {"Web 3"}
 
     @pytest.mark.parametrize("threshold", _thresholds(_SENSES))
     def test_the_walk_reaches_each_form_within_the_largest_admissible_length(self, threshold):
-        table = _SENSES._similarity_table(threshold)
         reach = max((p for p in range(1, 2 * _SENSES.max_depth + 1)
                      if -math.log(p / (2 * _SENSES.max_depth)) > threshold), default=0)
         for form, nodes in _SENSES.senses.items():
-            assert table._lengths(nodes) == {
+            assert _SENSES._lengths(nodes, reach) == {
                 other: _SENSES.pathlen(form, other) for other in _SENSES.senses
                 if _SENSES.pathlen(form, other) <= reach
             }, form
@@ -299,6 +298,22 @@ class TestSimilarityTable:
     def test_the_nearer_sense_decides(self):
         # jaguar#2 is a sibling of lion, jaguar#1 three nodes further
         assert _SENSES.pathlen("jaguar", "lion") == 3
-        near = _SENSES._similarity_table(-math.log(4 / 12)).neighbours(["jaguar", "lion", "sedan"])
+        near = _SENSES.neighbours(["jaguar", "lion", "sedan"], -math.log(4 / 12))
         assert near == {"jaguar": {"jaguar", "lion", "sedan"}, "lion": {"jaguar", "lion"},
                         "sedan": {"jaguar", "sedan"}}
+
+    def test_the_spellings_of_one_form_share_one_set(self, taxonomy):
+        # a sense key beside its non-canonical spellings, and a form outside
+        # the tree spelt both ways; the sense key skips normalization
+        asked = ["pools", "Pools", " POOLS", "inground pools", "web3", "Web3"]
+        near = taxonomy.neighbours(asked, taxonomy.score("pools", "inground pools") - 0.01)
+        assert near["pools"] is near["Pools"] is near[" POOLS"]
+        assert near["web3"] is near["Web3"]
+        assert near["pools"] == {"pools", "Pools", " POOLS", "inground pools"}
+        assert near["inground pools"] == {"pools", "Pools", " POOLS", "inground pools"}
+        assert near["web3"] == {"web3", "Web3"}
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan, -0.1, 10**400])
+    def test_threshold_must_be_finite_and_non_negative(self, taxonomy, threshold):
+        with pytest.raises(ConfigurationError, match="threshold must be finite and >= 0"):
+            taxonomy.neighbours(["pools"], threshold)
