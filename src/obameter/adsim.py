@@ -14,21 +14,22 @@ in which every ad unit carries exactly one kind label:
 
 Serving draws a fixed number of ad slots per control visit, weighted by
 the units' base weights, without replacement within the visit. Eligibility
-reads a per-session inventory index that `World.begin` builds once: the
-static units and the session geo's geo_demo units in one base list, the
-contextual units by theme, and, unless the session's DNT is honoured, the
-retargeting units by landing URL and the oba units by target category. A
-control visit takes the base list, the page theme's list, the lists of
-the landing URLs in the browser's history, and the lists of the
-categories whose profile weight reaches the activation threshold (the max
-over the aggregators present on the page, or with `share_profiles` the sum
-over all of them), computed only for categories some oba unit targets. It
-sorts the merged positions, so the eligible units keep inventory order,
-which the weighted draw picks from by position. Aggregator profiles build
-up from tracked page visits. `World.begin` returns the session's browser,
-and `World.visit` serves and observes one page with it; a clean-profile
-browser observes nothing, so it stays empty and can never receive oba or
-retargeting ads, which is why the activation threshold must be positive.
+reads the inventory that `World.begin` indexes once into each session's
+browser: the static units and the session geo's geo_demo units in one
+base list, the contextual units by theme, and, unless the session's DNT
+is honoured, the retargeting units by landing URL and the oba units by
+target category. A control visit takes the base list, the page theme's
+list, the lists of the landing URLs in the browser's history, and the
+lists of the categories whose profile weight reaches the activation
+threshold (the max over the aggregators present on the page, or with
+`share_profiles` the sum over all of them), computed only for categories
+some oba unit targets. It sorts the merged positions, so the eligible
+units keep inventory order, which the weighted draw picks from by
+position. Aggregator profiles build up from tracked page visits.
+`World.begin` returns the session's browser, and `World.visit` serves and
+observes one page with it; a clean-profile browser observes nothing, so
+it stays empty and can never receive oba or retargeting ads, which is why
+the activation threshold must be positive.
 
 The world generates every URL in canonical form, so serving parses none:
 trackers, categories, themes and the browser history all hold canonical
@@ -133,8 +134,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # each range check is a negated comparison, so NaN fails it too
-        if not self.n_ads >= 1:
-            raise ConfigurationError(f"n_ads must be >= 1, got {self.n_ads}")
+        # kind_counts takes n_ads into float arithmetic
+        if not 1 <= self.n_ads <= sys.float_info.max:
+            raise ConfigurationError(
+                f"n_ads must be >= 1 and at most the largest float, got {self.n_ads}")
         if not self.ads_per_visit >= 1:
             raise ConfigurationError(f"ads_per_visit must be >= 1, got {self.ads_per_visit}")
         if not 0 < self.activation_threshold <= sys.float_info.max:
@@ -222,24 +225,31 @@ def kind_counts(n_ads: int, mix: dict[str, float]) -> dict[str, int]:
     return counts
 
 
-class _InventoryIndex:
-    """One session's eligible inventory, as positions in `World.ads` keyed
-    by what makes each unit eligible on a control visit.
+class _Browser:
+    """One session's serving state: whether it observes, what it has
+    observed, the rng that draws its ad slots, and its eligible inventory,
+    as positions in `World.ads` keyed by what makes each unit eligible on a
+    control visit. Static units and the session geo's geo_demo units are
+    always eligible, so they form one base list. Under honoured DNT no
+    retargeting or oba unit is ever eligible, so neither is indexed."""
 
-    Static units and the session geo's geo_demo units are always eligible,
-    so they form one base list. Under honoured DNT no retargeting or oba
-    unit is ever eligible, so neither is indexed.
-    """
+    __slots__ = ("observes", "history", "profiles", "clock", "rng",
+                 "base", "by_theme", "by_landing", "by_category")
 
-    __slots__ = ("base", "by_theme", "by_landing", "by_category")
-
-    def __init__(self, ads: Sequence[AdUnit], geo: str, suppressed: bool) -> None:
+    def __init__(self, ads: Sequence[AdUnit], config: SessionConfig, suppressed: bool,
+                 rng: random.Random) -> None:
+        self.observes = not config.clean_profile
+        self.history: set[str] = set()  # canonical URLs of visited pages
+        # aggregator id -> category -> accumulated weight
+        self.profiles: dict[str, dict[str, float]] = {}
+        self.clock = 0.0
+        self.rng = rng
         self.base: list[int] = []
         self.by_theme: dict[str | None, list[int]] = {}
         self.by_landing: dict[str, list[int]] = {}
         self.by_category: dict[str | None, list[int]] = {}
         for i, ad in enumerate(ads):
-            if ad.kind == "static" or (ad.kind == "geo_demo" and ad.geo == geo):
+            if ad.kind == "static" or (ad.kind == "geo_demo" and ad.geo == config.geo):
                 self.base.append(i)
             elif ad.kind == "contextual":
                 self.by_theme.setdefault(ad.theme, []).append(i)
@@ -247,24 +257,6 @@ class _InventoryIndex:
                 self.by_landing.setdefault(ad.landing_url, []).append(i)
             elif ad.kind == "oba" and not suppressed:
                 self.by_category.setdefault(ad.target_category, []).append(i)
-
-
-class _Browser:
-    """One session's serving state: its config, what it has observed, the
-    rng that draws its ad slots, and its inventory index."""
-
-    __slots__ = ("config", "history", "profiles", "clock", "rng", "index")
-
-    def __init__(
-        self, config: SessionConfig, rng: random.Random, index: _InventoryIndex
-    ) -> None:
-        self.config = config
-        self.history: set[str] = set()  # canonical URLs of visited pages
-        # aggregator id -> category -> accumulated weight
-        self.profiles: dict[str, dict[str, float]] = {}
-        self.clock = 0.0
-        self.rng = rng
-        self.index = index
 
 
 @dataclass(eq=False)
@@ -290,9 +282,8 @@ class World:
 
     def begin(self, config: SessionConfig) -> _Browser:
         return _Browser(
-            config,
+            self.ads, config, self.config.honor_dnt and config.dnt,
             random.Random(derive_seed(self.seed, "serve", config.session_id)),
-            _InventoryIndex(self.ads, config.geo, self.config.honor_dnt and config.dnt),
         )
 
     def visit(self, browser: _Browser, event: VisitEvent) -> list[ServedAd]:
@@ -301,7 +292,7 @@ class World:
         if event.kind == "control":
             chosen = self._serve(browser, url)
             served = [ServedAd(landing_url=ad.landing_url, label=ad.kind) for ad in chosen]
-        if not browser.config.clean_profile:
+        if browser.observes:
             self._observe(browser, url, event.t)
         return served
 
@@ -353,15 +344,14 @@ class World:
         return active
 
     def _eligible(self, browser: _Browser, url: str) -> list[AdUnit]:
-        index = browser.index
-        picks = index.base + index.by_theme.get(self.page_themes.get(url), [])
-        for seen in browser.history & index.by_landing.keys():
-            picks += index.by_landing[seen]
+        picks = browser.base + browser.by_theme.get(self.page_themes.get(url), [])
+        for seen in browser.history & browser.by_landing.keys():
+            picks += browser.by_landing[seen]
         # a page without aggregators activates nothing
         present = self.trackers.get(url)
-        if present and index.by_category:
-            for cat in self._activated(browser, present, index.by_category):
-                picks += index.by_category[cat]
+        if present and browser.by_category:
+            for cat in self._activated(browser, present, browser.by_category):
+                picks += browser.by_category[cat]
         # inventory order, which the weighted draw picks from by position
         picks.sort()
         ads = self.ads

@@ -199,20 +199,29 @@ def _keyword_set(keywords: Iterable[str]) -> set[str]:
 # on-disk store
 
 
-# one JSONL line: sorted keys, no spaces, non-ASCII text written raw; one
-# encoder serves every line, as json.dumps would build one per call
-_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
-_raw_decode = json.JSONDecoder().raw_decode
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+# every file is standard JSON (RFC 8259): no reader takes, and no writer
+# emits, the NaN and Infinity that Python's json allows by default
+_loads = functools.partial(json.loads, parse_constant=_no_constant)
+_raw_decode = json.JSONDecoder(parse_constant=_no_constant).raw_decode
+# a document: sorted keys, two-space indent; a JSONL line: sorted keys, no
+# spaces; both with non-ASCII text written raw, each by its one encoder
+_dump_doc = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False).encode
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                              allow_nan=False).encode
 
 
 def _decode_line(line: str):
-    """`json.loads(line)`, by one raw decode (about half the time) when the line is
-    one bare JSON value; any other line, padded or bad, goes to `json.loads`."""
+    """`_loads(line)`, by one raw decode (about half the time) when the line is
+    one bare JSON value; any other line, padded or bad, goes to `_loads`."""
     try:
         value, end = _raw_decode(line)
     except json.JSONDecodeError:
         end = -1
-    return value if end == len(line) else json.loads(line)
+    return value if end == len(line) else _loads(line)
 
 
 def _unusable(exc: Exception, rec) -> str:
@@ -549,16 +558,13 @@ class ExperimentStore:
 
     def write_doc(self, name: str, obj) -> None:
         """Canonical pretty JSON; stable bytes for identical data."""
-        _write_atomic(
-            self.path(name),
-            json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        )
+        _write_atomic(self.path(name), _dump_doc(obj) + "\n")
 
     def load_doc(self, name: str):
         text = self._read(name)
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
+            return _loads(text)
+        except ValueError as exc:
             raise CorpusDataError(f"unreadable {name} in {self.root}: {exc}") from exc
 
     def _iter_jsonl(self, name: str):
@@ -567,7 +573,7 @@ class ExperimentStore:
                 continue
             try:
                 yield _decode_line(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CorpusDataError(
                     f"{self.path(name)}:{lineno}: bad JSON line: {exc}"
                 ) from exc

@@ -41,9 +41,8 @@ import collections
 import csv
 import io
 import itertools
-import json
-import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
@@ -62,6 +61,7 @@ from .corpus import (
     ExperimentStore,
     VisitRecord,
     _built,
+    _loads,
     _record_fields,
     _to_record,
     _write_atomic,
@@ -172,8 +172,8 @@ class ExperimentManifest:
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = _loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read manifest {path}: {exc}") from exc
     return ExperimentManifest.from_dict(data)
 
@@ -262,7 +262,6 @@ def _run_one(
     """Run one session; return its sessions.json row and its result."""
     sid = session_label(persona.id, cond.cond_id, rep)
     config = SessionConfig(
-        persona_id=persona.id,
         session_id=sid,
         geo=cond.geo,
         dnt=cond.dnt,
@@ -633,8 +632,8 @@ def _load_prices(cpc_path: str | Path | None) -> dict[str, float] | None:
     if cpc_path is None:
         return None
     try:
-        prices = json.loads(Path(cpc_path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        prices = _loads(Path(cpc_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read price file {cpc_path}: {exc}") from exc
     if not isinstance(prices, dict):
         raise ConfigurationError(
@@ -642,8 +641,9 @@ def _load_prices(cpc_path: str | Path | None) -> dict[str, float] | None:
             f"got {type(prices).__name__}"
         )
     for pid, price in prices.items():
+        # an integer beyond float range is no finite float either
         if (isinstance(price, bool) or not isinstance(price, (int, float))
-                or not math.isfinite(price)):
+                or not abs(price) <= sys.float_info.max):
             raise ConfigurationError(
                 f"price file {cpc_path}: price of persona {pid!r} is not a "
                 f"finite number: {price!r}"

@@ -47,19 +47,14 @@ class SessionPlan:
 
 @dataclass(kw_only=True)
 class SessionConfig(SessionPlan):
-    """One session's parameters. Equal configs and seeds replay exactly."""
+    """One session's parameters. Equal configs and seeds replay exactly;
+    the session's persona is the one `run_session` is given."""
 
-    persona_id: str
-    session_id: str = ""
+    session_id: str
     geo: str = "ES"
     dnt: bool = False
     clean_profile: bool = False
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.session_id:
-            self.session_id = self.persona_id
-        super().__post_init__()
 
 
 @dataclass
@@ -68,7 +63,10 @@ class VisitEvent:
 
     t: float
     page: WebPage
-    kind: str  # "training" | "control", taken from the page role
+
+    @property
+    def kind(self) -> str:  # "training" | "control", the page's role
+        return self.page.role
 
 
 @dataclass
@@ -121,7 +119,7 @@ def schedule_visits(pool: Sequence[WebPage], config: SessionConfig) -> list[Visi
             gap = rng.expovariate(rate)
         t += gap
         page = pool[rng.randrange(len(pool))]
-        events.append(VisitEvent(t=t, page=page, kind=page.role))
+        events.append(VisitEvent(t=t, page=page))
     return events
 
 
@@ -131,7 +129,8 @@ def run_session(
     config: SessionConfig,
     harvester: AdHarvester,
 ) -> SessionResult:
-    """Execute one session against a harvester.
+    """Execute one session of `persona` against a harvester; every
+    impression carries the persona's id and `config.session_id`.
 
     Any exception the harvester raises propagates unchanged.
     """
@@ -145,15 +144,16 @@ def run_session(
     state = harvester.begin(config)
     for event in events:
         served = harvester.visit(state, event)
-        mix[event.kind] = mix.get(event.kind, 0) + 1
-        if event.kind == "control":
+        kind = event.kind
+        mix[kind] = mix.get(kind, 0) + 1
+        if kind == "control":
             for ad in served:
                 raw += 1
                 key = (event.page.url, landing_key(ad.landing_url))
                 hit = merged.get(key)
                 if hit is None:
                     merged[key] = AdImpression(
-                        persona_id=config.persona_id,
+                        persona_id=persona.id,
                         session_id=config.session_id,
                         control_page=event.page.url,
                         landing_page=ad.landing_url,

@@ -156,22 +156,22 @@ class KeywordTaxonomy:
         `similar_or_exact` admits against it at `threshold`; the spellings
         of one form share one set.
 
-        Scores no pair. The threshold is tested once for each node-count
-        path length p in 1..2D; a walk over parent and child links out from
-        all of a form's senses, as far as the largest admissible length,
-        reaches each form first at its shortest length over sense pairs,
-        and the form is a neighbour when that length is admissible. A form
-        outside the taxonomy is similar only to its own spellings (`score`).
+        Scores no pair. The score falls as the node-count path length p
+        grows, so the admissible lengths are 1..reach, and the threshold is
+        tested for each p up to the first inadmissible one; a walk over
+        parent and child links out from all of a form's senses, as far as
+        `reach`, reaches each form first at its shortest length over sense
+        pairs, and every form it reaches is a neighbour. A form outside the
+        taxonomy is similar only to its own spellings (`score`).
         Raises ConfigurationError unless the threshold is finite and >= 0.
         """
         if not 0 <= threshold <= sys.float_info.max:
             raise ConfigurationError(
                 f"similarity threshold must be finite and >= 0, got {threshold}"
             )
-        # path length -> admissible (1..2D; index 0 unused), and the largest
-        two_d = 2 * self.max_depth
-        admits = [False] + [-math.log(p / two_d) > threshold for p in range(1, two_d + 1)]
-        reach = max((p for p, ok in enumerate(admits) if ok), default=0)
+        two_d, reach = 2 * self.max_depth, 0
+        while reach < two_d and -math.log((reach + 1) / two_d) > threshold:
+            reach += 1
 
         # a sense key is already normalized, and normalizing is idempotent
         senses = self.senses
@@ -183,8 +183,8 @@ class KeywordTaxonomy:
         for form, kws in spellings.items():
             nodes = senses.get(form)
             similar = set(kws) if nodes is None else {
-                kw for other, length in self._lengths(nodes, reach).items()
-                if admits[length] and other in spellings for kw in spellings[other]
+                kw for other in self._lengths(nodes, reach)
+                if other in spellings for kw in spellings[other]
             }
             near.update(dict.fromkeys(kws, similar))
         return near

@@ -375,11 +375,11 @@ def test_criterion_05_filter_properties(taxonomy):
     imps_by = {}
     visited_by = {}
     for persona in world.personas:
-        cfg = SessionConfig(persona_id=persona.id, visit_budget=60, seed=101)
+        cfg = SessionConfig(session_id=persona.id, visit_budget=60, seed=101)
         res = run_session(persona, world.control_pages, cfg, world)
         imps_by[persona.id] = res.impressions
         visited_by[persona.id] = {landing_key(ev.page.url) for ev in res.visits}
-    clean_cfg = SessionConfig(persona_id="clean", visit_budget=60, seed=102,
+    clean_cfg = SessionConfig(session_id="clean", visit_budget=60, seed=102,
                               clean_profile=True)
     clean_res = run_session(
         Persona(id="clean", category="weather", training_pages=[]),
@@ -450,7 +450,7 @@ def test_criterion_07_scheduler_statistics():
              for i in range(8)]
 
     def config(seed):
-        return SessionConfig(persona_id="p", visit_budget=10000,
+        return SessionConfig(session_id="p", visit_budget=10000,
                              mean_interval=180.0, seed=seed)
 
     events = schedule_visits(pages, config(4242))

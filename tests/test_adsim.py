@@ -50,7 +50,7 @@ def world(make_world):
 
 def _session(world, persona_id, seed=1, **kwargs):
     persona = next(p for p in world.personas if p.id == persona_id)
-    config = SessionConfig(persona_id=persona_id, visit_budget=150,
+    config = SessionConfig(session_id=persona_id, visit_budget=150,
                            seed=seed, **kwargs)
     return run_session(persona, world.control_pages, config, world)
 
@@ -218,7 +218,7 @@ class TestServingRules:
 
     def test_clean_profile_never_gets_targeted_kinds(self, world):
         clean = Persona(id="c", category="weather", training_pages=[])
-        config = SessionConfig(persona_id="c", visit_budget=200, seed=3,
+        config = SessionConfig(session_id="c", visit_budget=200, seed=3,
                                clean_profile=True)
         result = run_session(clean, world.control_pages, config, world)
         kinds = {imp.ground_truth for imp in result.impressions}
@@ -228,7 +228,7 @@ class TestServingRules:
 
     def test_clean_browser_stays_empty_while_served(self, world):
         persona = world.personas[0]
-        config = SessionConfig(persona_id=persona.id, visit_budget=150, seed=3,
+        config = SessionConfig(session_id=persona.id, visit_budget=150, seed=3,
                                clean_profile=True)
         browser = world.begin(config)
         events = schedule_visits(persona.training_pages + world.control_pages, config)
@@ -282,7 +282,7 @@ class TestServingRules:
         url = world.control_pages[0].url
 
         def eligible_oba():
-            browser = world.begin(SessionConfig(persona_id="p"))
+            browser = world.begin(SessionConfig(session_id="p"))
             browser.profiles = {"agg-00": {"banking": 2.0}, "agg-01": {"banking": 1.5}}
             return {ad.ad_id for ad in world._eligible(browser, url) if ad.kind == "oba"}
 
@@ -366,7 +366,7 @@ def _serving_cases(draw, world):
     )
     variant = replace(world, config=sim, trackers=trackers)
     config = SessionConfig(
-        persona_id="p",
+        session_id="p",
         # FR has no geo_demo unit
         geo=draw(st.sampled_from(["ES", "US", "FR"])),
         dnt=draw(st.booleans()),
@@ -442,7 +442,7 @@ class TestEligibilityEquivalence:
         kinds = set()
         for persona in world.personas:
             for geo, dnt in (("ES", False), ("US", True)):
-                config = SessionConfig(persona_id=persona.id, visit_budget=150,
+                config = SessionConfig(session_id=persona.id, visit_budget=150,
                                        seed=4, geo=geo, dnt=dnt)
                 got = run_session(persona, world.control_pages, config, world)
                 want = run_session(persona, world.control_pages, config,

@@ -211,15 +211,17 @@ class TestSimulate:
         assert built == []  # checked before the world is built
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("weight", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("weight, token", [(math.inf, "Infinity"), (math.nan, "NaN")],
+                             ids=["inf", "nan"])
     def test_kind_weight_not_positive_and_finite_is_a_config_error(
-        self, cli_corpus, tmp_path, capsys, weight
+        self, cli_corpus, tmp_path, capsys, weight, token
     ):
         out = tmp_path / "corpus"
         shutil.copytree(cli_corpus, out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         manifest = tmp_path / "m.json"
-        # json writes the non-standard tokens Infinity and NaN, and reads them back
+        # json writes the non-standard tokens Infinity and NaN; the manifest
+        # reader refuses them before any range check sees the value
         manifest.write_text(json.dumps({
             "n_personas": 2, "repetitions": 1, "session": {"visit_budget": 20},
             "sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "oba": weight}},
@@ -227,15 +229,21 @@ class TestSimulate:
         capsys.readouterr()
         code = main(["simulate", "--out", str(out), "--manifest", str(manifest)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error") and "kind_weights" in err
-        assert "['oba']" in err
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot read manifest {manifest}: "
+            f"{token} is not a JSON value\n"
+        )
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("section, named", [
-        ({"filters": {"t_prime": math.inf}}, "t_prime"),
-        ({"sim": {"activation_threshold": math.inf}}, "activation_threshold"),
-        ({"sim": {"profile_decay_halflife": math.inf}}, "profile_decay_halflife"),
+        # the manifest reader refuses the Infinity json writes for math.inf
+        ({"filters": {"t_prime": math.inf}}, "Infinity is not a JSON value"),
+        ({"sim": {"activation_threshold": math.inf}}, "Infinity is not a JSON value"),
+        ({"sim": {"profile_decay_halflife": math.inf}}, "Infinity is not a JSON value"),
+        ({"filters": {"t_prime": 10**400}}, "t_prime"),
+        ({"sim": {"activation_threshold": 10**400}}, "activation_threshold"),
+        ({"sim": {"profile_decay_halflife": 10**400}}, "profile_decay_halflife"),
+        ({"sim": {"n_ads": 10**400}}, "n_ads"),
         ({"consensus": {"threshold": 10**400}}, "consensus threshold"),
         ({"session": {"mean_interval": 10**400}}, "mean_interval"),
         ({"sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "geo_demo": 10**400}}},
@@ -243,12 +251,13 @@ class TestSimulate:
         ({"sim": {"mix": {"oba": 10**400}}}, "mix proportions"),
         ({"sim": {"kind_weights": {**DEFAULT_KIND_WEIGHTS, "static": 10**308, "oba": 10**308}}},
          "finite sum"),
-    ], ids=["inf-t_prime", "inf-activation", "inf-halflife", "huge-int-consensus",
+    ], ids=["inf-t_prime", "inf-activation", "inf-halflife", "huge-int-t_prime",
+            "huge-int-activation", "huge-int-halflife", "huge-int-n_ads", "huge-int-consensus",
             "huge-int-interval", "huge-int-weight", "huge-int-mix", "huge-int-total"])
     def test_float_beyond_float_range_is_a_config_error(
         self, cli_corpus, tmp_path, capsys, section, named
     ):
-        # json reads Infinity, and an integer too large for a float, as given
+        # json reads an integer too large for a float as given
         out = tmp_path / "corpus"
         shutil.copytree(cli_corpus, out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -989,3 +998,59 @@ class TestReport:
         (tmp_path / "fresh").mkdir()
         assert main(["report", str(tmp_path / "fresh")]) == 3
         assert "corpus error" in capsys.readouterr().err
+
+
+def _nan_at(path, key, pad=""):
+    """Give `key` of the first record of JSONL file `path` the value NaN,
+    with the line prefixed by `pad`."""
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    record = json.loads(first)
+    record[key] = math.nan
+    path.write_text(pad + json.dumps(record) + "\n" + rest, encoding="utf-8")
+
+
+class TestStrictJson:
+    """Every file is standard JSON: NaN and Infinity are refused on reading."""
+
+    @pytest.mark.parametrize("name, key, pad, where", [
+        ("visits.jsonl", "t", "", "visits.jsonl:1: "),
+        # a padded line goes to the second decoder
+        ("impressions.jsonl", "ntimes", " ", "impressions.jsonl:1: "),
+    ], ids=["visits", "impressions-padded"])
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_nan_in_a_corpus_log_is_a_data_error_naming_the_line(
+        self, cli_corpus, tmp_path, capsys, command, name, key, pad, where
+    ):
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        _nan_at(clone / name, key, pad)
+        capsys.readouterr()
+        assert main([command, str(clone)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error: ") and where in err
+        assert err.endswith("NaN is not a JSON value\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_nan_in_a_corpus_document_is_a_data_error_naming_the_file(
+        self, cli_corpus, tmp_path, capsys, command
+    ):
+        clone = _edit_doc(cli_corpus, tmp_path / "c", "sessions.json",
+                          lambda doc: doc["sessions"][0].update(raw_served=math.nan))
+        capsys.readouterr()
+        assert main([command, str(clone)]) == 3
+        assert capsys.readouterr().err == (
+            f"corpus error: unreadable sessions.json in {clone}: NaN is not a JSON value\n"
+        )
+
+    def test_nan_in_the_price_file_is_a_config_error(self, cli_corpus, tmp_path, capsys):
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        before = {p.name: p.read_bytes() for p in clone.iterdir()}
+        cpc = tmp_path / "cpc.json"
+        cpc.write_text('{"p": NaN}', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", str(clone), "--cpc", str(cpc)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot read price file {cpc}: NaN is not a JSON value\n"
+        )
+        assert {p.name: p.read_bytes() for p in clone.iterdir()} == before

@@ -1,6 +1,7 @@
 """URL handling, tagging sources, and the experiment store."""
 
 import json
+import math
 import re
 import tempfile
 from urllib.parse import urlsplit
@@ -327,13 +328,34 @@ class TestStore:
             st.sampled_from(["", " ", "\t", "\r", "\x85", "x", "{}"]),
         ).map("".join),
     ))
+    @example("NaN")
+    @example(' {"t": -Infinity}')
+    @example("[1, NaN x")
     def test_lines_decode_as_json_loads_decodes_them(self, line):
         def outcome(decode):
             try:
                 return repr(decode(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 return f"error: {exc}"
-        assert outcome(corpus._decode_line) == outcome(json.loads)
+
+        def strict_loads(text):  # json.loads refusing NaN and Infinity
+            return json.loads(text, parse_constant=corpus._no_constant)
+
+        assert outcome(corpus._decode_line) == outcome(strict_loads)
+
+    @pytest.mark.parametrize("line", ["NaN", '{"t":Infinity}', "[1,-Infinity]", ' {"t":NaN}'])
+    def test_non_standard_tokens_are_refused(self, line):
+        with pytest.raises(ValueError, match="is not a JSON value"):
+            corpus._decode_line(line)
+
+    def test_writers_refuse_non_finite_floats(self, tmp_path):
+        store = ExperimentStore(tmp_path).create()
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                store.write_doc("doc.json", {"v": value})
+            with pytest.raises(ValueError):
+                corpus._dump_line({"v": value})
+        assert not store.path("doc.json").exists()
 
     def test_corrupt_jsonl_names_the_line(self, tmp_path):
         store = ExperimentStore(tmp_path).create()

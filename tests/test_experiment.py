@@ -150,7 +150,7 @@ class TestManifest:
     ], ids=["mean_interval-nan", "mean_interval-inf", "visit_budget", "repetitions",
             "n_personas", "t_prime", "consensus-n", "activation_threshold", "mix"])
     def test_non_finite_number_rejected(self, section):
-        # json.loads reads NaN and Infinity, so a manifest file can hold them
+        # no manifest file can hold NaN or Infinity, but a library caller can
         doc = json.loads(json.dumps(section))
         with pytest.raises(ConfigurationError):
             ExperimentManifest.from_dict(doc)
@@ -301,6 +301,35 @@ class TestHarvesterFailure:
             simulate(ExperimentManifest.from_dict(GOLDEN_MANIFEST), tmp_path)
         monkeypatch.undo()
         assert _run(tmp_path, GOLDEN_MANIFEST) == GOLDEN_SHA256
+
+
+class TestSessionIndependence:
+    def test_shuffled_sessions_on_one_world_and_on_a_copy_match_the_in_order_run(self):
+        # what lets a session's rows be written as it ends: no serving state
+        # outlives a session, and running sessions changes nothing in the world
+        manifest = ExperimentManifest.from_dict(TINY)
+        world = build_world(manifest.sim, manifest.persona_specs(),
+                            resolve_taxonomy(manifest.taxonomy), seed=manifest.seed)
+        clean = Persona(id=CLEAN_ID, category="weather")
+        plan = [(persona, cond, rep, False) for cond in manifest.conditions
+                for rep in range(manifest.repetitions) for persona in world.personas]
+        plan += [(clean, cond, 0, True) for cond in manifest.conditions]
+        record = world.to_dict()
+
+        def run(on, order):
+            return {i: experiment._run_one(on, plan[i][0], plan[i][1], plan[i][2],
+                                           manifest, plan[i][3]) for i in order}
+
+        in_order = run(world, range(len(plan)))
+        shuffled = list(range(len(plan)))
+        random.Random(7).shuffle(shuffled)
+        copy = World.from_dict(world.to_dict())
+        for got in (run(world, shuffled), run(copy, shuffled[::-1])):
+            assert [(got[i][0], got[i][1].impressions) for i in range(len(plan))] \
+                == [(in_order[i][0], in_order[i][1].impressions) for i in range(len(plan))]
+        assert any(result.impressions for _, result in in_order.values())
+        assert world.to_dict() == record
+        assert copy.to_dict() == record
 
 
 class TestIncompleteSessions:
@@ -665,12 +694,17 @@ class TestAnalyze:
         report = analyze(root, cpc_path=cpc)
         assert all("error" in entry for entry in report["correlation"])
 
-    @pytest.mark.parametrize("price", [True, float("nan"), float("inf")],
-                             ids=["bool", "nan", "inf"])
-    def test_bad_price_rejected_before_the_corpus_is_read(self, tmp_path, price):
+    @pytest.mark.parametrize("price, match", [
+        (True, "persona 'p'"),
+        # the reader refuses the non-standard tokens json writes for these
+        (float("nan"), "NaN is not a JSON value"),
+        (float("inf"), "Infinity is not a JSON value"),
+        (10**400, "persona 'p'"),
+    ], ids=["bool", "nan", "inf", "huge-int"])
+    def test_bad_price_rejected_before_the_corpus_is_read(self, tmp_path, price, match):
         cpc = tmp_path / "cpc.json"
         cpc.write_text(json.dumps({"p": price}), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="persona 'p'"):
+        with pytest.raises(ConfigurationError, match=match):
             analyze(tmp_path / "empty", cpc_path=cpc)
 
     def test_failed_csv_write_keeps_the_old_report_csv(

@@ -53,7 +53,7 @@ CONTROLS = [WebPage(url=f"http://ctrl-{i}.example/home", role="control")
 
 class TestSchedule:
     def test_exact_budget_and_monotone_clock(self):
-        config = SessionConfig(persona_id="p", visit_budget=500, seed=9)
+        config = SessionConfig(session_id="p", visit_budget=500, seed=9)
         events = schedule_visits(_persona().training_pages, config)
         assert len(events) == 500
         times = [e.t for e in events]
@@ -61,7 +61,7 @@ class TestSchedule:
 
     def test_kind_follows_page_role(self):
         pool = _persona().training_pages + CONTROLS
-        config = SessionConfig(persona_id="p", visit_budget=200, seed=3)
+        config = SessionConfig(session_id="p", visit_budget=200, seed=3)
         events = schedule_visits(pool, config)
         kinds = {e.page.url: e.kind for e in events}
         for page in CONTROLS:
@@ -69,7 +69,7 @@ class TestSchedule:
                 assert kinds[page.url] == "control"
 
     def test_mean_gap_tracks_mean_interval(self):
-        config = SessionConfig(persona_id="p", visit_budget=4000,
+        config = SessionConfig(session_id="p", visit_budget=4000,
                                mean_interval=60.0, seed=17)
         events = schedule_visits(_persona().training_pages, config)
         gaps = [b.t - a.t for a, b in zip(events, events[1:])] + [events[0].t]
@@ -77,24 +77,24 @@ class TestSchedule:
 
     def test_deterministic_in_seed(self):
         pool = _persona().training_pages
-        one = schedule_visits(pool, SessionConfig(persona_id="p", seed=5))
-        two = schedule_visits(pool, SessionConfig(persona_id="p", seed=5))
-        other = schedule_visits(pool, SessionConfig(persona_id="p", seed=6))
+        one = schedule_visits(pool, SessionConfig(session_id="p", seed=5))
+        two = schedule_visits(pool, SessionConfig(session_id="p", seed=5))
+        other = schedule_visits(pool, SessionConfig(session_id="p", seed=6))
         assert one == two
         assert one != other
 
     def test_empty_pool(self):
         with pytest.raises(ConfigurationError, match="empty page pool"):
-            schedule_visits([], SessionConfig(persona_id="p"))
+            schedule_visits([], SessionConfig(session_id="p"))
 
     def test_bad_budget(self):
         with pytest.raises(ConfigurationError):
-            SessionConfig(persona_id="p", visit_budget=0)
+            SessionConfig(session_id="p", visit_budget=0)
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
     def test_mean_interval_positive_and_finite(self, interval):
         with pytest.raises(ConfigurationError, match="mean_interval"):
-            SessionConfig(persona_id="p", mean_interval=interval)
+            SessionConfig(session_id="p", mean_interval=interval)
 
 
 class TestRunSession:
@@ -103,7 +103,7 @@ class TestRunSession:
         harvester = ScriptedHarvester(
             serve=lambda c, e: [ServedAd("http://ad.example/item", "static")]
         )
-        config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
+        config = SessionConfig(session_id="p", visit_budget=300, seed=2)
         result = run_session(_persona(), CONTROLS, config, harvester)
         controls = {p.url for p in CONTROLS}
         assert result.impressions
@@ -114,7 +114,7 @@ class TestRunSession:
         harvester = ScriptedHarvester(
             serve=lambda c, e: [ServedAd("http://ad.example/item", "static")]
         )
-        config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
+        config = SessionConfig(session_id="p", visit_budget=300, seed=2)
         result = run_session(_persona(), CONTROLS, config, harvester)
         # one merged impression per control page that was visited
         assert len(result.impressions) == len(
@@ -130,7 +130,7 @@ class TestRunSession:
             return [ServedAd("http://ad.example/item", next(labels))]
 
         harvester = ScriptedHarvester(serve=serve)
-        config = SessionConfig(persona_id="p", visit_budget=200, seed=2)
+        config = SessionConfig(session_id="p", visit_budget=200, seed=2)
         with pytest.raises(CorpusDataError, match="conflicting ground truth"):
             run_session(_persona(), [CONTROLS[0]], config, harvester)
 
@@ -138,7 +138,7 @@ class TestRunSession:
     def test_every_visit_gets_the_state_begin_returned(self, clean):
         harvester = ScriptedHarvester()
         for seed in (4, 5):
-            config = SessionConfig(persona_id="p", session_id=f"s{seed}",
+            config = SessionConfig(session_id=f"s{seed}",
                                    visit_budget=120, seed=seed, clean_profile=clean)
             run_session(_persona(), CONTROLS, config, harvester)
         first, second = harvester.begun
@@ -153,11 +153,21 @@ class TestRunSession:
             serve=lambda c, e: [ServedAd("http://ad.example/item", "static")],
             fail_at=50,
         )
-        config = SessionConfig(persona_id="p", visit_budget=300, seed=2)
+        config = SessionConfig(session_id="p", visit_budget=300, seed=2)
         with pytest.raises(ObameterError, match="backend went away"):
             run_session(_persona(), CONTROLS, config, harvester)
         assert harvester.seen == 50
 
-    def test_session_id_defaults_to_persona(self):
-        config = SessionConfig(persona_id="p7")
-        assert config.session_id == "p7"
+    def test_impressions_carry_the_persona_id_and_the_session_id(self):
+        harvester = ScriptedHarvester(
+            serve=lambda c, e: [ServedAd("http://ad.example/item", "static")]
+        )
+        config = SessionConfig(session_id="p|ES|r0", visit_budget=300, seed=2)
+        result = run_session(_persona(), CONTROLS, config, harvester)
+        assert result.impressions
+        assert {(imp.persona_id, imp.session_id) for imp in result.impressions} \
+            == {("p", "p|ES|r0")}
+
+    def test_session_id_is_required(self):
+        with pytest.raises(TypeError, match="session_id"):
+            SessionConfig(seed=1)
