@@ -317,8 +317,11 @@ class TestSessionIndependence:
         record = world.to_dict()
 
         def run(on, order):
-            return {i: experiment._run_one(on, plan[i][0], plan[i][1], plan[i][2],
-                                           manifest, plan[i][3]) for i in order}
+            got = {}
+            for i in order:
+                persona, cond, rep, clean_run = plan[i]
+                got[i] = experiment._run_one(on, persona, cond, rep, manifest, clean_run)
+            return got
 
         in_order = run(world, range(len(plan)))
         shuffled = list(range(len(plan)))
