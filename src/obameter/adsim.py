@@ -464,7 +464,7 @@ class WorldTagSource:
                 h.update(label)
                 n = from_bytes(h.digest(), "little")
                 if n < spur_cut:
-                    below.append((n / 2.0**64, k))
+                    below.append(((n >> 11) * 2.0**-53, k))
         return kept, below
 
     def keywords_for(self, page: WebPage) -> set[str]:

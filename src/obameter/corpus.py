@@ -49,6 +49,7 @@ import operator
 import os
 import re
 import reprlib
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -248,13 +249,17 @@ def _record_fields(cls, rec, check: bool = True) -> tuple:
     """The value of each stored field of dataclass `cls`, in order, from record
     `rec` under its stored key, so that `cls(*values)` builds the record;
     other keys are ignored. Each value must be of its field's type hint,
-    unless `check` is false because the constructor checks every field."""
+    unless `check` is false because the constructor checks every field; a
+    `float` field's value must also be finite."""
     _, checks, _, of_record = _stored_fields(cls)
     values = of_record(rec)
     if check:
         for (_, key, hint, is_a), value in zip(checks, values):
             if not is_a(value):
                 raise CorpusDataError(_not_a(key, hint, value))
+            # JSON reads a number beyond float range as infinity
+            if hint is float and not abs(value) <= sys.float_info.max:
+                raise CorpusDataError(f"{key} must be finite, got {reprlib.repr(value)}")
     return values
 
 

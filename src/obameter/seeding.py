@@ -16,6 +16,7 @@ makes `hash_uniform(...) < rate` one integer comparison.
 from __future__ import annotations
 
 import hashlib
+import math
 
 _SEED_BYTES = 8
 _SEP = "\x1f"
@@ -43,9 +44,10 @@ def hash_uniform(master: int, *labels: str) -> float:
 
     Used to couple random decisions across parameter sweeps: a decision
     taken as `hash_uniform(...) < rate` flips in one direction only as the
-    rate grows, which makes rate sweeps monotone by construction.
+    rate grows, which makes rate sweeps monotone by construction. The
+    uniform is the digest's top 53 bits over 2**53, exact as a float.
     """
-    return derive_seed(master, *labels) / 2.0**64
+    return (derive_seed(master, *labels) >> 11) * 2.0**-53
 
 
 def with_labels(hasher, *labels: str):
@@ -57,11 +59,7 @@ def with_labels(hasher, *labels: str):
 
 
 def cut(rate: float) -> int:
-    """The smallest n with n / 2**64 >= rate, so a draw n has its uniform
-    below `rate` exactly when n < cut(rate). Found by bisection on that very
-    expression, since n / 2**64 rounds n to a float first."""
-    lo, hi = 0, 2**64
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if mid / 2.0**64 < rate else (lo, mid)
-    return lo
+    """The smallest n whose uniform is not below `rate`, so a draw n has
+    its uniform below `rate` exactly when n < cut(rate); 0 for a rate not
+    above 0 (NaN included), and 2**64 or more for a rate of 1 or more."""
+    return math.ceil(rate * 2**53) << 11 if rate > 0 else 0

@@ -83,11 +83,6 @@ class KeywordTaxonomy:
     def __len__(self) -> int:
         return len(self.parent)
 
-    @property
-    def max_score(self) -> float:
-        """Largest attainable similarity, ln(2 * D)."""
-        return math.log(2 * self.max_depth)
-
     def _lookup(self, keyword: str) -> tuple[str, list[str] | None]:
         norm = normalize_keyword(keyword)
         return norm, self.senses.get(norm)
@@ -100,10 +95,6 @@ class KeywordTaxonomy:
         if nodes is None:
             raise ObameterError(f"keyword not in taxonomy: {keyword!r}")
         return nodes
-
-    def pathlen(self, k: str, l: str) -> int:
-        """Shortest node count over all sense pairs of k and l."""
-        return self._min_pathlen(self._require(k), self._require(l))
 
     def _min_pathlen(self, nodes_k: list[str], nodes_l: list[str]) -> int:
         return min(self._pair_pathlen(a, b) for a in nodes_k for b in nodes_l)

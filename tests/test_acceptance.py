@@ -1,9 +1,10 @@
 """Acceptance gate: nine checks at pinned tolerances.
 
 conftest.py turns each test_criterion_NN result into one PASS/FAIL line
-in the terminal summary. Oracles here recompute every checked value by
-an independent route (ancestor walks, brute-force counting, textbook
-covariance formulas) rather than calling back into the implementation.
+in the terminal summary. The oracles, in reference.py, recompute every
+checked value by an independent route (ancestor walks, brute-force
+counting, textbook covariance formulas) rather than calling back into the
+implementation.
 """
 
 import json
@@ -20,6 +21,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import pools_fixture
+import reference
 from obameter import (
     AdImpression,
     ExperimentManifest,
@@ -37,7 +39,6 @@ from obameter import (
     consensus_training_keywords,
     demo_taxonomy,
     landing_key,
-    normalize_keyword,
     run_session,
     simulate,
     ttk,
@@ -51,7 +52,7 @@ from obameter.persona import ConsensusConfig
 from obameter.session import schedule_visits
 
 # ---------------------------------------------------------------------------
-# independent oracles
+# random trees
 
 
 def _random_tree(n_nodes: int, seed: int):
@@ -62,74 +63,6 @@ def _random_tree(n_nodes: int, seed: int):
     for i in range(1, n_nodes):
         edges.append((names[i], names[rng.randrange(i)]))
     return KeywordTaxonomy.from_edges(edges), edges
-
-
-def _oracle_maps(edges):
-    parent = {
-        child: (None if par == "-" else par) for child, par in edges
-    }
-    depth: dict[str, int] = {}
-
-    def walk(node):
-        if node not in depth:
-            depth[node] = 1 if parent[node] is None else walk(parent[node]) + 1
-        return depth[node]
-
-    for node in parent:
-        walk(node)
-    return parent, depth
-
-
-def _oracle_pathlen(parent, depth, a, b):
-    """Node count of the a..b path via explicit ancestor chains."""
-    def chain(node):
-        out = []
-        while node is not None:
-            out.append(node)
-            node = parent[node]
-        return out
-
-    up_a = chain(a)
-    common = set(up_a) & set(chain(b))
-    lca = max(common, key=lambda n: depth[n])
-    return depth[a] + depth[b] - 2 * depth[lca] + 1
-
-
-def _median_of(sorted_vals):
-    m = len(sorted_vals) // 2
-    if len(sorted_vals) % 2:
-        return sorted_vals[m]
-    return (sorted_vals[m - 1] + sorted_vals[m]) / 2
-
-
-def _oracle_quartiles(sorted_vals):
-    n = len(sorted_vals)
-    if n == 1:
-        return sorted_vals[0], sorted_vals[0], sorted_vals[0]
-    half = n // 2
-    return (
-        _median_of(sorted_vals[:half]),
-        _median_of(sorted_vals),
-        _median_of(sorted_vals[n - half:]),
-    )
-
-
-def _oracle_pearson(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    return sxy / math.sqrt(sxx * syy)
-
-
-def _ranks(vals):
-    order = sorted(range(len(vals)), key=lambda i: vals[i])
-    out = [0.0] * len(vals)
-    for rank, i in enumerate(order, 1):
-        out[i] = float(rank)
-    return out
 
 
 def _ntimes(imps):
@@ -143,44 +76,32 @@ def _ntimes(imps):
 def test_criterion_01_formula_oracles():
     t0 = time.monotonic()
     tax, edges = _random_tree(500, seed=1001)
-    parent, depth = _oracle_maps(edges)
-    d_max = max(depth.values())
-    assert tax.max_depth == d_max
-    names = sorted(parent)
+    # the parsed maps the reference walks: the edges, and each node's depth
+    # its ancestor count, the root at 1
+    assert tax.parent == {child: None if par == "-" else par for child, par in edges}
+    assert tax.depth == {node: len(reference.ancestors(tax, node)) for node in tax.parent}
+    assert tax.max_depth == max(tax.depth.values())
+    names = sorted(tax.parent)
     rng = random.Random(2002)
     for _ in range(1000):
         a, b = rng.choice(names), rng.choice(names)
-        pl = _oracle_pathlen(parent, depth, a, b)
-        expected = -math.log(pl / (2 * d_max))
+        expected = reference.score(tax, a, b)
         assert abs(tax.lc_similarity(a, b) - expected) <= 1e-12
+        assert abs(tax.score(a, b) - expected) <= 1e-12
 
     universe = [f"k{j}" for j in range(40)]
     for _ in range(1000):
         k_t = set(rng.sample(universe, rng.randint(1, 12)))
-        k_l = set(rng.sample(universe, rng.randint(0, 15)))
-        hits = 0
-        for kw in k_t:
-            if kw in k_l:
-                hits += 1
-        assert ttk(k_t, k_l) == hits / len(k_t)
+        pages = [set(rng.sample(universe, rng.randint(0, 5))) for _ in range(rng.randint(1, 8))]
+        assert ttk(k_t, set().union(*pages)) == reference.ttk(k_t, pages)
 
-        url_tags, imps, hits = {}, [], []
-        matched = total = 0
-        for i in range(rng.randint(1, 8)):
-            kws = set(rng.sample(universe, rng.randint(0, 5)))
-            nt = rng.randint(1, 9)
-            url_tags[f"https://l.example/{i}"] = kws
-            imps.append(AdImpression(persona_id="p", session_id="s",
-                                     control_page="https://c.example/",
-                                     landing_page=f"https://l.example/{i}", ntimes=nt))
-            hits.append(any(kw in kws for kw in k_t))
-            total += nt
-            if hits[-1]:
-                matched += nt
+        url_tags = {f"https://l.example/{i}": kws for i, kws in enumerate(pages)}
+        imps = [AdImpression(persona_id="p", session_id="s", control_page="https://c.example/",
+                             landing_page=url, ntimes=rng.randint(1, 9)) for url in url_tags]
         landing, matches = _matches(imps, url_tags, k_t)
-        assert landing == list(url_tags.values())
-        assert matches == hits
-        assert bailp(matches, [imp.ntimes for imp in imps]) == matched / total
+        assert landing == pages
+        assert matches == [reference.matches(k_t, kws) for kws in pages]
+        assert bailp(matches, [imp.ntimes for imp in imps]) == reference.bailp(k_t, imps, url_tags)
     assert time.monotonic() - t0 < 10.0
 
 
@@ -309,11 +230,6 @@ def test_criterion_05_filter_properties(taxonomy):
     rng = random.Random(5005)
     t_prime = 2.5
 
-    def below(a, b):
-        if a in taxonomy and b in taxonomy:
-            return taxonomy.lc_similarity(a, b) < t_prime
-        return normalize_keyword(a) != normalize_keyword(b)
-
     for _ in range(500):
         pids = [f"p{i}" for i in range(rng.randint(2, 4))]
         categories = {pid: rng.choice(cats) for pid in pids}
@@ -344,21 +260,12 @@ def test_criterion_05_filter_properties(taxonomy):
                                visited_keys, clean, pid, categories, audience,
                                taxonomy)
 
-        assert result.by_stage["r"] == [
-            i for i in imps_by[pid]
-            if landing_key(i.landing_page) not in visited_keys
-        ]
-        clean_keys = {landing_key(c.landing_page) for c in clean}
-        assert result.by_stage["sc"] == [
-            i for i in result.by_stage["r"]
-            if landing_key(i.landing_page) not in clean_keys
-        ]
-        expected_dg = []
-        for imp in result.by_stage["sc"]:
-            others = audience.get(landing_key(imp.landing_page), set()) - {pid}
-            if not any(below(categories[pid], categories[o]) for o in others):
-                expected_dg.append(imp)
-        assert result.by_stage["dg"] == expected_dg
+        assert result.by_stage["r"] == reference.r(imps_by[pid], visited_keys)
+        assert result.by_stage["sc"] == reference.sc(result.by_stage["r"], clean)
+        assert result.by_stage["dg"] == reference.dg(
+            result.by_stage["sc"], pid, categories, reference.audience(imps_by),
+            taxonomy, t_prime,
+        )
 
         sizes = [len(imps_by[pid])] + [
             len(result.by_stage[s]) for s in ("r", "sc", "dg")
@@ -408,25 +315,23 @@ def test_criterion_05_filter_properties(taxonomy):
 
 def test_criterion_06_similarity_properties():
     t0 = time.monotonic()
-    tax, edges = _random_tree(500, seed=6006)
-    parent, depth = _oracle_maps(edges)
-    names = sorted(parent)
+    tax, _ = _random_tree(500, seed=6006)
+    names = sorted(tax.parent)
+    top = reference.scores(tax)[0]
     rng = random.Random(6007)
     sim_by_pathlen: dict[int, set[float]] = {}
     for _ in range(10000):
         a, b = rng.choice(names), rng.choice(names)
         s_ab = tax.lc_similarity(a, b)
         assert s_ab == tax.lc_similarity(b, a)
-        assert 0.0 < s_ab <= tax.max_score + 1e-12
-        pl = _oracle_pathlen(parent, depth, a, b)
+        assert 0.0 < s_ab <= top + 1e-12
+        pl = reference.pathlen(tax, a, b)
         sim_by_pathlen.setdefault(pl, set()).add(s_ab)
         assert tax.similar_or_exact(a, b, s_ab) is False   # strictly above only
         assert tax.similar_or_exact(a, b, s_ab - 1e-9) is True
 
     node = rng.choice(names)
-    assert tax.lc_similarity(node, node) == pytest.approx(
-        tax.max_score, abs=1e-12
-    )
+    assert tax.lc_similarity(node, node) == pytest.approx(top, abs=1e-12)
     assert max(sim_by_pathlen) > 2  # the sample really spans path lengths
     for scores in sim_by_pathlen.values():
         assert len(scores) == 1  # similarity is a function of pathlen alone
@@ -488,7 +393,7 @@ def test_criterion_08_statistics_oracles():
         if trial % 2 == 0:
             ys[rng.choice(keys)] = 100.0 + rng.random()  # a clear CPC outlier
 
-        lo, hi = _oracle_quartiles(sorted(ys.values()))[0::2]
+        lo, hi = reference.quartiles(ys.values())[0::2]
         iqr = hi - lo
         lo, hi = lo - 1.5 * iqr, hi + 1.5 * iqr
         used = [k for k in sorted(keys) if lo <= ys[k] <= hi]
@@ -502,9 +407,10 @@ def test_criterion_08_statistics_oracles():
 
         xs_u = [xs[k] for k in used]
         ys_u = [ys[k] for k in used]
-        assert abs(report.pearson - _oracle_pearson(xs_u, ys_u)) <= 1e-9
+        assert abs(report.pearson - reference.pearson(xs_u, ys_u)) <= 1e-9
         assert abs(
-            report.spearman - _oracle_pearson(_ranks(xs_u), _ranks(ys_u))
+            report.spearman
+            - reference.pearson(reference.ranks(xs_u), reference.ranks(ys_u))
         ) <= 1e-9
         ref = scipy_stats.pearsonr(xs_u, ys_u)
         assert report.pearson_p == pytest.approx(float(ref.pvalue), abs=1e-10)
@@ -513,7 +419,7 @@ def test_criterion_08_statistics_oracles():
 
     for _ in range(200):
         data = [rng.random() * 10 for _ in range(rng.randint(1, 30))]
-        o1, om, o3 = _oracle_quartiles(sorted(data))
+        o1, om, o3 = reference.quartiles(data)
         assert quartiles(data) == (o1, om, o3)
         assert iqr_bounds(data) == (o1 - 1.5 * (o3 - o1), o3 + 1.5 * (o3 - o1))
 
@@ -524,7 +430,7 @@ def test_criterion_08_statistics_oracles():
         b = {k: rng.random() for k in keys}
         stats = comparison_stats(a, b)
         diffs = sorted(a[k] - b[k] for k in keys)
-        o1, om, o3 = _oracle_quartiles(diffs)
+        o1, om, o3 = reference.quartiles(diffs)
         assert stats.n == n
         assert (stats.min, stats.max) == (diffs[0], diffs[-1])
         assert stats.mean == pytest.approx(sum(diffs) / n, abs=1e-12)

@@ -2,11 +2,9 @@
 
 import json
 import math
-import random
 import re
 import sys
 from dataclasses import asdict, fields, replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +30,9 @@ from obameter.adsim import (
 from obameter.corpus import from_dict, tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError
 from obameter.seeding import cut, derive_seed, hash_uniform
-from obameter.session import ServedAd, schedule_visits
+from obameter.session import schedule_visits
+
+import reference
 
 
 @pytest.fixture
@@ -291,39 +291,6 @@ class TestServingRules:
         assert eligible_oba() == banking
 
 
-def _reference_eligible(world, config, browser, url):
-    """The serving rule written out per ad: each oba unit takes its own
-    max (or, with shared profiles, sum) over the aggregators' profiles."""
-    sim = world.config
-    suppressed = sim.honor_dnt and config.dnt
-    present = world.trackers.get(url, ())
-    out = []
-    for ad in world.ads:
-        if ad.kind == "static":
-            ok = True
-        elif ad.kind == "contextual":
-            ok = ad.theme == world.page_themes.get(url)
-        elif ad.kind == "geo_demo":
-            ok = ad.geo == config.geo
-        elif ad.kind == "retargeting":
-            ok = not suppressed and ad.landing_url in browser.history
-        else:
-            if sim.share_profiles:
-                weight = 0.0
-                for prof in browser.profiles.values():  # left to right
-                    weight += prof.get(ad.target_category, 0.0)
-            else:
-                weight = max(
-                    (browser.profiles.get(agg, {}).get(ad.target_category, 0.0)
-                     for agg in present),
-                    default=0.0,
-                )
-            ok = not suppressed and bool(present) and weight >= sim.activation_threshold
-        if ok:
-            out.append(ad)
-    return out
-
-
 @pytest.fixture(scope="module")
 def base_world(taxonomy):
     return build_world(SimConfig(), default_persona_specs(4), taxonomy, seed=5)
@@ -377,58 +344,13 @@ def _serving_cases(draw, world):
     return variant, config, browser, url
 
 
-class _ReferenceHarvester:
-    """Serves each control visit from `_reference_eligible` with the slot
-    draw written out, and builds profiles as the world's docstring says."""
-
-    def __init__(self, world):
-        self.world = world
-
-    def begin(self, config):
-        rng = random.Random(derive_seed(self.world.seed, "serve", config.session_id))
-        return SimpleNamespace(config=config, rng=rng, profiles={}, history=set(),
-                               clock=0.0)
-
-    def visit(self, state, event):
-        world, url = self.world, event.page.url
-        served = []
-        if event.kind == "control":
-            pool = _reference_eligible(world, state.config, state, url)
-            for _ in range(min(world.config.ads_per_visit, len(pool))):
-                # the first unit whose running weight passes a uniform mark
-                # on the pool's total, else the last one
-                mark = state.rng.random() * sum(ad.base_weight for ad in pool)
-                acc, pick = 0.0, len(pool) - 1
-                for i, ad in enumerate(pool):
-                    acc += ad.base_weight
-                    if mark < acc:
-                        pick = i
-                        break
-                ad = pool.pop(pick)
-                served.append(ServedAd(landing_url=ad.landing_url, label=ad.kind))
-        if not state.config.clean_profile:
-            half = world.config.profile_decay_halflife
-            if half is not None and event.t > state.clock:
-                factor = 2.0 ** (-(event.t - state.clock) / half)
-                for prof in state.profiles.values():
-                    for cat in prof:
-                        prof[cat] *= factor
-            state.clock = max(state.clock, event.t)
-            for agg in world.trackers.get(url, ()):
-                prof = state.profiles.setdefault(agg, {})
-                for cat in world.page_categories.get(url, ()):
-                    prof[cat] = prof.get(cat, 0.0) + 1.0
-            state.history.add(url)
-        return served
-
-
 class TestEligibilityEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_eligible_matches_per_ad_rule_in_inventory_order(self, base_world, data):
         world, config, browser, url = data.draw(_serving_cases(base_world))
         got = world._eligible(browser, url)
-        want = _reference_eligible(world, config, browser, url)
+        want = reference.eligible(world, config, browser, url)
         assert [ad.ad_id for ad in got] == [ad.ad_id for ad in want]
 
     @pytest.mark.parametrize("overrides", [
@@ -446,7 +368,7 @@ class TestEligibilityEquivalence:
                                        seed=4, geo=geo, dnt=dnt)
                 got = run_session(persona, world.control_pages, config, world)
                 want = run_session(persona, world.control_pages, config,
-                                   _ReferenceHarvester(world))
+                                   reference.Harvester(world))
                 assert got.raw_served == want.raw_served
                 assert [asdict(imp) for imp in got.impressions] \
                     == [asdict(imp) for imp in want.impressions]
@@ -542,17 +464,6 @@ class TestDeterminismAndRoundTrip:
             AdUnit(ad_id="a", kind=kind, landing_url="http://x.example")
 
 
-def _reference_keywords(world, name, noise, url):
-    """WorldTagSource.keywords_for spelt out, one hash_uniform per decision."""
-    salt = derive_seed(world.seed, "tags", name)
-    pool = sorted({c for cats in world.page_categories.values() for c in cats})
-    kept = {k for k in world.page_categories.get(url, ())
-            if hash_uniform(salt, "drop", url, k) >= noise.dropout}
-    if noise.spurious > 0.0:
-        kept |= {k for k in pool if hash_uniform(salt, "spur", url, k) < noise.spurious}
-    return kept
-
-
 _NOISES = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.15), (0.25, 0.4), (1.0, 1.0)]
 
 
@@ -562,8 +473,8 @@ class TestTagSources:
         noise = TagNoise(dropout=dropout, spurious=spurious)
         for src in world.tag_sources(noise):
             for page in world.all_pages():
-                assert src.keywords_for(page) == _reference_keywords(
-                    world, src.name, noise, page.url
+                assert src.keywords_for(page) == reference.tag_keywords(
+                    world, src.name, dropout, spurious, page.url
                 ), (src.name, page.url)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.2])

@@ -1030,6 +1030,26 @@ class TestStrictJson:
         assert err.startswith("corpus error: ") and where in err
         assert err.endswith("NaN is not a JSON value\n")
 
+    @pytest.mark.parametrize("number, shown", [
+        ("1e400", "inf"), ("-1e400", "-inf"), ("1" + "0" * 400, "100000000000000000...0000000000000000000"),
+    ], ids=["exponent", "negative", "integer"])
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_a_number_beyond_float_range_in_a_record_is_a_data_error_naming_it(
+        self, cli_corpus, tmp_path, capsys, command, number, shown
+    ):
+        # standard JSON, which the decoder reads as infinity or a huge integer
+        clone = tmp_path / "c"
+        shutil.copytree(cli_corpus, clone)
+        path = clone / "visits.jsonl"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        first = json.dumps(dict(json.loads(first), t="T")).replace('"T"', number)
+        path.write_text(first + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, str(clone)]) == 3
+        assert capsys.readouterr().err == (
+            f"corpus error: visits.jsonl in {clone}: record 1 t must be finite, got {shown}\n"
+        )
+
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_nan_in_a_corpus_document_is_a_data_error_naming_the_file(
         self, cli_corpus, tmp_path, capsys, command

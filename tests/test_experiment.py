@@ -11,7 +11,9 @@ import typing
 from urllib.parse import urlsplit, urlunsplit
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from test_golden import GOLDEN_MANIFEST, GOLDEN_SHA256, _run
 
 from obameter import (
@@ -25,7 +27,6 @@ from obameter import (
     World,
     analyze,
     build_world,
-    consensus_training_keywords,
     filter_attrition,
     load_manifest,
     normalize_keyword,
@@ -934,101 +935,46 @@ SHORT_BUDGET = {
     "sim": {"n_ads": 300},
 }
 
-_FILTER_SET = {"r": "r", "sc": "rsc", "dg": "rscdg"}
+_CONDITIONS = [{"geo": "ES"}, {"geo": "US", "dnt": True}, {"geo": "ES", "dnt": True},
+               {"geo": "US"}]
 
 
-def _reference_cells(root):
-    """Every report cell from the README definitions, one impression at a
-    time: TTK is the share of K_T found on any landing page, BAiLP the
-    ntimes share of impressions whose landing page holds a word of K_T.
-    The filter survivors and consensus keywords are taken as given."""
-    corpus = experiment._load_corpus(root)
-    tags = {src: corpus.store.load_tags(src) for src in corpus.store.tag_sources()}
-    k_t = {pid: consensus_training_keywords(persona, tags, corpus.manifest.consensus,
-                                            corpus.taxonomy)
-           for pid, persona in corpus.personas.items()}
-    cells = {}
-    for cond_id, row, result in experiment._filtered_sessions(corpus, corpus.manifest.filters):
-        for stage, survivors in result.by_stage.items():
-            for src in tags:
-                training = k_t[row.persona].get(src, set())
-                landing = set()
-                matched = total = 0
-                for imp in survivors:
-                    keywords = tags[src].get(imp.landing_page, set())
-                    landing |= keywords
-                    total += imp.ntimes
-                    if any(kw in keywords for kw in training):
-                        matched += imp.ntimes
-                found = sum(1 for kw in training if kw in landing)
-                cells[(row.persona, src, _FILTER_SET[stage], cond_id, row.rep)] = {
-                    "ttk": found / len(training) if training else None,
-                    "bailp": matched / total if total else None,
-                    "n_impressions": len(survivors),
-                    "ntimes": total,
-                }
-    return cells
-
-
-def _reference_detail(root, levels):
-    """Every performance detail row per level: an impression is predicted
-    OBA when it survives `rscdg` and its landing page, tagged at that
-    level, holds a word of the persona's consensus keywords; counts weigh
-    each impression by ntimes over the persona's pooled sessions."""
-    corpus = experiment._load_corpus(root)
-    world = World.from_dict(corpus.store.load_doc("world.json"))
-    pages = world.all_pages()
-    filters = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
-    sessions = list(experiment._filtered_sessions(corpus, filters))
-    out = []
-    for level in levels:
-        noise = TagNoise(dropout=corpus.manifest.sim.tag_noise.dropout, spurious=level)
-        tags = {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
-        k_t = {pid: consensus_training_keywords(persona, tags, corpus.manifest.consensus,
-                                                corpus.taxonomy)
-               for pid, persona in corpus.personas.items()}
-        rows = {}
-        for cond_id, row, result in sessions:
-            survived = {id(imp) for imp in result.by_stage["dg"]}
-            for src in tags:
-                counts = rows.setdefault((cond_id, row.persona, src),
-                                         {"tp": 0, "fp": 0, "tn": 0, "fn": 0})
-                training = k_t[row.persona].get(src, set())
-                for imp in corpus.imps_by_session[row.session]:
-                    keywords = tags[src].get(imp.landing_page, set())
-                    predicted = id(imp) in survived and any(kw in keywords for kw in training)
-                    oba = imp.ground_truth == "oba"
-                    if predicted and oba:
-                        counts["tp"] += imp.ntimes
-                    elif predicted:
-                        counts["fp"] += imp.ntimes
-                    elif oba:
-                        counts["fn"] += imp.ntimes
-                    else:
-                        counts["tn"] += imp.ntimes
-        for counts in rows.values():
-            tp, fp, tn, fn = counts["tp"], counts["fp"], counts["tn"], counts["fn"]
-            counts.update(
-                recall=tp / (tp + fn) if tp + fn else None,
-                accuracy=(tp + tn) / (tp + fp + tn + fn) if tp + fp + tn + fn else None,
-                fpr=fp / (fp + tn) if fp + tn else None,
-                fnr=fn / (fn + tp) if fn + tp else None,
-            )
-        out.append(rows)
-    return out
+@st.composite
+def _manifests(draw):
+    """Small manifests: up to 4 personas, 1 or 2 conditions with DNT on or
+    off, the DNT and profile-sharing rules drawn, short budgets."""
+    n_personas = draw(st.integers(1, 4))
+    # a tenth of the ads retarget, one publisher page each: 12 training
+    # pages per persona and 5 control pages
+    n_ads = draw(st.integers(100, min(300, 10 * (12 * n_personas + 5))))
+    return {
+        "experiment_id": "generated",
+        "seed": draw(st.integers(0, 2**32)),
+        "n_personas": n_personas,
+        "repetitions": 1,
+        "session": {"visit_budget": draw(st.integers(30, 100))},
+        "conditions": draw(st.lists(st.sampled_from(_CONDITIONS), min_size=1, max_size=2,
+                                    unique_by=lambda c: (c["geo"], c.get("dnt", False)))),
+        "sim": {"n_ads": n_ads, "honor_dnt": draw(st.booleans()),
+                "share_profiles": draw(st.booleans())},
+    }
 
 
 class TestReferenceScores:
-    """report.json cells and performance.json detail rows equal a literal
-    per-impression loop over the same survivors and consensus keywords."""
+    """report.json cells and attrition rows and performance.json detail rows
+    equal the reference chain: its tag draws, consensus and filters, one
+    impression at a time."""
 
-    @pytest.mark.parametrize("manifest", [GOLDEN_MANIFEST, SHORT_BUDGET],
-                             ids=["golden", "short-budget"])
-    def test_cells_and_confusion_counts_match_the_reference(self, tmp_path, manifest):
-        simulate(ExperimentManifest.from_dict(manifest), tmp_path)
+    @settings(max_examples=30, deadline=None)
+    @given(manifest=_manifests())
+    @example(manifest=GOLDEN_MANIFEST)
+    @example(manifest=SHORT_BUDGET)
+    def test_cells_and_confusion_counts_match_the_reference(self, tmp_path_factory, manifest):
+        root = tmp_path_factory.mktemp("generated")
+        simulate(ExperimentManifest.from_dict(manifest), root)
         levels = [0.0, 0.1]
-        report = analyze(tmp_path)
-        performance = validate(tmp_path, spurious_levels=levels)
+        report = analyze(root)
+        performance = validate(root, spurious_levels=levels)
 
         cells = {
             (c["persona"], c["source"], c["filters"], c["condition"], c["rep"]):
@@ -1036,15 +982,17 @@ class TestReferenceScores:
             for c in report["cells"]
         }
         assert len(cells) == len(report["cells"])
-        assert cells == _reference_cells(tmp_path)
+        assert cells == reference.cells(root)
+        assert {row["session"]: row["attrition"] for row in report["attrition"]} \
+            == reference.attrition(root)
 
-        for level, expected in zip(performance["levels"], _reference_detail(tmp_path, levels)):
+        for level, expected in zip(performance["levels"], reference.detail(root, levels)):
             detail = {(r["condition"], r["persona"], r["source"]):
                       {k: v for k, v in r.items()
                        if k not in ("condition", "persona", "source")}
                       for r in level["detail"]}
             assert len(detail) == len(level["detail"])
             assert detail == expected
-        if manifest is SHORT_BUDGET:
+        if manifest == SHORT_BUDGET:
             # non-OBA survivors do get predicted once the tags are noisy
             assert performance["levels"][1]["aggregate"]["fp"] > 0

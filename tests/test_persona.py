@@ -11,11 +11,11 @@ from obameter import (
     Persona,
     WebPage,
     consensus_training_keywords,
-    normalize_keyword,
     select_training_pages,
 )
 from obameter.errors import ConfigurationError, PersonaRejected
 
+import reference
 from pools_fixture import CONSENSUS_EXPECTED, consensus_case
 
 
@@ -155,38 +155,6 @@ class TestConsensus:
             ConsensusConfig(n=2, threshold=threshold)
 
 
-def _consensus_oracle(persona, tags, config, taxonomy):
-    """The pair loop consensus ran before it compared neighbour sets, with
-    the keyword relation spelt out from lc_similarity and normalize_keyword."""
-
-    def similar(k, l):
-        if k in taxonomy and l in taxonomy:
-            return taxonomy.lc_similarity(k, l) > config.threshold
-        return normalize_keyword(k) == normalize_keyword(l)
-
-    union = {
-        src: set().union(*(table.get(url, ()) for url in persona.visited_urls))
-        for src, table in tags.items()
-    }
-    sources = sorted(union)
-    retained = {}
-    for src in sources:
-        keep = set()
-        for kw in union[src]:
-            support = 0
-            for other in sources:
-                if other == src:
-                    continue
-                if any(similar(kw, cand) for cand in union[other]):
-                    support += 1
-                    if support >= config.n:
-                        break
-            if support >= config.n:
-                keep.add(kw)
-        retained[src] = keep
-    return retained
-
-
 # one demo subtree at path lengths 1 to 5, a far branch, and two keywords
 # outside the taxonomy
 _KEYWORDS = st.sampled_from([
@@ -212,10 +180,9 @@ class TestConsensusOracle:
             ))
             for src in sources
         }
-        scores = [-math.log(k / (2 * taxonomy.max_depth))
-                  for k in range(1, 2 * taxonomy.max_depth + 1)]
+        scores = reference.scores(taxonomy)
         threshold = data.draw(st.one_of(
-            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+            st.floats(0.0, scores[0] + 0.5), st.sampled_from(scores)
         ))
         config = ConsensusConfig(n=data.draw(st.integers(0, 3)), threshold=threshold)
         if len(sources) < max(2, config.n + 1):
@@ -223,7 +190,7 @@ class TestConsensusOracle:
                 consensus_training_keywords(persona, tags, config, taxonomy)
             return
         assert (consensus_training_keywords(persona, tags, config, taxonomy)
-                == _consensus_oracle(persona, tags, config, taxonomy))
+                == reference.consensus(persona, tags, config, taxonomy))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -249,16 +216,15 @@ class TestConsensusOracle:
             for src in ("s0", "s1", "s2")
         }
         n = data.draw(st.integers(0, 2))
-        scores = [-math.log(k / (2 * taxonomy.max_depth))
-                  for k in range(1, 2 * taxonomy.max_depth + 1)]
+        scores = reference.scores(taxonomy)
         thresholds = data.draw(st.lists(st.one_of(
-            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+            st.floats(0.0, scores[0] + 0.5), st.sampled_from(scores)
         ), min_size=2, max_size=2, unique=True))
         for threshold in thresholds:
             config = ConsensusConfig(n=n, threshold=threshold)
             for persona in personas:
                 assert (consensus_training_keywords(persona, tags, config, taxonomy)
-                        == _consensus_oracle(persona, tags, config, taxonomy))
+                        == reference.consensus(persona, tags, config, taxonomy))
 
     def test_neighbours_never_score_a_pair(self, taxonomy, monkeypatch):
         # personas over overlapping keywords: their neighbours come from a
@@ -273,7 +239,7 @@ class TestConsensusOracle:
                               training_pages=[WebPage(url=url, role="training")])
             tags = {"s0": {url: {"pools", "banking", "web3"}},
                     "s1": {url: {"inground pools", "banking", "web3", "Web3"}}}
-            cases.append((persona, tags, _consensus_oracle(persona, tags, config, taxonomy)))
+            cases.append((persona, tags, reference.consensus(persona, tags, config, taxonomy)))
 
         def refuse(*args):
             raise AssertionError("a keyword pair was scored")
@@ -287,7 +253,7 @@ class TestConsensusOracle:
     def test_public_query_still_normalizes_its_arguments(self, taxonomy):
         assert "online banking" in taxonomy
         assert taxonomy.similar_or_exact("Online  Banking", "online_banking",
-                                         taxonomy.max_score - 0.01)
+                                         reference.scores(taxonomy)[0] - 0.01)
         # outside the taxonomy only equal normalized texts are similar
         assert taxonomy.similar_or_exact("Web  3", "web_3", 3.0)
         assert not taxonomy.similar_or_exact("Web  3", "web_4", 0.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pools_fixture
+import reference
 from obameter import (
     AdImpression,
     FilterConfig,
@@ -163,8 +164,8 @@ class TestDemoGeoStage:
     def test_equality_at_threshold_keeps(self, case):
         shared = [i for i in case.impressions
                   if i.landing_page.startswith("https://m-fin-00")][:5]
-        sibling_score = case.taxonomy.lc_similarity(
-            "swimming pools & spas", "hot tubs & spas"
+        sibling_score = reference.score(
+            case.taxonomy, "swimming pools & spas", "hot tubs & spas"
         )
         assert sibling_score == pytest.approx(math.log(38 / 3), abs=1e-12)
         kept = filter_demo_geo(shared, "pools", case.categories,
@@ -288,7 +289,7 @@ class TestMonotoneFilters:
         categories = {pid: data.draw(_CATEGORIES) for pid in pids}
         by_persona = {pid: data.draw(_impressions(pid)) for pid in pids}
         audience = build_audience(by_persona)
-        thresholds = st.floats(0.0, taxonomy.max_score + 0.5)
+        thresholds = st.floats(0.0, reference.scores(taxonomy)[0] + 0.5)
         low, high = sorted([data.draw(thresholds), data.draw(thresholds)])
         kept = [
             filter_demo_geo(by_persona["p0"], "p0", categories, audience,
@@ -296,24 +297,6 @@ class TestMonotoneFilters:
             for t_prime in (low, high)
         ]
         assert _ids(kept[1]) <= _ids(kept[0])
-
-
-def _demo_geo_oracle(impressions, persona_id, categories, audience, taxonomy,
-                     t_prime):
-    """The per-impression loop the dg filter ran before it compared sets."""
-
-    def category_below(a, b):
-        if a in taxonomy and b in taxonomy:
-            return taxonomy.lc_similarity(a, b) < t_prime
-        return a != b and t_prime > 0
-
-    own = categories[persona_id]
-    return [
-        imp for imp in impressions
-        if not any(category_below(own, categories[other])
-                   for other in sorted(audience.get(imp.landing_key, set())
-                                       - {persona_id}))
-    ]
 
 
 class TestDemoGeoOracle:
@@ -326,16 +309,17 @@ class TestDemoGeoOracle:
         by_persona = {pid: data.draw(_impressions(pid)) for pid in pids}
         audience = build_audience(by_persona)
         in_tree = sorted({c for c in categories.values() if c in taxonomy})
-        boundaries = [0.0, taxonomy.max_score, taxonomy.max_score + 0.1] + [
-            taxonomy.lc_similarity(a, b) for a in in_tree for b in in_tree
+        top = reference.scores(taxonomy)[0]
+        boundaries = [0.0, top, top + 0.1] + [
+            reference.score(taxonomy, a, b) for a in in_tree for b in in_tree
         ]
         t_prime = data.draw(st.one_of(
-            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(boundaries)
+            st.floats(0.0, top + 0.5), st.sampled_from(boundaries)
         ))
         for pid in pids:
             kept = filter_demo_geo(by_persona[pid], pid, categories, audience,
                                    taxonomy, t_prime)
-            expected = _demo_geo_oracle(by_persona[pid], pid, categories,
-                                        audience, taxonomy, t_prime)
+            expected = reference.dg(by_persona[pid], pid, categories,
+                                    reference.audience(by_persona), taxonomy, t_prime)
             assert [id(imp) for imp in kept] == [id(imp) for imp in expected]
 

@@ -1,11 +1,17 @@
 """Seed derivation: pinned digests, prefix-copied draws equal to derive_seed,
-and the integer cut equal to the uniform's comparison with a rate."""
+and the integer cut equal to the uniform's comparison with a rate.
+
+A draw n's uniform is its top 53 bits over 2**53, `(n >> 11) / 2**53`;
+the checks at the cut compare it with a rate as exact fractions.
+"""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obameter import seeding
 from obameter.experiment import DEFAULT_SPURIOUS_LEVELS
 from obameter.seeding import cut, derive_seed, hash_uniform, keyed_hasher, with_labels
 
@@ -30,9 +36,15 @@ class TestPinned:
         assert derive_seed(master, *labels) == seed
 
     @pytest.mark.parametrize("master, labels, seed", PINNED)
-    def test_hash_uniform_is_the_seed_over_two_to_the_64(self, master, labels, seed):
-        assert hash_uniform(master, *labels) == seed / 2.0**64
+    def test_hash_uniform_is_the_seeds_top_53_bits_over_two_to_the_53(
+        self, master, labels, seed
+    ):
+        assert Fraction(hash_uniform(master, *labels)) == Fraction(seed >> 11, 2**53)
         assert 0.0 <= hash_uniform(master, *labels) < 1.0
+
+    def test_the_largest_digest_has_a_uniform_below_one(self, monkeypatch):
+        monkeypatch.setattr(seeding, "derive_seed", lambda master, *labels: 2**64 - 1)
+        assert hash_uniform(0, "x") == 1 - 2.0**-53
 
     def test_master_is_taken_modulo_two_to_the_64(self):
         assert derive_seed(2**64 + 7, "serve", "p|ES|r0") == derive_seed(7, "serve", "p|ES|r0")
@@ -66,7 +78,7 @@ class TestPrefixDraws:
     def test_prefix_copy_draws_equal_hash_uniform(self, master, prefix, lasts):
         draws = _draws_after(with_labels(keyed_hasher(master), *prefix), lasts)
         assert draws == [derive_seed(master, *prefix, last) for last in lasts]
-        assert [n / 2.0**64 for n in draws] == [
+        assert [(n >> 11) / 2**53 for n in draws] == [
             hash_uniform(master, *prefix, last) for last in lasts
         ]
 
@@ -101,20 +113,29 @@ class TestCut:
     }))
     def test_a_draw_is_below_the_cut_exactly_when_its_uniform_is_below_the_rate(self, rate):
         c = cut(rate)
-        for n in {0, 2**64 - 1, *range(c - 2, c + 3)}:
+        # the draws beside the cut, and beside the one 2**11 below it, where
+        # the uniform before the cut's begins
+        for n in {0, 2**64 - 1, *range(c - 2, c + 3), *range(c - 2**11 - 2, c - 2**11 + 3)}:
             if 0 <= n < 2**64:
-                assert (n < c) == (n / 2.0**64 < rate), (rate, c, n)
+                assert (n < c) == (Fraction(n >> 11, 2**53) < Fraction(rate)), (rate, c, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rate=st.floats(0.0, 1.0), n=st.integers(0, 2**64 - 1))
+    def test_any_rate_and_draw(self, rate, n):
+        assert (n < cut(rate)) == (Fraction(n >> 11, 2**53) < Fraction(rate))
 
     def test_ends(self):
         assert cut(0.0) == cut(-1.0) == cut(math.nan) == 0
-        assert cut(5e-324) == 1
-        # the top 1,024 draws round to the uniform 1.0, which is not below 1.0
-        assert cut(1.0) == 2**64 - 1024
-        assert cut(math.nextafter(1.0, 2.0)) == cut(2.0) == 2**64
+        # the first 2**11 draws share the uniform 0, which is not below 5e-324
+        assert cut(5e-324) == 2**11
+        # every uniform is below 1.0, the largest draw's too
+        assert cut(1.0) == 2**64
+        assert cut(math.nextafter(1.0, 2.0)) > 2**64 - 1
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(0, 2**64 - 1))
     def test_a_draw_at_its_own_uniform_is_not_below_it(self, n):
         # every draw that shares n's uniform is at or above the cut
-        assert n >= cut(n / 2.0**64)
-        assert n < cut(math.nextafter(n / 2.0**64, 2.0))
+        u = (n >> 11) / 2**53
+        assert n >= cut(u)
+        assert n < cut(math.nextafter(u, 2.0))

@@ -10,6 +10,8 @@ from obameter import KeywordTaxonomy, normalize_keyword
 from obameter import taxonomy as taxonomy_module
 from obameter.errors import ConfigurationError, ObameterError
 
+import reference
+
 
 class TestNormalization:
     def test_case_and_separators(self):
@@ -76,41 +78,42 @@ class TestLoading:
 class TestSimilarity:
     def test_tiny_tree_depth(self, tiny_taxonomy):
         assert tiny_taxonomy.max_depth == 3
-        assert tiny_taxonomy.max_score == pytest.approx(math.log(6))
+        assert reference.scores(tiny_taxonomy)[0] == pytest.approx(math.log(6))
 
     def test_tiny_tree_sibling_score(self, tiny_taxonomy):
         # siblings: path of 3 nodes, -ln(3/6)
-        assert tiny_taxonomy.pathlen("dogs", "cats") == 3
+        assert reference.pathlen(tiny_taxonomy, "dogs", "cats") == 3
         assert tiny_taxonomy.lc_similarity("dogs", "cats") == pytest.approx(
             0.6931, abs=5e-5
         )
+        assert tiny_taxonomy.score("dogs", "cats") == reference.score(tiny_taxonomy, "dogs", "cats")
 
     def test_tiny_tree_cross_branch_score(self, tiny_taxonomy):
         # dogs -> animals -> top -> plants: 4 nodes, -ln(4/6)
-        assert tiny_taxonomy.pathlen("dogs", "plants") == 4
+        assert reference.pathlen(tiny_taxonomy, "dogs", "plants") == 4
         assert tiny_taxonomy.lc_similarity("dogs", "plants") == pytest.approx(
             0.4055, abs=5e-5
         )
+        assert (tiny_taxonomy.score("dogs", "plants")
+                == reference.score(tiny_taxonomy, "dogs", "plants"))
 
     def test_identity_is_max_score(self, tiny_taxonomy):
-        assert tiny_taxonomy.pathlen("dogs", "dogs") == 1
-        assert tiny_taxonomy.lc_similarity("dogs", "dogs") == pytest.approx(
-            tiny_taxonomy.max_score
-        )
+        assert reference.pathlen(tiny_taxonomy, "dogs", "dogs") == 1
+        assert tiny_taxonomy.lc_similarity("dogs", "dogs") == reference.scores(tiny_taxonomy)[0]
 
     def test_unknown_keyword_raises(self, tiny_taxonomy):
         with pytest.raises(ObameterError, match="keyword not in taxonomy: 'sharks'"):
-            tiny_taxonomy.pathlen("dogs", "sharks")
+            tiny_taxonomy.lc_similarity("dogs", "sharks")
 
     def test_demo_tree_shape(self, taxonomy):
         assert len(taxonomy) == 205
         assert taxonomy.max_depth == 19
-        assert taxonomy.max_score == pytest.approx(math.log(38))
+        assert taxonomy.score("banking", "banking") == math.log(38)
 
     def test_threshold_separates_siblings_from_cousins(self, taxonomy):
         # 3-node paths score above 2.5, 4-node paths below
         assert taxonomy.lc_similarity("motor sports", "motorcycles") > 2.5
-        assert taxonomy.pathlen("inground pools", "hot tubs & spas") == 4
+        assert reference.pathlen(taxonomy, "inground pools", "hot tubs & spas") == 4
         assert taxonomy.lc_similarity("inground pools", "hot tubs & spas") < 2.5
 
     def test_similar_is_strict(self, taxonomy):
@@ -138,12 +141,6 @@ _RESPELLINGS = (
 )
 
 
-def _similar_or_exact_oracle(tax, k, l, threshold):
-    if k in tax and l in tax:
-        return tax.lc_similarity(k, l) > threshold
-    return normalize_keyword(k) == normalize_keyword(l)
-
-
 class TestSimilarOrExactOracle:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -155,27 +152,21 @@ class TestSimilarOrExactOracle:
         word_k = data.draw(words)
         word_l = data.draw(st.one_of(st.just(word_k), words))
         k, l = data.draw(spell)(word_k), data.draw(spell)(word_l)
-        scores = [-math.log(n / (2 * taxonomy.max_depth))
-                  for n in range(1, 2 * taxonomy.max_depth + 1)]
+        scores = reference.scores(taxonomy)
         threshold = data.draw(st.one_of(
-            st.floats(0.0, taxonomy.max_score + 0.5), st.sampled_from(scores)
+            st.floats(0.0, scores[0] + 0.5), st.sampled_from(scores)
         ))
-        assert (taxonomy.similar_or_exact(k, l, threshold)
-                == _similar_or_exact_oracle(taxonomy, k, l, threshold))
-        score = taxonomy.score(k, l)
-        assert score == taxonomy.score(l, k)
+        score = reference.score(taxonomy, k, l)
         assert taxonomy.similar_or_exact(k, l, threshold) == (score > threshold)
+        assert taxonomy.score(k, l) == taxonomy.score(l, k) == score
         if k in taxonomy and l in taxonomy:
-            assert score == taxonomy.lc_similarity(k, l)
-        else:
-            assert score == (math.inf if normalize_keyword(k) == normalize_keyword(l)
-                             else 0.0)
+            assert taxonomy.lc_similarity(k, l) == score
 
     def test_score_outside_the_tree(self, taxonomy):
         assert taxonomy.score("blockchain", "  BLOCKCHAIN ") == math.inf
         assert taxonomy.score("blockchain", "web3") == 0.0
         assert taxonomy.score("blockchain", "banking") == 0.0
-        assert taxonomy.score("banking", "banking") == taxonomy.max_score
+        assert taxonomy.score("banking", "banking") == math.log(38)
 
     def test_normalizes_each_argument_once(self, taxonomy, monkeypatch):
         seen = []
@@ -205,9 +196,11 @@ class TestSenses:
         ])
         assert len(tree) == 5
         # min over sense pairs: jaguar#1 is a direct child of cars
-        assert tree.pathlen("jaguar", "cars") == 2
-        assert tree.pathlen("jaguar", "cats") == 2
-        assert tree.pathlen("jaguar", "jaguar") == 1
+        assert reference.pathlen(tree, "jaguar", "cars") == 2
+        assert reference.pathlen(tree, "jaguar", "cats") == 2
+        assert reference.pathlen(tree, "jaguar", "jaguar") == 1
+        for other in ("cars", "cats", "jaguar", "top"):
+            assert tree.score("jaguar", other) == reference.score(tree, "jaguar", other)
 
     def test_sense_ids_must_differ(self):
         with pytest.raises(ConfigurationError, match="duplicate node declaration: 'jaguar#1'"):
@@ -226,13 +219,14 @@ class TestRandomTreeProperties:
             edges.append((name, rng.choice(nodes)))
             nodes.append(name)
         tree = KeywordTaxonomy.from_edges(edges)
+        top = reference.scores(tree)[0]
         for _ in range(300):
             a, b = rng.choice(nodes), rng.choice(nodes)
-            assert tree.pathlen(a, b) == tree.pathlen(b, a)
             score = tree.lc_similarity(a, b)
-            assert 0.0 < score <= tree.max_score + 1e-12
+            assert score == tree.lc_similarity(b, a) == reference.score(tree, a, b)
+            assert 0.0 < score <= top
             if a == b:
-                assert tree.pathlen(a, b) == 1
+                assert score == top
 
 
 # two multi-sense keywords, the nearer sense of each not the first, and a
@@ -253,12 +247,11 @@ _ASKED = [*_SENSES.keywords(), "Jaguar", "compact_sedan", "  Lion ", "web3", "We
 def _thresholds(taxonomy):
     """Every attainable score, its float neighbours, and ln(2D) and above,
     where no keyword of the tree is similar to itself."""
-    scores = [-math.log(p / (2 * taxonomy.max_depth))
-              for p in range(1, 2 * taxonomy.max_depth + 1)]
+    scores = reference.scores(taxonomy)
     return sorted({
         t for s in scores for t in (s, math.nextafter(s, -1.0), math.nextafter(s, math.inf))
         if t >= 0
-    } | {taxonomy.max_score + 0.5})
+    } | {scores[0] + 0.5})
 
 
 class TestNeighbours:
@@ -280,7 +273,8 @@ class TestNeighbours:
             }, threshold
 
     def test_at_ln_2d_and_above_only_outside_keywords_are_their_own_neighbours(self):
-        for threshold in (_SENSES.max_score, _SENSES.max_score + 0.5):
+        top = reference.scores(_SENSES)[0]
+        for threshold in (top, top + 0.5):
             near = _SENSES.neighbours(_ASKED, threshold)
             assert near["jaguar"] == near["Jaguar"] == set()
             assert near["web3"] == {"web3", "WEB3"} and near["Web 3"] == {"Web 3"}
@@ -290,14 +284,14 @@ class TestNeighbours:
         reach = max((p for p in range(1, 2 * _SENSES.max_depth + 1)
                      if -math.log(p / (2 * _SENSES.max_depth)) > threshold), default=0)
         for form, nodes in _SENSES.senses.items():
+            lengths = {other: reference.pathlen(_SENSES, form, other) for other in _SENSES.senses}
             assert _SENSES._lengths(nodes, reach) == {
-                other: _SENSES.pathlen(form, other) for other in _SENSES.senses
-                if _SENSES.pathlen(form, other) <= reach
+                other: p for other, p in lengths.items() if p <= reach
             }, form
 
     def test_the_nearer_sense_decides(self):
         # jaguar#2 is a sibling of lion, jaguar#1 three nodes further
-        assert _SENSES.pathlen("jaguar", "lion") == 3
+        assert reference.pathlen(_SENSES, "jaguar", "lion") == 3
         near = _SENSES.neighbours(["jaguar", "lion", "sedan"], -math.log(4 / 12))
         assert near == {"jaguar": {"jaguar", "lion", "sedan"}, "lion": {"jaguar", "lion"},
                         "sedan": {"jaguar", "sedan"}}
