@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 import os
 import re
@@ -248,18 +249,14 @@ def _jsonl(records: Iterable) -> str:
 def _record_fields(cls, rec, check: bool = True) -> tuple:
     """The value of each stored field of dataclass `cls`, in order, from record
     `rec` under its stored key, so that `cls(*values)` builds the record;
-    other keys are ignored. Each value must be of its field's type hint,
-    unless `check` is false because the constructor checks every field; a
-    `float` field's value must also be finite."""
+    other keys are ignored. Each value must be of its field's type hint, a
+    float finite, unless `check` is false because the constructor checks each."""
     _, checks, _, of_record = _stored_fields(cls)
     values = of_record(rec)
     if check:
-        for (_, key, hint, is_a), value in zip(checks, values):
+        for (_, key, hint, _, is_a), value in zip(checks, values):
             if not is_a(value):
                 raise CorpusDataError(_not_a(key, hint, value))
-            # JSON reads a number beyond float range as infinity
-            if hint is float and not abs(value) <= sys.float_info.max:
-                raise CorpusDataError(f"{key} must be finite, got {reprlib.repr(value)}")
     return values
 
 
@@ -294,10 +291,16 @@ def _temporary(path: Path) -> Path:
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, tuple[object, Callable]]:
-    """Field name -> (type hint, `_is_a` test of it) for each field of `cls`."""
+def _field_types(cls) -> dict[str, tuple[object, Callable, Callable]]:
+    """Field name -> (type hint, `_is_a` test, stored value test) for each field of `cls`."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], _is_a(hints[f.name])) for f in fields(cls)}
+    return {f.name: (hint, _is_a(hint), _is_finite if hint is float else _is_a(hint))
+            for f in fields(cls) for hint in [hints[f.name]]}
+
+
+def _is_finite(v) -> bool:
+    """A finite float, or an int within float range; JSON reads a number beyond it as inf."""
+    return type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= sys.float_info.max
 
 
 @functools.cache
@@ -305,8 +308,8 @@ def _stored_fields(cls) -> tuple[tuple[str, ...], tuple, Callable, Callable]:
     """`(keys, checks, to_record, of_record)` for the fields of `cls` its
     constructor takes (two or more), in order: the key each is stored under
     (its "key" metadata, else its name), a `(name, key, type hint, _is_a
-    test)` check of each, the writer of an instance (one call per field only
-    where a field needs encoding), and the getter of their values from a record."""
+    test, stored value test)` check of each, the writer of an instance (one
+    call per field only where it needs encoding), and their getter from a record."""
     types_, init = _field_types(cls), [f for f in fields(cls) if f.init]
     keys = tuple(f.metadata.get("key", f.name) for f in init)
     values = operator.attrgetter(*(f.name for f in init))
@@ -366,6 +369,8 @@ def _is_a(hint) -> Callable[[object], bool]:
 
 def _not_a(name: str, hint, value) -> str:
     """Why `value` of field `name` fails `hint`, naming the innermost bad entry."""
+    if hint is float and _is_a(float)(value):  # a stored float beyond float range
+        return f"{name} must be finite, got {reprlib.repr(value)}"
     args = typing.get_args(hint)
     wanted = (f"one of {', '.join(args)}" if typing.get_origin(hint) is typing.Literal
               else f"of type {hint if args else hint.__name__}")
@@ -398,7 +403,7 @@ def from_dict(cls, data, section: str):
     the wrong type raises ConfigurationError naming the key as stored."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"{section} must be an object, got {type(data).__name__}")
-    by_key = {key: (name, hint, is_a) for name, key, hint, is_a in _stored_fields(cls)[1]}
+    by_key = {key: (name, hint, is_a) for name, key, hint, is_a, _ in _stored_fields(cls)[1]}
     unknown = set(data) - set(by_key)
     if unknown:
         raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")

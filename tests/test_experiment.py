@@ -35,7 +35,7 @@ from obameter import (
     validate,
 )
 from obameter import corpus, experiment
-from obameter.adsim import TagNoise
+from obameter.adsim import TagNoise, default_persona_specs
 from obameter.cli import main
 from obameter.corpus import tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError, ObameterError
@@ -942,8 +942,14 @@ _CONDITIONS = [{"geo": "ES"}, {"geo": "US", "dnt": True}, {"geo": "ES", "dnt": T
 @st.composite
 def _manifests(draw):
     """Small manifests: up to 4 personas, 1 or 2 conditions with DNT on or
-    off, the DNT and profile-sharing rules drawn, short budgets."""
+    off, the DNT and profile-sharing rules drawn, short budgets, and
+    `t_prime` the default or the score of two personas' categories, which
+    `dg` must not call distant."""
     n_personas = draw(st.integers(1, 4))
+    categories = [spec.category for spec in default_persona_specs(n_personas)]
+    taxonomy = resolve_taxonomy("demo")
+    t_prime = draw(st.sampled_from([2.5, *(reference.score(taxonomy, a, b)
+                                           for a in categories for b in categories if a < b)]))
     # a tenth of the ads retarget, one publisher page each: 12 training
     # pages per persona and 5 control pages
     n_ads = draw(st.integers(100, min(300, 10 * (12 * n_personas + 5))))
@@ -957,6 +963,7 @@ def _manifests(draw):
                                     unique_by=lambda c: (c["geo"], c.get("dnt", False)))),
         "sim": {"n_ads": n_ads, "honor_dnt": draw(st.booleans()),
                 "share_profiles": draw(st.booleans())},
+        "filters": {"t_prime": t_prime},
     }
 
 
