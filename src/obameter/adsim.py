@@ -67,7 +67,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, CorpusDataError
 from .persona import CandidatePage, Persona, select_training_pages
-from .seeding import cut, derive_seed, keyed_hasher, with_labels
+from .seeding import cut, derive_seed, draws_below, keyed_hasher, uniform, with_labels
 from .session import ServedAd, SessionConfig, VisitEvent
 from .taxonomy import KeywordTaxonomy, normalize_keyword
 
@@ -426,9 +426,9 @@ class WorldTagSource:
     probability `noise.spurious`. Each decision compares the uniform
     `hash_uniform(salt, "drop" or "spur", url, keyword)` with the rate, so
     a keyword present at rate r stays present at any rate above r.
-    A draw absorbs the keyword's bytes, encoded once per source, into a copy
-    of the page's prefix and compares the digest's integer with the rate's
-    `cut`; only a kept spurious draw is turned into its uniform.
+    The draws are `seeding.draws_below` of the page's prefix, over the
+    keywords' bytes, encoded once per source, and the rate's `cut`; only a
+    kept spurious draw is turned into its uniform.
     """
 
     def __init__(self, name: str, world: World, noise: TagNoise):
@@ -443,33 +443,21 @@ class WorldTagSource:
         self._labels = {k: k.encode("utf-8") for k in self.spurious_pool}
         self._drop_cut, self._spur_cut = cut(noise.dropout), cut(noise.spurious)
 
-    def _draws(self, url: str, spur_cut: int) -> tuple[list[str], list[tuple[float, str]]]:
+    def _draws(self, url: str, spur_cut: int) -> tuple[list[str], dict[str, int]]:
         """The true keywords of `url` that survive dropout, and each pool
-        keyword whose spurious draw lies below `spur_cut`, with its uniform."""
-        labels, from_bytes = self._labels, int.from_bytes
+        keyword whose spurious draw lies below `spur_cut`, with its draw."""
         kept = list(self.world.page_categories.get(url, ()))
         if self._drop_cut:
-            prefix, survivors = with_labels(self._hasher, "drop", url), []
-            for k in kept:
-                h = prefix.copy()
-                h.update(labels[k])
-                if from_bytes(h.digest(), "little") >= self._drop_cut:
-                    survivors.append(k)
-            kept = survivors
-        below: list[tuple[float, str]] = []
-        if spur_cut:
-            prefix = with_labels(self._hasher, "spur", url)
-            for k, label in labels.items():
-                h = prefix.copy()
-                h.update(label)
-                n = from_bytes(h.digest(), "little")
-                if n < spur_cut:
-                    below.append(((n >> 11) * 2.0**-53, k))
-        return kept, below
+            dropped = draws_below(with_labels(self._hasher, "drop", url),
+                                  {k: self._labels[k] for k in kept}, self._drop_cut)
+            kept = [k for k in kept if k not in dropped]
+        if not spur_cut:
+            return kept, {}
+        return kept, draws_below(with_labels(self._hasher, "spur", url), self._labels, spur_cut)
 
     def keywords_for(self, page: WebPage) -> set[str]:
         kept, below = self._draws(page.url, self._spur_cut)
-        return {*kept, *(k for _, k in below)}
+        return {*kept, *below}
 
     def tag_levels(
         self, pages: Sequence[WebPage], levels: Sequence[float]
@@ -492,7 +480,7 @@ class WorldTagSource:
         for page in pages:
             if page.url not in drawn:
                 kept, below = self._draws(page.url, bound)
-                below = sorted((u, canon[k]) for u, k in below if k in canon)
+                below = sorted((uniform(n), canon[k]) for k, n in below.items() if k in canon)
                 drawn[page.url] = (
                     tuple({canon[k] for k in kept if k in canon}),
                     tuple(u for u, _ in below),

@@ -526,10 +526,11 @@ class ExperimentStore:
     def append_impressions(self, impressions: Iterable[AdImpression]) -> None:
         self._append("impressions.jsonl", impressions)
 
-    def load_impressions(self) -> list[AdImpression]:
-        return self.load_records("impressions.jsonl", lambda rec: AdImpression(
+    def load_impressions(self, build: Callable[[AdImpression], object] = lambda imp: imp) -> list:
+        """`build(impression)` per `AdImpression`, in log order; by default it."""
+        return self.load_records("impressions.jsonl", lambda rec: build(AdImpression(
             *_record_fields(AdImpression, rec, check=False)
-        ))
+        )))
 
     def _append(self, name: str, records: Iterable) -> None:
         with self.path(name).open("a", encoding="utf-8") as fh:
@@ -557,12 +558,9 @@ class ExperimentStore:
             for i, rec in enumerate(records, 1):
                 built.append(build(rec))
         except _BUILD_ERRORS as exc:
-            raise self.bad_record(name, i, _unusable(exc, rec)) from exc
+            what = _unusable(exc, rec)
+            raise CorpusDataError(f"{name} in {self.root}: record {i} {what}") from exc
         return built
-
-    def bad_record(self, name: str, i: int, what: str) -> CorpusDataError:
-        """The error for record `i` (from 1) of file `name`."""
-        return CorpusDataError(f"{name} in {self.root}: record {i} {what}")
 
     # json documents
 

@@ -59,7 +59,6 @@ from .adsim import (
 from .corpus import (
     AdImpression,
     ExperimentStore,
-    VisitRecord,
     _built,
     _loads,
     _record_fields,
@@ -367,11 +366,12 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
         imps_by_session[row.session] = []
         return row
     rows = store.load_records("sessions.json", session_row)
-    for i, imp in enumerate(store.load_impressions(), 1):
-        if imp.session_id not in imps_by_session:
-            raise store.bad_record("impressions.jsonl", i,
-                                   f"names session {imp.session_id!r}, not in sessions.json")
-        imps_by_session[imp.session_id].append(imp)
+
+    def known(session: str) -> str:
+        if session not in imps_by_session:
+            raise CorpusDataError(f"names session {session!r}, not in sessions.json")
+        return session
+    store.load_impressions(lambda imp: imps_by_session[known(imp.session_id)].append(imp))
 
     for row in rows:
         # simulate writes only complete sessions, but a corpus from another
@@ -387,12 +387,8 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
             group.pooled.setdefault(row.persona, []).extend(imps)
 
     visited_by_session: dict[str, set[str]] = {}
-
-    def add_visit(visit: VisitRecord) -> None:
-        if visit.session not in imps_by_session:
-            raise CorpusDataError(f"names session {visit.session!r}, not in sessions.json")
-        visited_by_session.setdefault(visit.session, set()).add(landing_key(visit.url))
-    store.load_visits(add_visit)
+    store.load_visits(lambda visit: visited_by_session.setdefault(
+        known(visit.session), set()).add(landing_key(visit.url)))
 
     return _Corpus(
         store=store,

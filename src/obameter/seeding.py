@@ -6,11 +6,11 @@ derivation is a keyed blake2b digest of the labels joined by "\\x1f", so it
 is stable across processes and Python versions and never depends on
 PYTHONHASHSEED.
 
-A caller that draws many uniforms under one label prefix keys the hasher
-once (`keyed_hasher`), absorbs the prefix once (`with_labels`), then per
-draw copies it and absorbs the last label: blake2b absorbs a message in
-pieces as it does whole, so the digest is `derive_seed`'s. `cut(rate)`
-makes `hash_uniform(...) < rate` one integer comparison.
+A tag draw is `draws_below`: per label, a copy of a prefix (a `keyed_hasher`
+that absorbed the leading labels through `with_labels`) absorbs the label,
+and its digest, read as an integer, is `derive_seed`'s, as blake2b absorbs
+a message in pieces as it does whole. `uniform(n)` is a draw's uniform, and
+`cut(rate)` makes `uniform(n) < rate` one integer comparison.
 """
 
 from __future__ import annotations
@@ -44,10 +44,14 @@ def hash_uniform(master: int, *labels: str) -> float:
 
     Used to couple random decisions across parameter sweeps: a decision
     taken as `hash_uniform(...) < rate` flips in one direction only as the
-    rate grows, which makes rate sweeps monotone by construction. The
-    uniform is the digest's top 53 bits over 2**53, exact as a float.
+    rate grows, which makes rate sweeps monotone by construction.
     """
-    return (derive_seed(master, *labels) >> 11) * 2.0**-53
+    return uniform(derive_seed(master, *labels))
+
+
+def uniform(n: int) -> float:
+    """A 64-bit draw's uniform in [0, 1): its top 53 bits over 2**53, exact."""
+    return (n >> 11) * 2.0**-53
 
 
 def with_labels(hasher, *labels: str):
@@ -56,6 +60,20 @@ def with_labels(hasher, *labels: str):
     h = hasher.copy()
     h.update("".join(label + _SEP for label in labels).encode("utf-8"))
     return h
+
+
+def draws_below(prefix, labels: dict[str, bytes], bound: int) -> dict[str, int]:
+    """Each key of `labels` whose draw lies below `bound`, with its draw, in
+    `labels`' order: the digest of a copy of `prefix` that absorbed the key's
+    label bytes, read as a little-endian integer."""
+    below, from_bytes = {}, int.from_bytes
+    for key, label in labels.items():
+        h = prefix.copy()
+        h.update(label)
+        n = from_bytes(h.digest(), "little")
+        if n < bound:
+            below[key] = n
+    return below
 
 
 def cut(rate: float) -> int:

@@ -65,7 +65,6 @@ class KeywordTaxonomy:
     parent: dict[str, str | None]          # node id -> parent id (root -> None)
     depth: dict[str, int]                  # node id -> depth, root at 1
     senses: dict[str, list[str]]           # keyword text -> node ids
-    root: str
     max_depth: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -253,7 +252,7 @@ class KeywordTaxonomy:
             senses.setdefault(texts[node], []).append(node)
         for nodes in senses.values():
             nodes.sort()
-        return cls(parent=parent, depth=depth, senses=senses, root=root)
+        return cls(parent=parent, depth=depth, senses=senses)
 
     @classmethod
     def loads(cls, text: str) -> "KeywordTaxonomy":

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from obameter import World, landing_key, normalize_keyword
 from obameter import experiment
-from obameter.seeding import derive_seed, hash_uniform
+from obameter.seeding import derive_seed
 from obameter.session import ServedAd
 
 # ---------------------------------------------------------------------------
@@ -227,13 +227,15 @@ class Harvester:
 def tag_keywords(world, name, dropout, spurious, url):
     """The keywords the world's source `name` gives page `url`: each true
     keyword whose drop draw is not below `dropout`, and each keyword of any
-    page whose spurious draw is below `spurious`; one `hash_uniform` each."""
+    page whose spurious draw is below `spurious`; one `derive_seed` each."""
     salt = derive_seed(world.seed, "tags", name)
+
+    def u(kind, k):
+        return (derive_seed(salt, kind, url, k) >> 11) / 2**53
     pool = {c for cats in world.page_categories.values() for c in cats}
-    kept = {k for k in world.page_categories.get(url, ())
-            if hash_uniform(salt, "drop", url, k) >= dropout}
+    kept = {k for k in world.page_categories.get(url, ()) if u("drop", k) >= dropout}
     if spurious > 0.0:
-        kept |= {k for k in pool if hash_uniform(salt, "spur", url, k) < spurious}
+        kept |= {k for k in pool if u("spur", k) < spurious}
     return kept
 
 

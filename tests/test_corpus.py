@@ -1,4 +1,5 @@
-"""URL handling, tagging sources, and the experiment store."""
+"""URL handling, tagging sources, the experiment store, and standard JSON in
+the golden runs."""
 
 import json
 import math
@@ -19,6 +20,7 @@ from obameter import (
 )
 from obameter import corpus
 from obameter.errors import CorpusDataError
+from test_golden import DECAY_SIM, DNT_SHARED_SIM, GOLDEN_MANIFEST, GOLDEN_SHA256, _run
 
 _DEFAULT_PORT = {"http": 80, "https": 443}
 
@@ -391,3 +393,23 @@ class TestStore:
             store.write_doc("report.json", {"new": list(range(100))})
         assert store.path("report.json").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard token {token}")
+
+
+@pytest.mark.parametrize("sim", [{}, DNT_SHARED_SIM, DECAY_SIM],
+                         ids=["default", "dnt-shared", "decay"])
+def test_every_json_file_of_a_golden_run_is_standard_json(tmp_path, sim):
+    # Python's json writes and reads NaN and Infinity, which RFC 8259 does not
+    # allow; the variants write the files the default run writes
+    _run(tmp_path, dict(GOLDEN_MANIFEST, sim=sim))
+    for name in (name for name in GOLDEN_SHA256 if name.endswith((".json", ".jsonl"))):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        docs = [text] if name.endswith(".json") else text.splitlines()
+        for lineno, doc in enumerate(docs, 1):
+            try:
+                json.loads(doc, parse_constant=_refuse)
+            except ValueError as exc:
+                pytest.fail(f"{name}:{lineno}: {exc}")

@@ -17,6 +17,7 @@ BARRED_NAMES = {
     "consensus_training_keywords", "tag_pages", "WorldTagSource",
     "_filtered_sessions", "_matches", "_consensus_keywords",
     "score", "lc_similarity", "similar_or_exact", "neighbours", "_pair_pathlen",
+    "hash_uniform", "draws_below",
 }
 
 
@@ -62,6 +63,10 @@ def test_the_reference_uses_nothing_that_computes_the_chain():
     "experiment._filtered_sessions(corpus, filters)",
     "experiment._matches(imps, tags, k_t)",
     "obameter.metrics.quartiles(values)",
+    "from obameter.seeding import derive_seed, hash_uniform",
+    "seeding.hash_uniform(salt, 'spur', url, k)",
+    "from obameter.seeding import draws_below",
+    "seeding.draws_below(prefix, labels, bound)",
 ])
 def test_the_check_finds_each_barred_use(line):
     assert _uses(line)

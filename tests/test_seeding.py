@@ -1,5 +1,5 @@
-"""Seed derivation: pinned digests, prefix-copied draws equal to derive_seed,
-and the integer cut equal to the uniform's comparison with a rate.
+"""Seed derivation: pinned digests, `draws_below` equal to derive_seed, and
+the integer cut equal to the uniform's comparison with a rate.
 
 A draw n's uniform is its top 53 bits over 2**53, `(n >> 11) / 2**53`;
 the checks at the cut compare it with a rate as exact fractions.
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from obameter import seeding
 from obameter.experiment import DEFAULT_SPURIOUS_LEVELS
-from obameter.seeding import cut, derive_seed, hash_uniform, keyed_hasher, with_labels
+from obameter.seeding import cut, derive_seed, draws_below, hash_uniform, keyed_hasher, with_labels
 
 # (master, labels) -> derive_seed; every stored corpus depends on these
 PINNED = [
@@ -56,16 +56,9 @@ class TestPinned:
         assert derive_seed(42, "ab") != derive_seed(42, "a", "b")
 
 
-def _draws_after(prefix, labels):
-    """The draw loop of `WorldTagSource._draws`: per label a copy of the
-    prefix absorbs the label's UTF-8 bytes, and the digest is read as an
-    integer."""
-    draws = []
-    for label in labels:
-        h = prefix.copy()
-        h.update(label.encode("utf-8"))
-        draws.append(int.from_bytes(h.digest(), "little"))
-    return draws
+def _draws(prefix, lasts, bound=2**64):
+    """`draws_below` over the UTF-8 bytes of each label of `lasts`."""
+    return draws_below(prefix, {last: last.encode("utf-8") for last in lasts}, bound)
 
 
 class TestPrefixDraws:
@@ -76,11 +69,15 @@ class TestPrefixDraws:
         lasts=st.lists(_LABEL, max_size=5),
     )
     def test_prefix_copy_draws_equal_hash_uniform(self, master, prefix, lasts):
-        draws = _draws_after(with_labels(keyed_hasher(master), *prefix), lasts)
-        assert draws == [derive_seed(master, *prefix, last) for last in lasts]
-        assert [(n >> 11) / 2**53 for n in draws] == [
-            hash_uniform(master, *prefix, last) for last in lasts
-        ]
+        hasher = with_labels(keyed_hasher(master), *prefix)
+        draws = _draws(hasher, lasts)
+        assert draws == {last: derive_seed(master, *prefix, last) for last in lasts}
+        assert {last: seeding.uniform(n) for last, n in draws.items()} == {
+            last: hash_uniform(master, *prefix, last) for last in lasts
+        }
+        # the largest draw lies at the bound, so only the others are below it
+        bound = max(draws.values(), default=0)
+        assert _draws(hasher, lasts, bound) == {k: n for k, n in draws.items() if n < bound}
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -91,15 +88,15 @@ class TestPrefixDraws:
     )
     def test_prefixes_compose(self, master, outer, inner, last):
         nested = with_labels(with_labels(keyed_hasher(master), *outer), *inner)
-        assert _draws_after(nested, [last]) == [derive_seed(master, *outer, *inner, last)]
+        assert _draws(nested, [last]) == {last: derive_seed(master, *outer, *inner, last)}
 
     def test_hashers_are_copied_not_consumed(self):
         base = keyed_hasher(9)
         prefix = with_labels(base, "spur", "http://a.example/")
-        first = _draws_after(prefix, ["pools", "banking"])
-        assert _draws_after(prefix, ["pools", "banking"]) == first
+        first = _draws(prefix, ["pools", "banking"])
+        assert _draws(prefix, ["pools", "banking"]) == first
         again = with_labels(base, "spur", "http://a.example/")
-        assert _draws_after(again, ["pools"]) == first[:1]
+        assert _draws(again, ["pools"]) == {"pools": first["pools"]}
         assert base.digest() == keyed_hasher(9).digest()
 
 
