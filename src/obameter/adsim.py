@@ -423,12 +423,12 @@ class WorldTagSource:
 
     Starts from the world's true page categories, drops each true keyword
     with probability `noise.dropout`, and injects each pool keyword with
-    probability `noise.spurious`. Each decision compares the uniform
-    `hash_uniform(salt, "drop" or "spur", url, keyword)` with the rate, so
-    a keyword present at rate r stays present at any rate above r.
-    The draws are `seeding.draws_below` of the page's prefix, over the
-    keywords' bytes, encoded once per source, and the rate's `cut`; only a
-    kept spurious draw is turned into its uniform.
+    probability `noise.spurious`. Each decision compares the draw
+    `derive_seed(salt, "drop" or "spur", url, keyword)` with the rate's
+    `cut`, so a keyword present at rate r stays present at any rate above
+    r. The draws are `seeding.draws_below` of the page's prefix over the
+    keywords' bytes, encoded once per source; only a kept spurious draw is
+    turned into its uniform.
     """
 
     def __init__(self, name: str, world: World, noise: TagNoise):

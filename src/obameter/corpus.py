@@ -527,7 +527,7 @@ class ExperimentStore:
         self._append("impressions.jsonl", impressions)
 
     def load_impressions(self, build: Callable[[AdImpression], object] = lambda imp: imp) -> list:
-        """`build(impression)` per `AdImpression`, in log order; by default it."""
+        """`build(impression)` per `AdImpression`, in log order; by default the impression."""
         return self.load_records("impressions.jsonl", lambda rec: build(AdImpression(
             *_record_fields(AdImpression, rec, check=False)
         )))
