@@ -690,7 +690,7 @@ def validate(
     """Score ground-truth OBA detection across tag-noise levels.
 
     Serving, sessions and filter survivorship are fixed by the stored
-    corpus. Every page is tagged in one sweep: each source draws each
+    corpus. The pages read are tagged in one sweep: each source draws each
     (page, keyword) uniform once, and a spurious level's tables keep the
     draws below it (dropout held constant). Consensus and the keyword
     match are then recomputed per level, in the caller's order. The
@@ -709,7 +709,6 @@ def validate(
     if dropout is None:
         dropout = corpus.manifest.sim.tag_noise.dropout
 
-    pages = world.all_pages()
     filter_config = FilterConfig(filters="rscdg", t_prime=corpus.manifest.filters.t_prime)
 
     # survivors never depend on tags, so filter once
@@ -718,6 +717,13 @@ def validate(
         survivors.setdefault((cond_id, row.persona), []).extend(
             result.by_stage["dg"]
         )
+
+    # only the pages read are tagged: the training pages consensus reads and
+    # the survivors' landing pages the match reads; a draw is keyed by its
+    # page, so a page's tables do not depend on which others are tagged
+    read = {url for persona in corpus.personas.values() for url in persona.visited_urls}
+    read.update(imp.landing_page for pool in survivors.values() for imp in pool)
+    pages = [page for page in world.all_pages() if page.url in read]
 
     # each level's tables are the one sweep's draws below that level
     sources = world.tag_sources(TagNoise(dropout=dropout))

@@ -10,7 +10,10 @@ A tag draw is `draws_below`: per label, a copy of a prefix (a `keyed_hasher`
 that absorbed the leading labels through `with_labels`) absorbs the label,
 and its digest, read as an integer, is `derive_seed`'s, as blake2b absorbs
 a message in pieces as it does whole. `uniform(n)` is a draw's uniform, and
-`cut(rate)` makes `uniform(n) < rate` one integer comparison.
+`cut(rate)` makes `uniform(n) < rate` one integer comparison. The uniform
+of a keyed draw, `uniform(derive_seed(...))`, couples a decision across a
+rate sweep: taken as `uniform < rate`, it flips in one direction only as
+the rate grows, which makes rate sweeps monotone by construction.
 """
 
 from __future__ import annotations
@@ -37,16 +40,6 @@ def derive_seed(master: int, *labels: str) -> int:
     h = keyed_hasher(master)
     h.update(_SEP.join(labels).encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
-
-
-def hash_uniform(master: int, *labels: str) -> float:
-    """Deterministic uniform in [0, 1) keyed by seed and labels.
-
-    Used to couple random decisions across parameter sweeps: a decision
-    taken as `hash_uniform(...) < rate` flips in one direction only as the
-    rate grows, which makes rate sweeps monotone by construction.
-    """
-    return uniform(derive_seed(master, *labels))
 
 
 def uniform(n: int) -> float:

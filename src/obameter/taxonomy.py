@@ -77,6 +77,8 @@ class KeywordTaxonomy:
                 links[par].append(node)
         self._links = {node: tuple(nodes) for node, nodes in links.items()}
         self._text = {node: text for text, nodes in self.senses.items() for node in nodes}
+        # reach -> form -> the forms its walk reaches, as `neighbours` fills it
+        self._reached: dict[int, dict[str, tuple[str, ...]]] = {}
 
     # size of the sense tree, not of the keyword vocabulary
     def __len__(self) -> int:
@@ -153,6 +155,8 @@ class KeywordTaxonomy:
         `reach`, reaches each form first at its shortest length over sense
         pairs, and every form it reaches is a neighbour. A form outside the
         taxonomy is similar only to its own spellings (`score`).
+        The taxonomy keeps each walk, as the tuple of forms it reached, by
+        (form, reach), so a form is walked once per reach over all calls.
         Raises ConfigurationError unless the threshold is finite and >= 0.
         """
         if not 0 <= threshold <= sys.float_info.max:
@@ -169,13 +173,17 @@ class KeywordTaxonomy:
         for kw in keywords:
             spellings.setdefault(kw if kw in senses else normalize_keyword(kw), []).append(kw)
 
+        reached = self._reached.setdefault(reach, {})
         near: dict[str, set[str]] = {}
         for form, kws in spellings.items():
             nodes = senses.get(form)
-            similar = set(kws) if nodes is None else {
-                kw for other in self._lengths(nodes, reach)
-                if other in spellings for kw in spellings[other]
-            }
+            if nodes is None:
+                similar = set(kws)
+            else:
+                forms = reached.get(form)
+                if forms is None:
+                    forms = reached[form] = tuple(self._lengths(nodes, reach))
+                similar = {kw for other in forms if other in spellings for kw in spellings[other]}
             near.update(dict.fromkeys(kws, similar))
         return near
 

@@ -29,7 +29,7 @@ from obameter.adsim import (
 )
 from obameter.corpus import from_dict, tag_pages
 from obameter.errors import ConfigurationError, CorpusDataError
-from obameter.seeding import cut, derive_seed, hash_uniform
+from obameter.seeding import cut, derive_seed, uniform
 from obameter.session import schedule_visits
 
 import reference
@@ -497,9 +497,9 @@ class TestTagSources:
         salt = derive_seed(world.seed, "tags", name)
         pool = sorted({c for cats in world.page_categories.values() for c in cats})
         spur = next(k for k in pool if k not in world.page_categories[page.url])
-        u = hash_uniform(salt, "spur", page.url, spur)
+        u = uniform(derive_seed(salt, "spur", page.url, spur))
         true = world.page_categories[page.url][0]
-        d = hash_uniform(salt, "drop", page.url, true)
+        d = uniform(derive_seed(salt, "drop", page.url, true))
 
         def tagged(dropout, spurious):
             src = world.tag_sources(TagNoise(dropout=dropout, spurious=spurious))[0]

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import shutil
 import tracemalloc
@@ -825,6 +826,38 @@ class TestConsensusMemory:
                    for i in range(50) for src in tags)
         assert peak < 3_000_000
 
+
+class TestConsensusWork:
+    def test_each_form_is_walked_once_per_reach(self, corpus_dir, monkeypatch):
+        # at a noisy level the personas share spurious keywords; one
+        # consensus pass walks each distinct (form, reach) once, where a walk
+        # per persona would repeat the shared forms
+        root, _ = corpus_dir
+        corpus = experiment._load_corpus(root)
+        world = World.from_dict(corpus.store.load_doc("world.json"))
+        noise = TagNoise(dropout=0.1, spurious=0.3)
+        tags = {src.name: tag_pages(world.all_pages(), src) for src in world.tag_sources(noise)}
+        taxonomy, config = corpus.taxonomy, corpus.manifest.consensus
+        walks, lengths = [], taxonomy._lengths
+
+        def walk(nodes, reach):
+            walks.append((taxonomy._text[nodes[0]], reach))
+            return lengths(nodes, reach)
+
+        monkeypatch.setattr(taxonomy, "_lengths", walk)
+        experiment._consensus_keywords(corpus, config, tags)
+        forms = [
+            {kw for table in tags.values() for url in persona.visited_urls
+             for kw in table.get(url, ()) if kw in taxonomy}
+            for persona in corpus.personas.values()
+        ]
+        two_d = 2 * taxonomy.max_depth
+        reach = max((p for p in range(1, two_d + 1)
+                     if -math.log(p / two_d) > config.threshold), default=0)
+        assert sorted(walks) == sorted({(form, reach) for each in forms for form in each})
+        assert len(walks) < sum(map(len, forms))
+
+
 class TestValidate:
     def test_zero_noise_detection_is_exact(self, corpus_dir):
         root, _ = corpus_dir
@@ -847,7 +880,9 @@ class TestValidate:
     def test_each_level_is_tagged_as_tag_pages_tags_it(
         self, corpus_dir, monkeypatch, levels, dropout
     ):
-        # the one sweep keeps the caller's level order, repeats included
+        # the one sweep keeps the caller's level order, repeats included, and
+        # tags only the pages read: the personas' training pages and the
+        # landing pages of the rscdg survivors
         root, _ = corpus_dir
         seen = []
         consensus = experiment._consensus_keywords
@@ -860,12 +895,19 @@ class TestValidate:
         result = validate(root, spurious_levels=levels, dropout=dropout)
         world = World.from_dict(ExperimentStore(root).load_doc("world.json"))
         rate = world.config.tag_noise.dropout if dropout is None else dropout
-        pages = world.all_pages()
+        loaded = experiment._load_corpus(root)
+        read = {url for persona in loaded.personas.values() for url in persona.visited_urls}
+        read |= {imp.landing_page for _, _, stages in reference.filtered(
+            loaded, "rscdg", loaded.manifest.filters.t_prime) for imp in stages["rscdg"]}
+        pages = [page for page in world.all_pages() if page.url in read]
+        unread = {page.url for page in world.all_pages()} - read
+        assert unread
         assert [level["spurious"] for level in result["levels"]] == levels
         assert len(seen) == len(levels)
         for level, tags in zip(levels, seen):
             noise = TagNoise(dropout=rate, spurious=level)
             assert tags == {src.name: tag_pages(pages, src) for src in world.tag_sources(noise)}
+            assert all(unread.isdisjoint(table) for table in tags.values())
         assert result["levels"][0]["detail"] == result["levels"][-1]["detail"]
 
     def test_impression_sharing_a_survivors_landing_key_is_scored_by_its_own_page(

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from obameter import seeding
 from obameter.experiment import DEFAULT_SPURIOUS_LEVELS
-from obameter.seeding import cut, derive_seed, draws_below, hash_uniform, keyed_hasher, with_labels
+from obameter.seeding import cut, derive_seed, draws_below, keyed_hasher, uniform, with_labels
 
 # (master, labels) -> derive_seed; every stored corpus depends on these
 PINNED = [
@@ -39,12 +39,12 @@ class TestPinned:
     def test_hash_uniform_is_the_seeds_top_53_bits_over_two_to_the_53(
         self, master, labels, seed
     ):
-        assert Fraction(hash_uniform(master, *labels)) == Fraction(seed >> 11, 2**53)
-        assert 0.0 <= hash_uniform(master, *labels) < 1.0
+        assert Fraction(uniform(derive_seed(master, *labels))) == Fraction(seed >> 11, 2**53)
+        assert 0.0 <= uniform(derive_seed(master, *labels)) < 1.0
 
     def test_the_largest_digest_has_a_uniform_below_one(self, monkeypatch):
         monkeypatch.setattr(seeding, "derive_seed", lambda master, *labels: 2**64 - 1)
-        assert hash_uniform(0, "x") == 1 - 2.0**-53
+        assert uniform(seeding.derive_seed(0, "x")) == 1 - 2.0**-53
 
     def test_master_is_taken_modulo_two_to_the_64(self):
         assert derive_seed(2**64 + 7, "serve", "p|ES|r0") == derive_seed(7, "serve", "p|ES|r0")
@@ -72,8 +72,8 @@ class TestPrefixDraws:
         hasher = with_labels(keyed_hasher(master), *prefix)
         draws = _draws(hasher, lasts)
         assert draws == {last: derive_seed(master, *prefix, last) for last in lasts}
-        assert {last: seeding.uniform(n) for last, n in draws.items()} == {
-            last: hash_uniform(master, *prefix, last) for last in lasts
+        assert {last: uniform(n) for last, n in draws.items()} == {
+            last: uniform(derive_seed(master, *prefix, last)) for last in lasts
         }
         # the largest draw lies at the bound, so only the others are below it
         bound = max(draws.values(), default=0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from obameter import KeywordTaxonomy, normalize_keyword
 from obameter import taxonomy as taxonomy_module
+from obameter.demo import demo_taxonomy
 from obameter.errors import ConfigurationError, ObameterError
 
 import reference
@@ -288,6 +289,16 @@ class TestNeighbours:
             assert _SENSES._lengths(nodes, reach) == {
                 other: p for other, p in lengths.items() if p <= reach
             }, form
+
+    @pytest.mark.parametrize("thresholds", [(2.5, 1.0), (1.0, 2.5)])
+    def test_a_kept_walk_answers_only_its_own_reach(self, thresholds):
+        # on the demo tree the reach is 3 nodes at 2.5 and 13 at 1.0, so a
+        # walk kept from the first call must not answer the second
+        tree = demo_taxonomy()
+        asked = random.Random(5).sample(tree.keywords(), 60)
+        near = [tree.neighbours(asked, threshold) for threshold in thresholds]
+        assert near == [demo_taxonomy().neighbours(asked, threshold) for threshold in thresholds]
+        assert near[0] != near[1]
 
     def test_the_nearer_sense_decides(self):
         # jaguar#2 is a sibling of lion, jaguar#1 three nodes further
