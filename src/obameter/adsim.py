@@ -59,6 +59,7 @@ from .corpus import (
     _SOURCE_NAME,
     AD_KINDS,
     WebPage,
+    _build_records,
     _built,
     _keyword_set,
     _record_fields,
@@ -410,11 +411,10 @@ class World:
         return replace(
             world,
             config=from_dict(SimConfig, world.config, "sim"),
-            personas=[_built(Persona.from_dict, p, "persona record", f"personas[{i}]")
-                      for i, p in enumerate(world.personas)],
+            personas=_build_records(Persona, world.personas, lambda i, why: (
+                f"persona record {why} (personas[{i}])")),
             control_pages=[WebPage(url=u, role="control") for u in world.control_pages],
-            ads=[_built(lambda ad: AdUnit(*_record_fields(AdUnit, ad)), ad, "ad record",
-                        f"ads[{i}]") for i, ad in enumerate(world.ads)],
+            ads=_build_records(AdUnit, world.ads, lambda i, why: f"ad record {why} (ads[{i}])"),
         )
 
 

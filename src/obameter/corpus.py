@@ -30,15 +30,20 @@ One declaration per stored record: the fields of one dataclass are the
 keys of each record of a file, of each record nested in a document and
 of each configuration section (a field's "key" metadata may rename it),
 and both its writer and its reader go through them. `_to_record` writes
-them all, a nested page as its URL and each list or dict as a copy. A
-record is checked once, as it is read: against its type hints, or by its
-constructor. A config section (`from_dict`) may leave keys out but not
-add any; a stored record must hold every key and may hold others.
+them all, a nested page as its URL and each list or dict as a copy. The
+records of a file are checked once, as they are read: against their type
+hints a field at a time over all of them, or by their constructor. Only
+where a field's test fails is each record checked alone, so the first bad
+record is named as it would be by itself. A config section (`from_dict`)
+may leave keys out but not add any; a stored record must hold every key
+and may hold others.
 
 Writes go through a single writer (the CLI is single-process); readers
 load snapshots, so a reader never observes a torn line. A whole file is
 written to a temporary sibling that then replaces it, so a write that
-fails part-way leaves the previous file whole. A line ends at "\n" only.
+fails part-way leaves the previous file whole. A line ends at "\n" only;
+a file with a blank or bad line is decoded line by line, so that a bad
+one is named by its number.
 """
 
 from __future__ import annotations
@@ -260,6 +265,37 @@ def _record_fields(cls, rec, check: bool = True) -> tuple:
     return values
 
 
+def _build_records(cls, records: list, where: Callable[[int, str], str],
+                   build: Callable = lambda record: record, check: bool = True) -> list:
+    """`build(cls(*values))` for each record of `records`, in order, the values
+    being its stored fields' (`_record_fields`, with `check`). Each field is
+    tested over all the records at once; only where a test fails is each
+    record checked alone, so the first bad one is reported as it would be by
+    itself. The first record `build` cannot use raises
+    CorpusDataError(where(i, why)), i being its index from 0."""
+    of_record = _stored_fields(cls)[3]
+    if check and not _columns_hold(cls, records):
+        def of_record(rec) -> tuple:
+            return _record_fields(cls, rec)
+    built: list = []
+    try:
+        for rec in records:
+            built.append(build(cls(*of_record(rec))))
+    except _BUILD_ERRORS as exc:
+        raise CorpusDataError(where(len(built), _unusable(exc, rec))) from exc
+    return built
+
+
+def _columns_hold(cls, records: list) -> bool:
+    """Whether each record of `records` holds every stored field of dataclass
+    `cls` with a value `_record_fields` accepts, tested a field at a time."""
+    try:
+        return all(_holds(hint)(list(map(operator.itemgetter(key), records)))
+                   for _, key, hint, _, _ in _stored_fields(cls)[1])
+    except (KeyError, TypeError):  # a record lacking a key, or no object
+        return False
+
+
 def _built(build: Callable, rec, what: str, where: str = ""):
     """`build(rec)` for a record inside a stored document; anything the build
     cannot use raises CorpusDataError naming `what`, then `where` it lies."""
@@ -365,6 +401,23 @@ def _is_a(hint) -> Callable[[object], bool]:
         kinds = (int, float) if hint is float else int
         return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
     return lambda v: isinstance(v, hint)
+
+
+@functools.cache
+def _holds(hint) -> Callable[[list], bool]:
+    """Whether every value of a column (one field's value in each record)
+    passes the stored value test of hint `hint` (`_field_types`), tested
+    over the whole column: by the set of its value types for a str, int or
+    bool field, by `math.isfinite` for a float field that holds only floats
+    (an int there is left to `_is_finite`, so the column fails), and by
+    `_is_a` for any other hint."""
+    if hint in (str, int, bool):
+        kinds = {hint}
+        return lambda col: set(map(type, col)) <= kinds
+    if hint is float:
+        return lambda col: set(map(type, col)) <= {float} and all(map(math.isfinite, col))
+    is_a = _is_a(hint)
+    return lambda col: all(map(is_a, col))
 
 
 def _not_a(name: str, hint, value) -> str:
@@ -475,9 +528,7 @@ class ExperimentStore:
         _write_atomic(self.path("pages.jsonl"), _jsonl(pages))
 
     def load_pages(self) -> list[WebPage]:
-        return self.load_records("pages.jsonl", lambda rec: WebPage(
-            *_record_fields(WebPage, rec, check=False)
-        ))
+        return self.load_records("pages.jsonl", WebPage, check=False)
 
     # tags
 
@@ -492,15 +543,14 @@ class ExperimentStore:
         A record of another source than the file's is an error."""
         table: dict[str, set[str]] = {}
 
-        def add(rec: dict) -> None:
-            tag = TagRecord(*_record_fields(TagRecord, rec))
+        def add(tag: TagRecord) -> None:
             if tag.source != source:
                 raise CorpusDataError(f"has source {tag.source!r}, not {source!r}")
             url = normalize_url(tag.url)
             if url in table:
                 raise CorpusDataError(f"names page {url!r} again")
             table[url] = _keyword_set(tag.keywords)
-        self.load_records(f"tags.{source}.jsonl", add)
+        self.load_records(f"tags.{source}.jsonl", TagRecord, add)
         return table
 
     def tag_sources(self) -> list[str]:
@@ -519,18 +569,14 @@ class ExperimentStore:
 
     def load_visits(self, build: Callable[[VisitRecord], object] = lambda visit: visit) -> list:
         """`build(visit)` per `VisitRecord`, in log order; by default the visit."""
-        return self.load_records(
-            "visits.jsonl", lambda rec: build(VisitRecord(*_record_fields(VisitRecord, rec)))
-        )
+        return self.load_records("visits.jsonl", VisitRecord, build)
 
     def append_impressions(self, impressions: Iterable[AdImpression]) -> None:
         self._append("impressions.jsonl", impressions)
 
     def load_impressions(self, build: Callable[[AdImpression], object] = lambda imp: imp) -> list:
         """`build(impression)` per `AdImpression`, in log order; by default the impression."""
-        return self.load_records("impressions.jsonl", lambda rec: build(AdImpression(
-            *_record_fields(AdImpression, rec, check=False)
-        )))
+        return self.load_records("impressions.jsonl", AdImpression, build, check=False)
 
     def _append(self, name: str, records: Iterable) -> None:
         with self.path(name).open("a", encoding="utf-8") as fh:
@@ -538,29 +584,26 @@ class ExperimentStore:
 
     # record lists
 
-    def load_records(self, name: str, build: Callable[[dict], object]) -> list:
-        """`build(record)` for each record of `name`, in order.
+    def load_records(self, name: str, cls, build: Callable = lambda record: record,
+                     check: bool = True) -> list:
+        """`build(record)` for each record of `name`, in order, each record
+        built as dataclass `cls` from its stored fields (`_build_records`;
+        `check` false leaves their values to the constructor to check).
 
         A JSONL file holds one record per line; a JSON document holds them
         in the list under its stem ("sessions" in sessions.json). Anything
         `build` cannot use raises CorpusDataError naming file and record.
         """
         if name.endswith(".jsonl"):
-            records = list(self._iter_jsonl(name))
+            records = self._jsonl_records(name)
         else:
             stem = name.split(".")[0]
             doc = self.load_doc(name)
             records = doc.get(stem) if isinstance(doc, dict) else None
             if not isinstance(records, list):
                 raise CorpusDataError(f"{name} in {self.root} has no {stem!r} list")
-        built = []
-        try:
-            for i, rec in enumerate(records, 1):
-                built.append(build(rec))
-        except _BUILD_ERRORS as exc:
-            what = _unusable(exc, rec)
-            raise CorpusDataError(f"{name} in {self.root}: record {i} {what}") from exc
-        return built
+        return _build_records(cls, records, lambda i, why: (
+            f"{name} in {self.root}: record {i + 1} {why}"), build, check)
 
     # json documents
 
@@ -575,8 +618,20 @@ class ExperimentStore:
         except ValueError as exc:
             raise CorpusDataError(f"unreadable {name} in {self.root}: {exc}") from exc
 
-    def _iter_jsonl(self, name: str):
-        for lineno, line in enumerate(self._read(name).split("\n"), 1):
+    def _jsonl_records(self, name: str) -> list:
+        """The value of each line of JSONL file `name`, by one `_decode_line`
+        call per line over the whole file; only if one fails does the
+        per-line pass run, which skips blank lines and names a bad one."""
+        lines = self._read(name).split("\n")
+        if not lines[-1]:
+            lines.pop()  # after the break that ends the last line
+        try:
+            return list(map(_decode_line, lines))
+        except ValueError:
+            return list(self._iter_jsonl(name, lines))
+
+    def _iter_jsonl(self, name: str, lines: list[str]):
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:

@@ -61,7 +61,6 @@ from .corpus import (
     ExperimentStore,
     _built,
     _loads,
-    _record_fields,
     _to_record,
     _write_atomic,
     from_dict,
@@ -345,18 +344,16 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
 
     personas: dict[str, Persona] = {}
 
-    def add_persona(rec: dict) -> None:
-        persona = Persona.from_dict(rec)
+    def add_persona(persona: Persona) -> None:
         if persona.id in personas:
             raise CorpusDataError(f"names persona {persona.id!r} again")
         personas[persona.id] = persona
-    store.load_records("personas.json", add_persona)
+    store.load_records("personas.json", Persona, add_persona)
 
     groups = {c.cond_id: _ConditionGroup(c.cond_id) for c in manifest.conditions}
     imps_by_session: dict[str, list[AdImpression]] = {}
 
-    def session_row(rec: dict) -> SessionRow:
-        row = SessionRow(*_record_fields(SessionRow, rec))
+    def session_row(row: SessionRow) -> SessionRow:
         if row.session in imps_by_session:
             raise CorpusDataError(f"names session {row.session!r} again")
         if row.condition not in groups:
@@ -365,7 +362,7 @@ def _load_corpus(root: str | Path, **given) -> _Corpus:
             raise CorpusDataError(f"names persona {row.persona!r}, not in personas.json")
         imps_by_session[row.session] = []
         return row
-    rows = store.load_records("sessions.json", session_row)
+    rows = store.load_records("sessions.json", SessionRow, session_row)
 
     def known(session: str) -> str:
         if session not in imps_by_session:

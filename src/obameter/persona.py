@@ -20,7 +20,7 @@ keyword's neighbours at that threshold by a walk over the taxonomy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .corpus import WebPage, _record_fields, _to_record
@@ -33,7 +33,8 @@ class Persona:
     """A trained browsing identity and its training-page selection attrition.
 
     Its fields are the record of personas.json and of world.json, which
-    `to_dict` writes and `from_dict` reads back.
+    `to_dict` writes and `from_dict` reads back; a training page given by
+    its URL, as a record gives it, becomes a training `WebPage`.
     """
 
     id: str
@@ -44,6 +45,9 @@ class Persona:
 
     def __post_init__(self) -> None:
         self.category = normalize_keyword(self.category)
+        # a record names each training page by its URL
+        self.training_pages = [p if isinstance(p, WebPage) else WebPage(url=p, role="training")
+                               for p in self.training_pages]
 
     @property
     def visited_urls(self) -> list[str]:
@@ -54,10 +58,7 @@ class Persona:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "Persona":
-        persona = cls(*_record_fields(cls, rec))
-        return replace(persona, training_pages=[
-            WebPage(url=u, role="training") for u in persona.training_pages
-        ])
+        return cls(*_record_fields(cls, rec))
 
 
 @dataclass

@@ -27,6 +27,7 @@ scoring pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -46,8 +47,17 @@ def normalize_keyword(text: str) -> str:
     """Canonical keyword form: lowercase, separators unified.
 
     Runs of whitespace and underscores collapse to a single space and the
-    result is stripped. Idempotent by construction.
+    result is stripped. Idempotent by construction. Each distinct string
+    is normalized once, through one bounded module cache.
     """
+    # ahead of the cache, which cannot hash a list: anything but a string
+    # fails as it does uncached
+    return _normalize(text) if type(text) is str else _normalize.__wrapped__(text)
+
+
+# far above the distinct keyword spellings of one command (about 200 in a run)
+@functools.lru_cache(maxsize=1 << 14)
+def _normalize(text: str) -> str:
     return _WS.sub(" ", text.lower()).strip()
 
 

@@ -555,7 +555,7 @@ class TestStoredRecords:
         for name, (cls, doc) in documents.items():
             _assert_declared_keys(cls, doc, name)
             assert cls.from_dict(doc).to_dict() == doc, name
-        personas = store.load_records("personas.json", Persona.from_dict)
+        personas = store.load_records("personas.json", Persona)
         assert {"personas": [p.to_dict() for p in personas]} == store.load_doc("personas.json")
 
     def test_a_written_record_shares_no_list_or_dict_with_its_object(self):
