@@ -59,6 +59,13 @@ def _edit_doc(src, dest, name, edit):
     return dest
 
 
+def _first_and_last(cases, ids):
+    """Parameters for each case at the first record (index 0, under its id)
+    and again at the last (index -1, under its id and "-last")."""
+    return ([pytest.param(*case, 0, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, -1, id=f"{i}-last") for case, i in zip(cases, ids)])
+
+
 # how a read of an input file fails, and the word its error message starts with
 READ_FAILURES = {"missing": "missing", "directory": "unreadable", "not-utf8": "unreadable"}
 
@@ -502,23 +509,39 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "empty")]) == 3
         assert "corpus error" in capsys.readouterr().err
 
-    @staticmethod
-    def _edit_first_record(cli_corpus, dest, name, edit):
+    @classmethod
+    def _edit_first_record(cls, cli_corpus, dest, name, edit):
         """Copy the corpus with `edit` applied to the first record of `name`."""
+        return cls._edit_records(cli_corpus, dest, name, {0: edit})
+
+    @staticmethod
+    def _edit_records(cli_corpus, dest, name, edits):
+        """Copy the corpus with `edits[i]` applied to record i of `name` (-1
+        the last), for each i; the other lines of a JSONL file keep their bytes."""
         shutil.copytree(cli_corpus, dest)
         path = dest / name
         text = path.read_text(encoding="utf-8")
         if name.endswith(".jsonl"):
-            first, *rest = text.splitlines()
-            rec = json.loads(first)
-            edit(rec)
-            path.write_text("\n".join([json.dumps(rec), *rest]) + "\n",
-                            encoding="utf-8")
+            lines = text.splitlines()
+            for i, edit in edits.items():
+                rec = json.loads(lines[i])
+                edit(rec)
+                lines[i] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             doc = json.loads(text)
-            edit(doc[name.split(".")[0]][0])
+            for i, edit in edits.items():
+                edit(doc[name.split(".")[0]][i])
             path.write_text(json.dumps(doc), encoding="utf-8")
         return dest
+
+    @staticmethod
+    def _record_number(root, name, i):
+        """The number, from 1, of record i of `name` (-1 the last)."""
+        text = (root / name).read_text(encoding="utf-8")
+        records = (text.splitlines() if name.endswith(".jsonl")
+                   else json.loads(text)[name.split(".")[0]])
+        return range(1, len(records) + 1)[i]
 
     @classmethod
     def _without_key(cls, cli_corpus, dest, name, key):
@@ -540,7 +563,8 @@ class TestAnalyze:
         assert err.startswith("corpus error")
         assert name in err and repr(key) in err
 
-    @pytest.mark.parametrize("name, key, value", [
+    # each field is tested over every record at once, so the last one counts too
+    @pytest.mark.parametrize("name, key, value, at", _first_and_last([
         ("impressions.jsonl", "ntimes", "3"),
         ("impressions.jsonl", "landing", 7),
         ("visits.jsonl", "url", None),
@@ -568,17 +592,17 @@ class TestAnalyze:
             "string-clean", "string-complete", "string-rep", "unknown-ground-truth",
             "number-ground-truth", "other-tag-source", "unknown-visit-kind", "string-seq",
             "string-t", "number-geo", "string-dnt", "string-visit-mix-count",
-            "string-raw-served", "float-n-impressions"])
+            "string-raw-served", "float-n-impressions"]))
     def test_record_value_of_the_wrong_type_is_a_data_error(
-        self, cli_corpus, tmp_path, capsys, name, key, value
+        self, cli_corpus, tmp_path, capsys, name, key, value, at
     ):
-        clone = self._edit_first_record(
-            cli_corpus, tmp_path / "c", name, lambda rec: rec.update({key: value})
+        clone = self._edit_records(
+            cli_corpus, tmp_path / "c", name, {at: lambda rec: rec.update({key: value})}
         )
         assert main(["analyze", str(clone)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
-        assert name in err and "record 1 " in err
+        assert name in err and f"record {self._record_number(clone, name, at)} " in err
 
     @pytest.mark.parametrize("keywords", [5, "motor sports", ["motor sports", 5]],
                              ids=["number", "string", "non-string-item"])
@@ -667,6 +691,25 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("corpus error")
         assert name in err and "record 1 " in err and repr(value) in err
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("visits.jsonl", "seq", "x"),
+        ("impressions.jsonl", "persona", ["x"]),
+    ], ids=["visits", "impressions"])
+    def test_an_unknown_session_is_reported_before_a_later_wrong_type(
+        self, cli_corpus, tmp_path, capsys, name, key, value
+    ):
+        # records are checked and built in file order, so the first bad one
+        # is named even when a field test over the whole file fails
+        clone = self._edit_records(cli_corpus, tmp_path / "c", name, {
+            0: lambda rec: rec.update(session="ghost|ES|r0"),
+            -1: lambda rec: rec.update({key: value}),
+        })
+        assert main(["analyze", str(clone)]) == 3
+        assert capsys.readouterr().err == (
+            f"corpus error: {name} in {clone}: record 1 names session "
+            "'ghost|ES|r0', not in sessions.json\n"
+        )
 
     @pytest.mark.parametrize("name, key", [
         ("sessions.json", "session"),
@@ -1030,24 +1073,25 @@ class TestStrictJson:
         assert err.startswith("corpus error: ") and where in err
         assert err.endswith("NaN is not a JSON value\n")
 
-    @pytest.mark.parametrize("number, shown", [
+    @pytest.mark.parametrize("number, shown, at", _first_and_last([
         ("1e400", "inf"), ("-1e400", "-inf"), ("1" + "0" * 400, "100000000000000000...0000000000000000000"),
-    ], ids=["exponent", "negative", "integer"])
+    ], ids=["exponent", "negative", "integer"]))
     @pytest.mark.parametrize("command", ["analyze", "validate"])
     def test_a_number_beyond_float_range_in_a_record_is_a_data_error_naming_it(
-        self, cli_corpus, tmp_path, capsys, command, number, shown
+        self, cli_corpus, tmp_path, capsys, command, number, shown, at
     ):
         # standard JSON, which the decoder reads as infinity or a huge integer
         clone = tmp_path / "c"
         shutil.copytree(cli_corpus, clone)
         path = clone / "visits.jsonl"
-        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        first = json.dumps(dict(json.loads(first), t="T")).replace('"T"', number)
-        path.write_text(first + "\n" + rest, encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[at] = json.dumps(dict(json.loads(lines[at]), t="T")).replace('"T"', number)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main([command, str(clone)]) == 3
+        record = range(1, len(lines) + 1)[at]
         assert capsys.readouterr().err == (
-            f"corpus error: visits.jsonl in {clone}: record 1 t must be finite, got {shown}\n"
+            f"corpus error: visits.jsonl in {clone}: record {record} t must be finite, got {shown}\n"
         )
 
     @pytest.mark.parametrize("command", ["analyze", "validate"])

@@ -368,6 +368,20 @@ class TestStore:
         with pytest.raises(CorpusDataError, match=r"pages\.jsonl:2: bad JSON"):
             store.load_pages()
 
+    def test_blank_and_crlf_lines_read_and_a_bad_line_is_named(self, tmp_path):
+        # a line ends at "\n" only, so "\r" is the padding of its line
+        store = ExperimentStore(tmp_path).create()
+        visits = [corpus.VisitRecord("s", 0, 2.5, "control", "http://a.example"),
+                  corpus.VisitRecord("s", 1, 4.0, "training", "http://b.example")]
+        first, second = (json.dumps(corpus._to_record(v)) for v in visits)
+        lines = [first + "\r", "", " \t", second]
+        store.path("visits.jsonl").write_text("\n".join(lines), encoding="utf-8")
+        assert store.load_visits() == visits
+        store.path("visits.jsonl").write_text("\n".join([*lines, "{not json"]) + "\n",
+                                              encoding="utf-8")
+        with pytest.raises(CorpusDataError, match=r"visits\.jsonl:5: bad JSON line"):
+            store.load_visits()
+
     def test_doc_round_trip(self, tmp_path):
         store = ExperimentStore(tmp_path).create()
         store.write_doc("meta.json", {"b": 1, "a": [1, 2]})

@@ -1,5 +1,6 @@
 """Manifest handling and the simulate/analyze/validate round trip."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -36,6 +37,7 @@ from obameter import (
     validate,
 )
 from obameter import corpus, experiment
+from obameter import taxonomy as taxonomy_module
 from obameter.adsim import TagNoise, default_persona_specs
 from obameter.cli import main
 from obameter.corpus import tag_pages
@@ -490,7 +492,31 @@ def _respelt_keyword(keyword):
 
 class TestKeywordForm:
     """Metamorphic: tag files that spell every keyword another way, and
-    carry empty ones, give the same report; load_tags canonicalises them."""
+    carry empty ones, give the same report; load_tags canonicalises them,
+    and one analyze normalizes each spelling once."""
+
+    def test_one_cold_analyze_normalizes_each_spelling_once(self, corpus_dir, tmp_path,
+                                                             monkeypatch):
+        root = _copy_corpus(corpus_dir[0], tmp_path / "c")
+        store = ExperimentStore(root)
+        tagged = {kw for src in store.tag_sources()
+                  for line in store.path(f"tags.{src}.jsonl").read_text(encoding="utf-8").splitlines()
+                  for kw in json.loads(line)["keywords"]}
+        spellings = collections.Counter()
+        cached = taxonomy_module._normalize
+
+        def counted(text):
+            spellings[text] += 1
+            return cached(text)
+        monkeypatch.setattr(taxonomy_module, "_normalize", counted)
+        # as a fresh process starts, so no earlier command's entries count
+        cached.cache_clear()
+        corpus._parse.cache_clear()
+        analyze(root)
+        info = cached.cache_info()
+        assert tagged and tagged <= set(spellings)
+        assert info.misses == len(spellings) < info.hits
+        assert info.hits + info.misses == spellings.total()
 
     def test_respelt_tag_keywords_give_the_same_report(self, corpus_dir, tmp_path):
         outputs = ("report.json", "report.csv", "performance.json")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,17 @@ class TestNormalization:
 
     def test_tabs_and_newlines_collapse(self):
         assert normalize_keyword("a\t\nb") == "a b"
+
+    @pytest.mark.parametrize("text, error, message", [
+        (5, AttributeError, "'int' object has no attribute 'lower'"),
+        (None, AttributeError, "'NoneType' object has no attribute 'lower'"),
+        (["a b"], AttributeError, "'list' object has no attribute 'lower'"),
+        (b"A_B", TypeError, "cannot use a string pattern on a bytes-like object"),
+    ], ids=["int", "none", "list", "bytes"])
+    def test_a_non_string_fails_as_it_does_uncached(self, text, error, message):
+        # the cache would raise "unhashable type" for the list
+        with pytest.raises(error, match=re.escape(message)):
+            normalize_keyword(text)
 
 
 class TestLoading:
