@@ -275,8 +275,7 @@ def _build_records(cls, records: list, where: Callable[[int, str], str],
     CorpusDataError(where(i, why)), i being its index from 0."""
     of_record = _stored_fields(cls)[3]
     if check and not _columns_hold(cls, records):
-        def of_record(rec) -> tuple:
-            return _record_fields(cls, rec)
+        of_record = functools.partial(_record_fields, cls)
     built: list = []
     try:
         for rec in records:

@@ -65,8 +65,7 @@ MUTANTS = (
     Mutant(
         "fast-path-on-a-failed-column", "corpus.py",
         "    if check and not _columns_hold(cls, records):\n"
-        "        def of_record(rec) -> tuple:\n"
-        "            return _record_fields(cls, rec)\n",
+        "        of_record = functools.partial(_record_fields, cls)\n",
         "    _columns_hold(cls, records)\n",
         ("tests/test_cli.py::TestAnalyze",),
     ),

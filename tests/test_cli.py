@@ -1089,7 +1089,7 @@ class TestStrictJson:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main([command, str(clone)]) == 3
-        record = range(1, len(lines) + 1)[at]
+        record = TestAnalyze._record_number(clone, "visits.jsonl", at)
         assert capsys.readouterr().err == (
             f"corpus error: visits.jsonl in {clone}: record {record} t must be finite, got {shown}\n"
         )

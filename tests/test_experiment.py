@@ -500,7 +500,7 @@ class TestKeywordForm:
         root = _copy_corpus(corpus_dir[0], tmp_path / "c")
         store = ExperimentStore(root)
         tagged = {kw for src in store.tag_sources()
-                  for line in store.path(f"tags.{src}.jsonl").read_text(encoding="utf-8").splitlines()
+                  for line in store.path(f"tags.{src}.jsonl").read_text("utf-8").splitlines()
                   for kw in json.loads(line)["keywords"]}
         spellings = collections.Counter()
         cached = taxonomy_module._normalize
