@@ -1,17 +1,15 @@
 """A standing mutation check: each mutant in MUTANTS must make its tests fail.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named mutants only
-    python tests/mutants.py --list       # names, files and tests
+    python tests/mutants.py
 
 A mutant is one edit of one file under `src/obameter`: its old text, which
 must occur there exactly once, replaced by its new text. For each mutant
 the runner copies `src` to a temporary directory, applies the edit to the
 copy and runs pytest on the mutant's tests with the copy first on
 PYTHONPATH. The mutant is killed when pytest reports a failed test, and
-the runner prints the first one. First it runs every selected mutant's
-tests once on an unedited copy, which must pass, so that a kill means the
-edit, not a test that fails anyway.
+the runner prints the first one. First it runs every mutant's tests once
+on an unedited copy, which must pass, so that a kill means the edit, not
+a test that fails anyway.
 
 The runner exits 1 when a mutant survives, when its old text no longer
 occurs exactly once (so the table cannot rot unseen), or when pytest ends
@@ -21,7 +19,6 @@ only the standard library and pytest, and pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -211,21 +208,8 @@ def check(mutants) -> bool:
     return ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    mutants = [by_name[n] for n in args.names] or list(MUTANTS)
-    if args.list:
-        for m in mutants:
-            print(f"{m.name}  ({m.file})  {' '.join(m.tests)}")
-        return 0
-    return 0 if check(mutants) else 1
+def main() -> int:
+    return 0 if check(MUTANTS) else 1
 
 
 if __name__ == "__main__":
