@@ -49,6 +49,7 @@ one is named by its number.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -215,10 +216,141 @@ def _no_constant(token: str):
 _loads = functools.partial(json.loads, parse_constant=_no_constant)
 _raw_decode = json.JSONDecoder(parse_constant=_no_constant).raw_decode
 # a document: sorted keys, two-space indent; a JSONL line: sorted keys, no
-# spaces; both with non-ASCII text written raw, each by its one encoder
-_dump_doc = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False).encode
+# spaces; both with non-ASCII text written raw. A document is written by
+# `_dump_doc`, which gives `_dump_indented`'s bytes; lines by `_jsonl`.
+_dump_indented = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
+                                  allow_nan=False).encode
 _dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
                               allow_nan=False).encode
+# JSONL records as one list whose item separator is a line break
+_dump_lines = json.JSONEncoder(sort_keys=True, separators=("\n", ":"), ensure_ascii=False,
+                               allow_nan=False, check_circular=False).encode
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+# Why the writers below may cut and splice the encoder's output: json
+# escapes every control character inside a string, so a raw line break
+# in its output is always a separator it wrote, and one that follows `}`
+# or `]` ends a container.
+
+
+@functools.cache
+def _doc_encoder(depth: int) -> Callable[[object], str]:
+    """The compact encoder whose item separator is a document's at indent
+    level `depth`; with no `indent`, json takes its C encoder where it has
+    one. It is only given scalars, flat containers and lists of these, none
+    of which can hold a cycle, so it keeps no record of the containers it is in."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "),
+                            ensure_ascii=False, allow_nan=False, check_circular=False).encode
+
+
+def _flat(value) -> bool:
+    """Whether `value` is a non-empty dict of str keys and scalar values, or
+    a non-empty list of scalars, which one `_doc_encoder` call writes whole."""
+    if type(value) is dict:
+        return (bool(value) and set(map(type, value)) <= {str}
+                and set(map(type, value.values())) <= _SCALARS)
+    return type(value) is list and bool(value) and set(map(type, value)) <= _SCALARS
+
+
+def _row(value) -> bool:
+    """Whether `value` is a non-empty dict of str keys whose values are
+    scalars or flat containers."""
+    return (type(value) is dict and bool(value) and set(map(type, value)) <= {str}
+            and all(type(v) in _SCALARS or _flat(v) for v in value.values()))
+
+
+def _flat_text(value, depth: int) -> str:
+    """The text of flat container `value` at indent level `depth`."""
+    text = _doc_encoder(depth + 1)(value)
+    return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+
+
+def _dump_doc(value, end: str = "") -> str:
+    """`value` as a document, exactly as `_dump_indented` writes it, then `end`."""
+    parts: list[str] = []
+    _doc_parts(value, 0, parts)
+    parts.append(end)
+    return "".join(parts)
+
+
+def _doc_parts(value, depth: int, out: list[str]) -> None:
+    """Append the text of `value` at indent level `depth` to `out`: a flat
+    container, a list of rows (`_row`) or a dict of flat lists by a few
+    encoder calls, any other dict or list an entry at a time, and anything
+    else (a tuple, an empty or a subclassed container, a key that is no
+    str) by `_dump_indented`, indented to `depth`. A cyclic value raises
+    RecursionError."""
+    kind = type(value)
+    close = "\n" + "  " * depth
+    inner = close + "  "
+    if kind in _SCALARS:
+        out.append(_doc_encoder(depth)(value))
+    elif _flat(value):
+        out.append(_flat_text(value, depth))
+    elif kind is list and value:
+        if all(type(item) is dict and _flat(item) for item in value):
+            # the list's separators come out one level too deep, and its
+            # dicts without their own line breaks
+            rows = inner + "  "
+            text = _doc_encoder(depth + 2)(value)[2:-2]
+            text = text.replace("}," + rows + "{", inner + "}," + inner + "{" + rows)
+            out += ("[", inner, "{", rows, text, inner, "}", close, "]")
+            return
+        if all(map(_row, value)):
+            _rows_parts(value, depth, out)
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _doc_parts(item, depth + 1, out)
+            sep = "," + inner
+        out += (close, "]")
+    elif kind is dict and value and set(map(type, value)) <= {str}:
+        keys = sorted(value)
+        if all(type(item) is list and _flat(item) for item in value.values()):
+            # the keys and the lists, each by one call, cut at their separators
+            rows = inner + "  "
+            names = _doc_encoder(depth)(keys)[1:-1].split("," + close)
+            lists = _doc_encoder(depth + 2)([value[k] for k in keys])[2:-2].split("]," + rows + "[")
+            out += ("{", inner, ("," + inner).join(
+                f"{name}: [{rows}{items}{inner}]" for name, items in zip(names, lists)), close, "}")
+            return
+        # one call for every entry, each container written as null and
+        # then replaced by its own text
+        shallow = {k: v if type(v) in _SCALARS else None for k, v in value.items()}
+        entries = _doc_encoder(depth + 1)(shallow)[1:-1].split("," + inner)
+        sep = "{" + inner
+        for key, entry in zip(keys, entries):
+            item = value[key]
+            if type(item) in _SCALARS:
+                out += (sep, entry)
+            else:
+                out += (sep, entry[:-len("null")])
+                _doc_parts(item, depth + 1, out)
+            sep = "," + inner
+        out += (close, "}")
+    else:
+        out.append(_dump_indented(value).replace("\n", close))
+
+
+def _rows_parts(rows: list[dict], depth: int, out: list[str]) -> None:
+    """Append list `rows` of `_row` dicts at indent level `depth` to `out`.
+    All their scalars come from one encoder call a level too deep, with each
+    container written as null and then replaced by its own call's text."""
+    close = "\n" + "  " * depth
+    inner = close + "  "
+    entry_sep = inner + "  "
+    shallow = [{k: v if type(v) in _SCALARS else None for k, v in row.items()} for row in rows]
+    texts = _doc_encoder(depth + 2)(shallow)[2:-2].split("}," + entry_sep + "{")
+    sep = "[" + inner + "{" + entry_sep
+    for row, text in zip(rows, texts):
+        entries = text.split("," + entry_sep)
+        for i, (_, item) in enumerate(sorted(row.items())):
+            if type(item) not in _SCALARS:
+                entries[i] = entries[i][:-len("null")] + _flat_text(item, depth + 2)
+        out += (sep, ("," + entry_sep).join(entries))
+        sep = inner + "}," + inner + "{" + entry_sep
+    out += (inner, "}", close, "]")
 
 
 def _decode_line(line: str):
@@ -247,8 +379,25 @@ def _to_record(obj) -> dict:
 
 
 def _jsonl(records: Iterable) -> str:
-    """One line per dataclass instance of `records`, holding its stored fields."""
-    return "".join(_dump_line(_to_record(r)) + "\n" for r in records)
+    """One line per dataclass instance of `records`, holding its stored
+    fields, each line as `_dump_line` writes it. When every value is a
+    scalar or a list of scalars, all lines come from one `_dump_lines` call:
+    the line breaks after `}` end records, and every other one is a `,`.
+    Otherwise each line is one `_dump_line` call."""
+    rows = list(map(_to_record, records))
+    if not _scalar_rows(rows):
+        return "".join(_dump_line(row) + "\n" for row in rows)
+    text = _dump_lines(rows)[1:-1].replace("}\n", "}\0").replace("\n", ",").replace("\0", "\n")
+    return text + "\n" if rows else ""
+
+
+def _scalar_rows(rows: list[dict]) -> bool:
+    """Whether every value of every record of `rows` is a scalar or a list of scalars."""
+    kinds = set(map(type, itertools.chain.from_iterable(map(dict.values, rows))))
+    if kinds <= _SCALARS:
+        return True
+    lists = (v for row in rows for v in row.values() if type(v) is list)
+    return kinds <= _SCALARS | {list} and set(map(type, itertools.chain.from_iterable(lists))) <= _SCALARS
 
 
 def _record_fields(cls, rec, check: bool = True) -> tuple:
@@ -607,8 +756,9 @@ class ExperimentStore:
     # json documents
 
     def write_doc(self, name: str, obj) -> None:
-        """Canonical pretty JSON; stable bytes for identical data."""
-        _write_atomic(self.path(name), _dump_doc(obj) + "\n")
+        """Canonical pretty JSON, ending in a line break: the bytes of
+        `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`."""
+        _write_atomic(self.path(name), _dump_doc(obj, "\n"))
 
     def load_doc(self, name: str):
         text = self._read(name)

@@ -41,6 +41,7 @@ import collections
 import csv
 import io
 import itertools
+import operator
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -144,8 +145,10 @@ class ExperimentManifest:
         ids = [c.cond_id for c in self.conditions]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate condition ids: {ids}")
-        if not self.personas and not self.n_personas >= 1:
-            raise ConfigurationError("n_personas must be >= 1")
+        if not self.personas:
+            if not self.n_personas >= 1:
+                raise ConfigurationError("n_personas must be >= 1")
+            default_persona_specs(self.n_personas)  # refuses more than the defaults
         for spec in self.personas:
             if spec.id == CLEAN_ID:
                 raise ConfigurationError(f"persona id {CLEAN_ID!r} is reserved")
@@ -581,10 +584,9 @@ def _summary_csv(summary: list[dict]) -> str:
         "ttk_mean", "ttk_sd", "bailp_mean", "bailp_sd", "reps_used",
     ]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in summary:
-        writer.writerow({k: ("" if row[k] is None else row[k]) for k in columns})
+    writer = csv.writer(buf, lineterminator="\n")  # writes None as ""
+    writer.writerow(columns)
+    writer.writerows(map(operator.itemgetter(*columns), summary))
     return buf.getvalue()
 
 

@@ -7,9 +7,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from obameter import KeywordTaxonomy, World, demo_taxonomy
 from obameter.errors import ObameterError
+
+# tier-1 runs hypothesis's default profile; `pytest --hypothesis-profile=deep`
+# runs every property that sets no example count of its own 20 times longer
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _results: dict[int, str] = {}

@@ -72,6 +72,43 @@ MUTANTS = (
         "return _normalize(text)",
         ("tests/test_taxonomy.py::TestNormalization",),
     ),
+    # writing documents and JSONL files through the compact encoder
+    Mutant(
+        "flat-dict-admits-container-values", "corpus.py",
+        "and set(map(type, value.values())) <= _SCALARS)",
+        "and set(map(type, value.values())) <= _SCALARS | {list, dict})",
+        ("tests/test_corpus.py::TestWriters",),
+    ),
+    Mutant(
+        "flat-dict-without-the-empty-guard", "corpus.py",
+        "        return (bool(value) and set(map(type, value)) <= {str}\n",
+        "        return (set(map(type, value)) <= {str}\n",
+        ("tests/test_corpus.py::TestWriters",),
+    ),
+    Mutant(
+        "row-containers-a-level-too-shallow", "corpus.py",
+        "_flat_text(item, depth + 2)",
+        "_flat_text(item, depth + 1)",
+        ("tests/test_corpus.py::TestWriters",),
+    ),
+    Mutant(
+        "jsonl-record-boundary-without-its-brace", "corpus.py",
+        '.replace("}\\n", "}\\0")',
+        '.replace("\\n", "\\0")',
+        ("tests/test_corpus.py::TestWriters",),
+    ),
+    Mutant(
+        "jsonl-boundaries-left-as-nul", "corpus.py",
+        '.replace("\\n", ",").replace("\\0", "\\n")',
+        '.replace("\\n", ",")',
+        ("tests/test_corpus.py::TestWriters",),
+    ),
+    Mutant(
+        "jsonl-row-test-admits-a-dict", "corpus.py",
+        "return kinds <= _SCALARS | {list} and",
+        "return kinds <= _SCALARS | {list, dict} and",
+        ("tests/test_corpus.py::TestWriters",),
+    ),
     # the tag draw
     Mutant(
         "uniform-over-two-to-the-64", "seeding.py",

@@ -115,6 +115,15 @@ class TestSimulate:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_more_default_personas_than_exist_is_a_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"n_personas": 99}), encoding="utf-8")
+        code = main(["simulate", "--out", str(tmp_path / "x"), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "asked for 99" in err
+        assert not (tmp_path / "x").exists()
+
     def test_personas_flag_conflicts_with_explicit_roster(self, tmp_path, capsys):
         manifest = tmp_path / "roster.json"
         manifest.write_text(json.dumps(

@@ -1,6 +1,7 @@
 """URL handling, tagging sources, the experiment store, and standard JSON in
 the golden runs."""
 
+import dataclasses
 import json
 import math
 import re
@@ -230,6 +231,81 @@ class TestPagesAndTags:
         assert list(tags) == [p.url for p in pages]
         assert tags[pages[0].url] == {"pools"}
         assert tags[pages[1].url] == set()
+
+
+# every character the writers cut or splice at, or that json escapes or not
+_TEXT = st.text(st.sampled_from(
+    ['"', "\\", "{", "}", "[", "]", ",", ":", "\n", "\r", "\0", "\x85", "\u2028", "é", "a", " "]),
+    max_size=5)
+_SCALAR = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+           | st.floats(allow_nan=False, allow_infinity=False) | _TEXT)
+_FLAT_DICT = st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=4)
+_FLAT_LIST = st.lists(_SCALAR, min_size=1, max_size=4)
+_EMPTY = st.sampled_from([{}, []])
+# the shapes the document writer takes by a few encoder calls, with the
+# empty containers that must not take those paths mixed in
+_SHAPES = st.one_of(
+    _SCALAR, _FLAT_DICT, _FLAT_LIST, _EMPTY,
+    st.lists(_FLAT_DICT | st.just({}), min_size=1, max_size=4),
+    st.dictionaries(_TEXT, _FLAT_LIST | st.just([]), min_size=1, max_size=4),
+    st.lists(st.dictionaries(_TEXT, _SCALAR | _FLAT_DICT | _FLAT_LIST, min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    st.lists(st.dictionaries(_TEXT, _SCALAR | _FLAT_DICT | _FLAT_LIST | _EMPTY, max_size=4),
+             min_size=1, max_size=4),
+)
+_DOCUMENTS = st.recursive(
+    _SHAPES,
+    lambda inner: (st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=8,
+)
+_reference_doc = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
+                                  allow_nan=False).encode
+_reference_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                                   allow_nan=False).encode
+
+
+@dataclasses.dataclass
+class _AnyRecord:
+    """A stored record whose two fields hold any JSON value, under keys the
+    JSONL writer must not take for record boundaries."""
+
+    first: object = dataclasses.field(metadata={"key": '}\n{"'})
+    second: object = dataclasses.field(metadata={"key": "a"})
+
+
+_BATCHES = st.one_of(
+    st.lists(st.builds(_AnyRecord, _SCALAR | _FLAT_LIST | _EMPTY, _SCALAR | _FLAT_LIST), max_size=5),
+    # a nested dict or a list of dicts sends the batch line by line
+    st.lists(st.builds(_AnyRecord, _SCALAR | _FLAT_DICT | st.lists(_FLAT_DICT, max_size=2),
+                       _DOCUMENTS), max_size=5),
+    st.lists(st.builds(corpus.VisitRecord, _TEXT, st.integers(), st.floats(allow_nan=False,
+             allow_infinity=False), st.sampled_from(["training", "control"]), _TEXT), max_size=5),
+    st.lists(st.builds(corpus.TagRecord, _TEXT, _TEXT, st.lists(_TEXT, max_size=3)), max_size=5),
+)
+
+
+class TestWriters:
+    """The writers give exactly the bytes of json's own encoders: documents
+    those of `indent=2`, JSONL files one compact line per record."""
+
+    @settings(deadline=None)
+    @given(_DOCUMENTS)
+    @example([{"a": 2**64 + 1, "b": "}\n{"}, {}, {"c": [1]}])
+    @example({"k": [[], {}, [{}]], "l": [{"a": {}}, {"b": []}]})
+    @example({"a": ["x"], "b": ["}", "],\n    ["]})
+    @example([{"a": [1, "]"], "b": {"c": "}"}, "d": 0}, {"e": None}])
+    def test_documents_are_json_indent_2(self, value):
+        assert corpus._dump_doc(value) == _reference_doc(value)
+        assert corpus._dump_doc(value, "\n") == _reference_doc(value) + "\n"
+
+    @settings(deadline=None)
+    @given(_BATCHES)
+    @example([_AnyRecord({"b": 1}, 2), _AnyRecord([{"c": {}}], "\n")])
+    @example([_AnyRecord([1, "}\n{"], None), _AnyRecord(2**64, {})])
+    def test_jsonl_is_one_compact_line_per_record(self, records):
+        lines = "".join(_reference_line(corpus._to_record(r)) + "\n" for r in records)
+        assert corpus._jsonl(records) == lines
 
 
 class TestStore:

@@ -166,6 +166,16 @@ class TestManifest:
         assert type(written["session"]["mean_interval"]) is int
         assert written["sim"]["profile_decay_halflife"] is None
 
+    def test_more_default_personas_than_exist_is_refused_at_load(self):
+        # the count simulate would refuse is refused when the manifest is built
+        with pytest.raises(ConfigurationError, match="only 10 default persona categories"):
+            ExperimentManifest.from_dict({"n_personas": 99})
+        with pytest.raises(ConfigurationError, match="asked for 11"):
+            dataclasses.replace(ExperimentManifest(), n_personas=11)
+        assert ExperimentManifest.from_dict({"n_personas": 10}).n_personas == 10
+        roster = {"personas": [{"id": "one", "category": "banking"}], "n_personas": 99}
+        assert len(ExperimentManifest.from_dict(roster).persona_specs()) == 1
+
     def test_largest_seed_accepted(self):
         assert ExperimentManifest.from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
